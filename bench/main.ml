@@ -11,9 +11,8 @@
                   all cores; 1 = sequential).  Every metric printed is
                   bit-identical whatever the value — only wall-clock
                   columns vary.
-     HLP_STABLE   if set, suppress the non-deterministic output (wall
-                  clock columns, bechamel timings) so two runs can be
-                  diffed byte-for-byte
+     HLP_STABLE   if set, zero the non-deterministic output (wall clock
+                  columns) so two runs can be diffed byte-for-byte
      HLP_SA_CACHE=dir  persistent SA-table cache directory: the table is
                   loaded from dir on startup (validated, falling back to
                   recompute) and written back atomically on exit, so a
@@ -22,7 +21,7 @@
      HLP_BENCH_JSON=path.json  write the machine-readable benchmark
                   report (per-design Sec. 6 metrics, bind times,
                   SA-table hit rates, phase timings) on exit
-     HLP_TELEMETRY=path.json  dump counters/timers/spans on exit
+     HLP_TELEMETRY=path.json  dump counters/timers on exit
      HLP_LOADGEN=socket  skip the tables and instead drive a running
                   hlpowerd at the given Unix-socket path with concurrent
                   clients; reports throughput and latency percentiles.
@@ -34,15 +33,7 @@
                   incremental-session edit stream (5 full binds for a
                   baseline, then session_open -> n one-op edits ->
                   session_close) and the run reports full-bind vs
-                  incremental p50/p99; any protocol error exits 1
-     HLP_SESSION_BENCH_EDITS  one-op edits per benchmark in the
-                  in-process incremental-session section (default 40)
-     HLP_CLUSTER  if 1, run the cluster-scaling section: an in-process
-                  head over worker fleets of 1/2/4, a slot-bound and a
-                  CPU-bound workload per fleet size, and a kill-a-worker
-                  chaos run that must lose zero accepted requests; the
-                  results land in the bench JSON as a "cluster"
-                  section *)
+                  incremental p50/p99; any protocol error exits 1 *)
 
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
@@ -525,120 +516,6 @@ let ablation_port_assign () =
     [ "pr"; "mcm" ]
 
 (* ------------------------------------------------------------------ *)
-(* Simulation engines: the scalar oracle vs the bit-parallel word
-   engine, on the two workloads that pay for simulation — the
-   SA-precompute sweep (monte-carlo measured SA of every
-   (class, left, right) partial datapath the binder can request) and
-   the post-bind glitch-accurate sweep of a full design.  The mapped
-   networks are built once outside the timed region, so the rows time
-   simulation and nothing else; result identity between the engines is
-   asserted, not assumed. *)
-
-type engine_speed = {
-  workload : string;
-  sim_vectors : int;  (* total vectors each engine simulated *)
-  scalar_s : float;
-  parallel_s : float;
-  identical : bool;
-}
-
-let sa_measure_vectors = 1000
-let sa_measure_inputs = 6
-
-let sim_engine_rows =
-  lazy
-    ((* Workload 1: SA-precompute, the full symmetric key square. *)
-     let keys = ref [] in
-     List.iter
-       (fun cls ->
-         for l = 1 to sa_measure_inputs do
-           for r = l to sa_measure_inputs do keys := (cls, l, r) :: !keys done
-         done)
-       Cdfg.all_classes;
-     let nets =
-       List.rev_map
-         (fun (cls, l, r) -> ST.lut_network sa_table cls ~left:l ~right:r)
-         !keys
-     in
-     let sweep engine () =
-       List.map
-         (fun net ->
-           Hlp_activity.Switching.total net
-             (Hlp_activity.Switching.monte_carlo ~engine ~seed:"sa-measure"
-                ~vectors:sa_measure_vectors net))
-         nets
-     in
-     ignore (sweep `Bit_parallel ());
-     let t0 = now () in
-     let sa_par = sweep `Bit_parallel () in
-     let t_par = now () -. t0 in
-     let t1 = now () in
-     let sa_sca = sweep `Scalar () in
-     let t_sca = now () -. t1 in
-     let row_sa =
-       {
-         workload = "sa-precompute";
-         sim_vectors = List.length nets * sa_measure_vectors;
-         scalar_s = t_sca;
-         parallel_s = t_par;
-         identical = sa_par = sa_sca;
-       }
-     in
-     (* Workload 2: post-bind glitch-accurate sweep of one design.  The
-        golden-model check costs the same in either engine, so it is
-        off here: the row times the engines, the differential test
-        suite covers checking. *)
-     let pr = find_prepared "pr" in
-     let dp = Hlp_rtl.Datapath.build ~width pr.hlp_a05 in
-     let elab = Hlp_rtl.Elaborate.elaborate dp in
-     let mapping = Hlp_mapper.Mapper.map elab.Hlp_rtl.Elaborate.netlist ~k:4 in
-     let network = mapping.Hlp_mapper.Mapper.lut_network in
-     let config =
-       { Hlp_rtl.Sim.default_config with Hlp_rtl.Sim.vectors; check = false }
-     in
-     ignore (Hlp_rtl.Sim.run_parallel ~config elab ~network);
-     let t2 = now () in
-     let r_par = Hlp_rtl.Sim.run_parallel ~config elab ~network in
-     let t_par2 = now () -. t2 in
-     let t3 = now () in
-     let r_sca = Hlp_rtl.Sim.run_scalar ~config elab ~network in
-     let t_sca2 = now () -. t3 in
-     let row_sim =
-       {
-         workload = "post-bind-sweep";
-         sim_vectors = vectors;
-         scalar_s = t_sca2;
-         parallel_s = t_par2;
-         identical = r_par = r_sca;
-       }
-     in
-     [ row_sa; row_sim ])
-
-let rate v s = if stable || s <= 0. then 0. else float_of_int v /. s
-let speedup_of r = if stable || r.parallel_s <= 0. then 0.
-                   else r.scalar_s /. r.parallel_s
-
-let sim_engines () =
-  section
-    (Printf.sprintf
-       "Simulation engines: scalar oracle vs bit-parallel (%d lanes/word)"
-       Hlp_util.Bits.lanes);
-  Printf.printf "%-18s %9s %14s %14s %8s %10s\n" "workload" "vectors"
-    "scalar vec/s" "parallel vec/s" "speedup" "identical";
-  List.iter
-    (fun r ->
-      Printf.printf "%-18s %9d %14.0f %14.0f %7.1fx %10b\n" r.workload
-        r.sim_vectors
-        (rate r.sim_vectors r.scalar_s)
-        (rate r.sim_vectors r.parallel_s)
-        (speedup_of r) r.identical;
-      if not r.identical then begin
-        Printf.eprintf "[sim] engines diverged on %s\n%!" r.workload;
-        exit 1
-      end)
-    (Lazy.force sim_engine_rows)
-
-(* ------------------------------------------------------------------ *)
 (* Static estimator vs bit-parallel simulation: the analyzer visits each
    LUT once, the simulator executes the schedule per vector, so the
    analyzer's accuracy has to be bought at a fraction of the cost to be
@@ -754,437 +631,6 @@ let static_estimator () =
   if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure, timing the
-   compute kernel that regenerates it. *)
-
-let bechamel_section () =
-  section "Bechamel micro-benchmarks (kernel timings)";
-  let open Bechamel in
-  let pr = find_prepared "wang" in
-  let min_res cls = max 1 (Schedule.max_density pr.schedule cls) in
-  let wang = B.find "wang" in
-  let t_generate =
-    Test.make ~name:"table1-generate-cdfg"
-      (Staged.stage (fun () -> ignore (B.generate wang)))
-  in
-  let g = B.generate wang in
-  let t_schedule =
-    Test.make ~name:"table2-list-schedule"
-      (Staged.stage (fun () ->
-           ignore (Schedule.list_schedule g ~resources:(B.resources wang))))
-  in
-  let t_hlpower =
-    Test.make ~name:"table3-hlpower-bind"
-      (Staged.stage (fun () ->
-           ignore
-             (H.bind
-                ~params:(H.calibrate ~alpha:0.5 sa_table)
-                ~sa_table ~regs:pr.regs ~resources:min_res pr.schedule)))
-  in
-  let t_lopass =
-    Test.make ~name:"table3-lopass-bind"
-      (Staged.stage (fun () ->
-           ignore
-             (L.bind ~regs:pr.regs
-                ~resources:(B.resources pr.profile)
-                pr.schedule)))
-  in
-  let t_muxstats =
-    Test.make ~name:"table4-mux-stats"
-      (Staged.stage (fun () -> ignore (Bind.mux_stats pr.hlp_a05)))
-  in
-  let sa_net =
-    Hlp_netlist.Cell_library.partial_datapath
-      ~fu:Hlp_netlist.Cell_library.Adder ~width:8 ~left_inputs:3
-      ~right_inputs:2 ()
-  in
-  let t_sa =
-    Test.make ~name:"fig3-glitch-aware-mapping"
-      (Staged.stage (fun () -> ignore (Hlp_mapper.Mapper.map sa_net ~k:4)))
-  in
-  let tests =
-    [ t_generate; t_schedule; t_hlpower; t_lopass; t_muxstats; t_sa ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "%-30s %14.1f ns/run\n" name est
-          | _ -> Printf.printf "%-30s (no estimate)\n" name)
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Incremental sessions (router round trips, in process): per benchmark,
-   time a from-scratch HLPower bind of the session's ASAP schedule —
-   fresh binder state every rep, exactly the work [session_open] does —
-   against one-op [session_edit] round trips.  The edit stream
-   alternates adding and removing the same op, so after the first
-   add/remove pair every reply comes out of the session's memo layers;
-   the headline ratio is full-bind p50 over incremental edit p50. *)
-
-type session_row = {
-  ss_bench : string;
-  ss_edits : int;
-  ss_full_p50 : float;
-  ss_edit_p50 : float;
-  ss_edit_p99 : float;
-  ss_reply_hits : int;
-  ss_weight_hits : int;
-  ss_class_hits : int;
-}
-
-let pctile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
-
-let session_bench_edits =
-  match Sys.getenv_opt "HLP_SESSION_BENCH_EDITS" with
-  | Some s -> max 4 (int_of_string s)
-  | None -> 40
-
-let session_rows =
-  lazy
-    (let module P = Hlp_server.Protocol in
-     let module R = Hlp_server.Router in
-     let module J = Hlp_server.Json in
-     let router = R.create () in
-     let ck _ = () in
-     List.map
-       (fun (profile : B.profile) ->
-         let bench = profile.B.bench_name in
-         let cdfg = B.generate profile in
-         let schedule = Schedule.asap cdfg in
-         let regs = RB.bind (Lifetime.analyze schedule) in
-         let resources cls = max 1 (Schedule.max_density schedule cls) in
-         let params = H.calibrate ~alpha:0.5 sa_table in
-         let reps = 9 in
-         let full =
-           Array.init reps (fun _ ->
-               let state = H.create_state () in
-               let t0 = now () in
-               ignore
-                 (H.bind ~state ~params ~sa_table ~regs ~resources schedule);
-               now () -. t0)
-         in
-         Array.sort compare full;
-         let sid =
-           match
-             R.handle router ~checkpoint:ck
-               (P.Session_open
-                  {
-                    P.default_session_open_params with
-                    P.so_bench = bench;
-                    so_width = width;
-                  })
-           with
-           | Ok j -> (
-               match J.member "session" j with
-               | Some (J.String s) -> s
-               | _ -> failwith "session bench: open reply has no id")
-           | Error _ -> failwith ("session bench: open failed for " ^ bench)
-         in
-         let lat = Array.make session_bench_edits 0. in
-         let added_id = Cdfg.num_ops cdfg in
-         let (), scoped =
-           Telemetry.with_scope (fun () ->
-               for i = 0 to session_bench_edits - 1 do
-                 let delta =
-                   if i land 1 = 0 then
-                     P.D_add_op
-                       {
-                         d_kind = Cdfg.Add;
-                         d_left = Cdfg.Input 0;
-                         d_right = Cdfg.Input 0;
-                         d_output = true;
-                       }
-                   else P.D_remove_op added_id
-                 in
-                 let t0 = now () in
-                 (match
-                    R.handle router ~checkpoint:ck
-                      (P.Session_edit { P.se_session = sid; se_delta = delta })
-                  with
-                 | Ok _ -> ()
-                 | Error _ ->
-                     failwith ("session bench: edit failed for " ^ bench));
-                 lat.(i) <- now () -. t0
-               done)
-         in
-         let scoped_count name =
-           Option.value ~default:0 (List.assoc_opt name scoped)
-         in
-         let reply_hits =
-           match
-             R.handle router ~checkpoint:ck
-               (P.Session_close { P.sc_session = sid })
-           with
-           | Ok j -> (
-               match J.member "reply_cache_hits" j with
-               | Some (J.Int n) -> n
-               | _ -> 0)
-           | Error _ -> 0
-         in
-         Array.sort compare lat;
-         {
-           ss_bench = bench;
-           ss_edits = session_bench_edits;
-           ss_full_p50 = pctile full 0.5;
-           ss_edit_p50 = pctile lat 0.5;
-           ss_edit_p99 = pctile lat 0.99;
-           ss_reply_hits = reply_hits;
-           ss_weight_hits = scoped_count "hlpower.memo_weight_hits";
-           ss_class_hits = scoped_count "hlpower.memo_class_hits";
-         })
-       flow_profiles)
-
-let session_bench () =
-  section "Incremental sessions: one-op edit vs full re-bind";
-  Printf.printf "%-8s %13s %13s %13s %8s %10s %10s\n" "bench" "full-p50(us)"
-    "edit-p50(us)" "edit-p99(us)" "speedup" "reply-hit" "memo-hit";
-  List.iter
-    (fun r ->
-      let speedup =
-        if stable || r.ss_edit_p50 <= 0. then 0.
-        else r.ss_full_p50 /. r.ss_edit_p50
-      in
-      Printf.printf "%-8s %13.1f %13.1f %13.1f %8.1f %10d %10d\n" r.ss_bench
-        (1e6 *. shown_seconds r.ss_full_p50)
-        (1e6 *. shown_seconds r.ss_edit_p50)
-        (1e6 *. shown_seconds r.ss_edit_p99)
-        speedup r.ss_reply_hits
-        (r.ss_weight_hits + r.ss_class_hits))
-    (Lazy.force session_rows)
-
-(* ------------------------------------------------------------------ *)
-(* Cluster scaling (HLP_CLUSTER=1): an in-process head over an
-   in-process worker fleet — the same topology the cluster-smoke CI
-   job drives across real process boundaries.  Two workloads per fleet
-   size: [ping 15] holds a scheduler slot for 15 ms without burning
-   CPU, so aggregate throughput scales with the worker count even on a
-   single-core host; [bind] is the real CPU-bound binder and is
-   recorded as-is (it can only scale with physical cores).  A chaos
-   sub-run stops one worker mid-load and requires every request the
-   generator sent to come back as a result: the head's failover plus
-   the client's bounded retry must lose nothing. *)
-
-type cluster_row = {
-  cl_workers : int;
-  cl_op : string;
-  cl_clients : int;
-  cl_total : int;
-  cl_ok : int;
-  cl_wall_s : float;
-}
-
-type cluster_chaos = {
-  ch_workers : int;
-  ch_sent : int;
-  ch_ok : int;
-  ch_killed : string;
-}
-
-let cluster_enabled =
-  match Sys.getenv_opt "HLP_CLUSTER" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let cluster_rows : cluster_row list ref = ref []
-let cluster_chaos_row : cluster_chaos option ref = ref None
-
-let cluster_rps op n =
-  match
-    List.find_opt (fun r -> r.cl_op = op && r.cl_workers = n) !cluster_rows
-  with
-  | Some r when r.cl_wall_s > 0. -> float_of_int r.cl_total /. r.cl_wall_s
-  | _ -> 0.
-
-let cluster_section () =
-  if cluster_enabled then begin
-    let module P = Hlp_server.Protocol in
-    let module J = Hlp_server.Json in
-    let module S = Hlp_server.Server in
-    let module C = Hlp_server.Client in
-    let module Head = Hlp_cluster.Head in
-    let module Fwd = Hlp_cluster.Forwarder in
-    section "Cluster scaling (consistent-hash head over a worker fleet)";
-    let sock_n = ref 0 in
-    let fresh tag =
-      incr sock_n;
-      Printf.sprintf "/tmp/hlp_bench_cl_%s_%d_%d.sock" tag (Unix.getpid ())
-        !sock_n
-    in
-    (* One scheduler slot per worker: the slot, not the CPU, is the
-       resource the ping workload contends for. *)
-    let start_worker name =
-      let socket_path = fresh name in
-      let config = { S.default_config with S.socket_path; workers = 1 } in
-      let server = S.create ~config () in
-      let runner = Thread.create (fun () -> S.run server) () in
-      (name, socket_path, server, runner)
-    in
-    (* The chaos run stops a worker mid-load and teardown stops it
-       again; key the guard by socket path, which is unique. *)
-    let downed = Hashtbl.create 8 in
-    let stop_worker (_, socket_path, server, runner) =
-      if not (Hashtbl.mem downed socket_path) then begin
-        Hashtbl.replace downed socket_path ();
-        S.shutdown server;
-        Thread.join runner;
-        try Unix.unlink socket_path with Unix.Unix_error _ -> ()
-      end
-    in
-    let with_fleet n f =
-      let workers =
-        List.init n (fun i -> start_worker (Printf.sprintf "w%d" i))
-      in
-      let head_socket = fresh "head" in
-      let config =
-        {
-          Head.default_config with
-          Head.socket_path = head_socket;
-          backends =
-            List.map
-              (fun (name, sock, _, _) -> (name, Fwd.Unix_path sock))
-              workers;
-          fail_threshold = 1;
-          retry_attempts = 4;
-          retry_backoff_ms = 10;
-          forward_timeout_s = Some 60.;
-        }
-      in
-      let head = Head.create ~config () in
-      let runner = Thread.create (fun () -> Head.run head) () in
-      Fun.protect
-        ~finally:(fun () ->
-          Head.shutdown head;
-          Thread.join runner;
-          List.iter stop_worker workers;
-          try Unix.unlink head_socket with Unix.Unix_error _ -> ())
-        (fun () -> f ~head_socket ~head ~workers)
-    in
-    (* Widths 2..7 spread the ring keys over the shards; ping is
-       keyless and round-robins over the live fleet. *)
-    let op_of kind i =
-      match kind with
-      | `Ping -> P.Ping 15
-      | `Bind ->
-          P.Bind
-            {
-              P.default_bind_params with
-              P.bench = "pr";
-              width = 2 + (i mod 6);
-              vectors = 10;
-            }
-    in
-    let run_load ~head_socket ~clients ~requests kind =
-      let ok = Atomic.make 0 and errors = Atomic.make 0 in
-      let body c_idx =
-        let c = C.connect head_socket in
-        Fun.protect
-          ~finally:(fun () -> C.close c)
-          (fun () ->
-            for r = 0 to requests - 1 do
-              let id = (c_idx * requests) + r in
-              match
-                C.request_retry ~attempts:5 ~backoff_ms:10 c
-                  { P.id = J.Int id; deadline_ms = None; op = op_of kind id }
-              with
-              | Ok { P.payload = P.Result _; _ } -> Atomic.incr ok
-              | Ok { P.payload = P.Error _; _ } | Error _ ->
-                  Atomic.incr errors
-            done)
-      in
-      let t0 = now () in
-      let threads = List.init clients (fun i -> Thread.create body i) in
-      List.iter Thread.join threads;
-      (now () -. t0, Atomic.get ok, Atomic.get errors)
-    in
-    List.iter
-      (fun n ->
-        with_fleet n (fun ~head_socket ~head:_ ~workers:_ ->
-            (* Warm the forwarder pool and the workers' SA tables out
-               of band so the measured rows compare like with like. *)
-            ignore (run_load ~head_socket ~clients:2 ~requests:6 `Bind);
-            List.iter
-              (fun (kind, name, clients, requests) ->
-                let wall, ok, errors =
-                  run_load ~head_socket ~clients ~requests kind
-                in
-                if errors > 0 then begin
-                  Printf.eprintf
-                    "cluster: %d error replies (%s, %d workers)\n%!" errors
-                    name n;
-                  exit 1
-                end;
-                let total = clients * requests in
-                Printf.printf
-                  "cluster: %d worker(s)  %-4s  %d clients x %2d  %6.2f s  \
-                   %7.1f req/s\n\
-                   %!"
-                  n name clients requests wall
-                  (float_of_int total /. wall);
-                cluster_rows :=
-                  !cluster_rows
-                  @ [
-                      {
-                        cl_workers = n;
-                        cl_op = name;
-                        cl_clients = clients;
-                        cl_total = total;
-                        cl_ok = ok;
-                        cl_wall_s = wall;
-                      };
-                    ])
-              [ (`Ping, "ping", 8, 12); (`Bind, "bind", 4, 6) ]))
-      [ 1; 2; 4 ];
-    let lo = cluster_rps "ping" 1 and hi = cluster_rps "ping" 4 in
-    if lo > 0. then
-      Printf.printf "cluster: slot-bound scaling 1 -> 4 workers: %.2fx\n%!"
-        (hi /. lo);
-    (* Chaos: stop the first worker mid-load.  Zero lost accepted
-       requests — every request the generator sent must come back as a
-       result, via the head's failover and the client's retry. *)
-    with_fleet 4 (fun ~head_socket ~head ~workers ->
-        let clients = 6 and requests = 20 in
-        let killed_name, _, _, _ = List.hd workers in
-        let killer =
-          Thread.create
-            (fun () ->
-              Thread.delay 0.4;
-              stop_worker (List.hd workers);
-              Head.force_health_round head)
-            ()
-        in
-        let _, ok, errors = run_load ~head_socket ~clients ~requests `Bind in
-        Thread.join killer;
-        let sent = clients * requests in
-        Printf.printf
-          "cluster: chaos (killed %s of 4 mid-load): %d sent, %d ok, %d \
-           lost\n\
-           %!"
-          killed_name sent ok (sent - ok);
-        cluster_chaos_row :=
-          Some
-            { ch_workers = 4; ch_sent = sent; ch_ok = ok;
-              ch_killed = killed_name };
-        if errors > 0 || ok <> sent then begin
-          Printf.eprintf "cluster: chaos lost %d accepted request(s)\n%!"
-            (sent - ok);
-          exit 1
-        end)
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable benchmark report (HLP_BENCH_JSON=path).  Metric
    floats are printed with %.17g so a warm-cache run is textually equal
    to a cold one iff its Sec. 6 metrics are bit-identical; wall-clock
@@ -1201,10 +647,9 @@ let bench_json ~total_seconds path =
   add
     (Printf.sprintf
        "  \"meta\": {\"width\": %d, \"vectors\": %d, \"variants\": %d, \
-        \"fast\": %b, \"stable\": %b, \"jobs\": %d, \"sim_engine\": \
-        \"%s\", \"sa_cache\": %s, \"lib_fingerprint\": \"%s\"},\n"
+        \"fast\": %b, \"stable\": %b, \"jobs\": %d, \"sa_cache\": %s, \
+        \"lib_fingerprint\": \"%s\"},\n"
        width vectors variants fast stable (Pool.jobs ())
-       (Hlp_rtl.Sim.(engine_name (resolve_engine Auto)))
        (match ST.cache_file sa_table with
        | Some p -> Printf.sprintf "\"%s\"" (Telemetry.json_escape p)
        | None -> "null")
@@ -1270,27 +715,6 @@ let bench_json ~total_seconds path =
        (List.length (ST.entries sa_table))
        (ST.hits sa_table) (ST.misses sa_table) (ST.disk_hits sa_table)
        (ST.disk_entries sa_table));
-  (* Engine comparison: vectors/sec are wall-clock derived, so they go
-     to 0 under HLP_STABLE like every other timing; [identical] is the
-     asserted scalar-vs-parallel result equality and stays real. *)
-  add "  \"sim\": {\"lanes\": ";
-  add (string_of_int Hlp_util.Bits.lanes);
-  add ", \"workloads\": [";
-  sep := "";
-  List.iter
-    (fun r ->
-      add
-        (Printf.sprintf
-           "%s\n    {\"name\": \"%s\", \"vectors\": %d, \
-            \"scalar_vectors_per_sec\": %s, \"parallel_vectors_per_sec\": \
-            %s, \"sim_vectors_per_sec_speedup\": %s, \"identical\": %b}"
-           !sep r.workload r.sim_vectors
-           (jf (rate r.sim_vectors r.scalar_s))
-           (jf (rate r.sim_vectors r.parallel_s))
-           (jf (speedup_of r)) r.identical);
-      sep := ",")
-    (Lazy.force sim_engine_rows);
-  add "\n  ]},\n";
   (* Static estimator differential: relative errors are deterministic
      (both estimators are seeded) and stay real under HLP_STABLE; only
      the timing-derived fields are zeroed. *)
@@ -1316,66 +740,8 @@ let bench_json ~total_seconds path =
       sep := ",")
     (Lazy.force static_estimator_rows);
   add "\n  ]},\n";
-  (* Incremental sessions: hit counts are deterministic (pure functions
-     of the edit stream); latency percentiles go to 0 under HLP_STABLE
-     like every other timing. *)
-  add "  \"sessions\": [";
-  sep := "";
-  List.iter
-    (fun r ->
-      add
-        (Printf.sprintf
-           "%s\n    {\"bench\": \"%s\", \"edits\": %d, \"full_bind_p50_s\": \
-            %s, \"edit_p50_s\": %s, \"edit_p99_s\": %s, \
-            \"reply_cache_hits\": %d, \"memo_weight_hits\": %d, \
-            \"memo_class_hits\": %d}"
-           !sep r.ss_bench r.ss_edits (jt r.ss_full_p50) (jt r.ss_edit_p50)
-           (jt r.ss_edit_p99) r.ss_reply_hits r.ss_weight_hits
-           r.ss_class_hits);
-      sep := ",")
-    (Lazy.force session_rows);
-  add "\n  ],\n";
-  (* Cluster scaling (present only when HLP_CLUSTER=1 ran the
-     section).  req/s values are wall-clock derived, so HLP_STABLE
-     zeroes them like every other timing; the ok counts and the chaos
-     lost count are deterministic. *)
-  if !cluster_rows <> [] then begin
-    add "  \"cluster\": {\"rows\": [";
-    sep := "";
-    List.iter
-      (fun r ->
-        add
-          (Printf.sprintf
-             "%s\n    {\"workers\": %d, \"op\": \"%s\", \"clients\": %d, \
-              \"requests\": %d, \"ok\": %d, \"wall_s\": %s, \"req_per_s\": \
-              %s}"
-             !sep r.cl_workers r.cl_op r.cl_clients r.cl_total r.cl_ok
-             (jt r.cl_wall_s)
-             (jt
-                (if r.cl_wall_s > 0. then
-                   float_of_int r.cl_total /. r.cl_wall_s
-                 else 0.)));
-        sep := ",")
-      !cluster_rows;
-    add "\n  ]";
-    (let lo = cluster_rps "ping" 1 and hi = cluster_rps "ping" 4 in
-     add
-       (Printf.sprintf ", \"ping_scaling_1_to_4\": %s"
-          (jt (if lo > 0. then hi /. lo else 0.))));
-    (match !cluster_chaos_row with
-    | Some c ->
-        add
-          (Printf.sprintf
-             ", \"chaos\": {\"workers\": %d, \"sent\": %d, \"ok\": %d, \
-              \"lost\": %d, \"killed\": \"%s\"}"
-             c.ch_workers c.ch_sent c.ch_ok (c.ch_sent - c.ch_ok)
-             c.ch_killed)
-    | None -> ());
-    add "},\n"
-  end;
-  (* Phase wall clock (elaborate / map / sim / power / bind, plus the
-     per-design flow spans).  Call counts stay real in stable mode;
-     only the seconds are zeroed. *)
+  (* Phase wall clock (elaborate / map / sim / power / bind).  Call
+     counts stay real in stable mode; only the seconds are zeroed. *)
   add "  \"phases\": [";
   sep := "";
   List.iter
@@ -1386,19 +752,6 @@ let bench_json ~total_seconds path =
            (Telemetry.json_escape name) calls (jt seconds));
       sep := ",")
     (Telemetry.timers ());
-  (* Synthetic phase row: the median one-op session_edit latency across
-     benchmarks, so the phase table carries the headline incremental
-     number next to the full-flow stages. *)
-  (let srows = Lazy.force session_rows in
-   let sorted =
-     Array.of_list (List.sort compare (List.map (fun r -> r.ss_edit_p50) srows))
-   in
-   let calls = List.fold_left (fun a r -> a + r.ss_edits) 0 srows in
-   add
-     (Printf.sprintf
-        "%s\n    {\"name\": \"edit_p50_us\", \"calls\": %d, \"seconds\": %s}"
-        !sep calls
-        (jt (pctile sorted 0.5))));
   add "\n  ],\n";
   add (Printf.sprintf "  \"total_seconds\": %s\n}\n" (jt total_seconds));
   let oc = open_out path in
@@ -1872,13 +1225,7 @@ let () =
   ablation_multicycle ();
   ablation_port_assign ();
   ablation_module_select ();
-  sim_engines ();
   static_estimator ();
-  session_bench ();
-  cluster_section ();
-  (* Bechamel numbers are wall-clock by nature; skip them entirely in
-     byte-stable mode. *)
-  if not stable then bechamel_section ();
   let total_seconds = now () -. t0 in
   Printf.eprintf "[bench] total wall clock %.1f s\n%!" total_seconds;
   bench_json_if_requested ~total_seconds;

@@ -101,7 +101,6 @@ let check_diagnosed ~phase ~frame (ds : P.Diagnostic.t list) =
 
 let gen_bench = Gen.oneofl [ "pr"; "wang"; "honda"; "mcm"; "nope" ]
 let gen_binder = Gen.oneofl [ "hlpower"; "lopass" ]
-let gen_engine = Gen.oneofl [ "auto"; "scalar"; "parallel" ]
 let gen_estimator = Gen.oneofl [ "sim"; "static"; "both" ]
 
 (* Decoded alphas always re-encode bit-exactly (%.17g), so any float in
@@ -149,7 +148,6 @@ let gen_valid_bind_params =
   int_range 1 P.max_width >>= fun width ->
   int_range 1 64 >>= fun vectors ->
   bool >>= fun port_assign ->
-  gen_engine >>= fun engine ->
   gen_estimator >>= fun estimator ->
   option gen_model >>= fun model ->
   (if inline then map (fun g -> ("", Some g)) gen_valid_graph
@@ -163,7 +161,6 @@ let gen_valid_bind_params =
       width;
       vectors;
       port_assign;
-      engine;
       estimator;
       graph;
       model;

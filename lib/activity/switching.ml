@@ -70,96 +70,6 @@ let najm_density f inputs =
   done;
   !total
 
-(* --- measured (monte-carlo) switching activity ----------------------
-
-   The zero-delay counterpart of the estimators above: drive the netlist
-   with random vectors and count what actually happens.  Both engines
-   derive their signals from the same integer (ones, transitions)
-   counts, so their results are bit-identical floats; the vector stream
-   is shared and generated once, natively in packed form: one
-   [Rng.bits64] draw per (batch, input) — batch-major, input-minor —
-   whose low [Bits.lanes] bits are the input's values in vectors
-   [batch * lanes .. batch * lanes + lanes - 1].  Vector [v] therefore
-   reads bit [v mod lanes] of word [v / lanes], for either engine, and
-   its inputs do not depend on the total vector count. *)
-
-let mc_stream ~seed ~batches ~num_inputs =
-  let rng = Hlp_util.Rng.create seed in
-  let stream = Array.make_matrix batches num_inputs 0 in
-  for b = 0 to batches - 1 do
-    for k = 0 to num_inputs - 1 do
-      (* [Int64.to_int] keeps exactly the low [Sys.int_size] = lanes
-         bits: every lane is an iid fair bit. *)
-      stream.(b).(k) <- Int64.to_int (Hlp_util.Rng.bits64 rng)
-    done
-  done;
-  stream
-
-(* One boolean per node, one vector at a time: the oracle. *)
-let mc_counts_scalar net stream ~vectors ~num_inputs ~ones ~trans =
-  let lanes = Hlp_util.Bits.lanes in
-  let n = Nl.num_nodes net in
-  let vec = Array.make num_inputs false in
-  let prev = Array.make n false in
-  for v = 0 to vectors - 1 do
-    let b = v / lanes and l = v mod lanes in
-    for k = 0 to num_inputs - 1 do
-      vec.(k) <- (stream.(b).(k) lsr l) land 1 = 1
-    done;
-    let values = Nl.eval net vec in
-    for id = 0 to n - 1 do
-      if values.(id) then ones.(id) <- ones.(id) + 1;
-      if v > 0 && values.(id) <> prev.(id) then trans.(id) <- trans.(id) + 1
-    done;
-    Array.blit values 0 prev 0 n
-  done
-
-(* One machine word per node, [Bits.lanes] vectors at a time.
-   Transitions inside a batch are adjacent-lane XORs; the seam between
-   batches compares the previous batch's top active lane with lane 0. *)
-let mc_counts_words net stream ~vectors ~num_inputs ~ones ~trans =
-  let module Bits = Hlp_util.Bits in
-  let n = Nl.num_nodes net in
-  let inw = Array.make num_inputs 0 in
-  let last = Array.make n 0 in
-  let base = ref 0 in
-  let batch = ref 0 in
-  while !base < vectors do
-    let active = min Bits.lanes (vectors - !base) in
-    let amask = Bits.mask_lanes active in
-    for k = 0 to num_inputs - 1 do
-      inw.(k) <- stream.(!batch).(k) land amask
-    done;
-    let values = Nl.eval_words net inw in
-    let seam_mask = Bits.mask_lanes (active - 1) in
-    for id = 0 to n - 1 do
-      let w = values.(id) land amask in
-      ones.(id) <- ones.(id) + Bits.popcount w;
-      trans.(id) <- trans.(id) + Bits.popcount (((w lsr 1) lxor w) land seam_mask);
-      if !base > 0 then trans.(id) <- trans.(id) + ((last.(id) lxor w) land 1);
-      last.(id) <- (w lsr (active - 1)) land 1
-    done;
-    base := !base + active;
-    incr batch
-  done
-
-let monte_carlo ?(engine = `Bit_parallel) ~seed ~vectors net =
-  if vectors < 1 then invalid_arg "Switching.monte_carlo: vectors < 1";
-  let num_inputs = Array.length (Nl.inputs net) in
-  let n = Nl.num_nodes net in
-  let batches = (vectors + Hlp_util.Bits.lanes - 1) / Hlp_util.Bits.lanes in
-  let stream = mc_stream ~seed ~batches ~num_inputs in
-  let ones = Array.make n 0 and trans = Array.make n 0 in
-  (match engine with
-  | `Scalar -> mc_counts_scalar net stream ~vectors ~num_inputs ~ones ~trans
-  | `Bit_parallel -> mc_counts_words net stream ~vectors ~num_inputs ~ones ~trans);
-  let fv = float_of_int vectors in
-  let pairs = if vectors > 1 then float_of_int (vectors - 1) else 1. in
-  Array.init n (fun id ->
-      signal
-        ~prob:(float_of_int ones.(id) /. fv)
-        ~activity:(float_of_int trans.(id) /. pairs))
-
 let propagate t ~input =
   let signals =
     Array.make (Nl.num_nodes t) { prob = 0.; activity = 0. }

@@ -40,37 +40,6 @@ val of_table : Hlp_netlist.Truth_table.t -> signal array -> signal
 (** [najm_density f inputs] is the Eq. 1 transition density of [y]. *)
 val najm_density : Hlp_netlist.Truth_table.t -> signal array -> float
 
-(** [monte_carlo ~seed ~vectors net] is the {e measured} zero-delay
-    switching activity: [vectors] random input vectors drive the
-    netlist, and each node's signal is taken from its sample
-    statistics.  The stream is generated once, in packed form, from a
-    single generator created with [seed]: one [Rng.bits64] draw per
-    (batch of [Hlp_util.Bits.lanes] vectors, input) — batch-major,
-    input-minor — whose low [lanes] bits hold that input's value in
-    each vector of the batch.  Both engines consume exactly this
-    stream (vector [v] is lane [v mod lanes] of batch [v / lanes]),
-    and a vector's inputs do not depend on the total vector count.
-    Per-node statistics: [prob] = ones / vectors, [activity] = transitions
-    between consecutive vectors / (vectors - 1), run through {!signal}
-    (which clamps sampling noise that exceeds the [s <= 2 min(P, 1-P)]
-    bound).
-
-    [engine] selects the evaluation strategy: [`Scalar] evaluates one
-    vector at a time ({!Hlp_netlist.Netlist.eval} — the oracle);
-    [`Bit_parallel] (the default) packs [Hlp_util.Bits.lanes] vectors
-    per machine word ({!Hlp_netlist.Netlist.eval_words}) and counts with
-    popcounts of adjacent-lane XORs.  Both engines compute the same
-    integer (ones, transitions) counts, so their signals are
-    bit-identical.
-
-    @raise Invalid_argument if [vectors < 1]. *)
-val monte_carlo :
-  ?engine:[ `Scalar | `Bit_parallel ] ->
-  seed:string ->
-  vectors:int ->
-  Hlp_netlist.Netlist.t ->
-  signal array
-
 (** [propagate t ~input] runs {!of_table} over a whole netlist in
     topological order ("zero-delay" model: every node switches once per
     cycle, no glitches).  [input k] is the signal of the [k]-th primary

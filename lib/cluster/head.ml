@@ -106,38 +106,11 @@ let create ?(config = default_config) () =
       (List.map fst config.backends)
   in
   let listeners =
-    (* Same socket semantics as the worker daemon, stale-socket
-       recovery included. *)
-    let listen_unix path =
-      (match Unix.stat path with
-      | { Unix.st_kind = Unix.S_SOCK; _ } ->
-          let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          let alive =
-            try
-              Unix.connect probe (Unix.ADDR_UNIX path);
-              true
-            with Unix.Unix_error _ -> false
-          in
-          Unix.close probe;
-          if alive then raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
-          else Unix.unlink path
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
-    in
-    let listen_tcp port =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.listen fd 64;
-      fd
-    in
-    listen_unix config.socket_path
+    Hlp_server.Server.listen_unix config.socket_path
     ::
-    (match config.tcp_port with Some p -> [ listen_tcp p ] | None -> [])
+    (match config.tcp_port with
+    | Some p -> [ Hlp_server.Server.listen_tcp p ]
+    | None -> [])
   in
   let wake_r, wake_w = Unix.pipe () in
   {

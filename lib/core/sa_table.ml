@@ -102,27 +102,6 @@ let compute t cls ~left ~right =
   let mapping = Mapper.map netlist ~k:t.k in
   mapping.Mapper.total_sa
 
-(* Measured counterpart of [compute]: instead of the analytic estimator
-   baked into the mapper's [total_sa], drive the mapped LUT network with
-   random vectors and sum the sampled per-node activity.  This is the
-   SA-precompute path the bench times under both simulation engines;
-   it never touches the cache, so the binder's analytic entries stay
-   exactly as they were. *)
-let lut_network t cls ~left ~right =
-  if left < 1 || right < 1 then
-    invalid_arg "Sa_table.lut_network: bad mux size";
-  let netlist =
-    Cl.partial_datapath ~fu:(fu_of_class cls) ~width:t.width
-      ~left_inputs:left ~right_inputs:right ()
-  in
-  (Mapper.map netlist ~k:t.k).Mapper.lut_network
-
-let measured_sa ?(engine = `Bit_parallel) ?(vectors = 1000)
-    ?(seed = "sa-measure") t cls ~left ~right =
-  let net = lut_network t cls ~left ~right in
-  let signals = Hlp_activity.Switching.monte_carlo ~engine ~seed ~vectors net in
-  Hlp_activity.Switching.total net signals
-
 let all_keys ~max_inputs =
   let keys = ref [] in
   List.iter
@@ -134,12 +113,6 @@ let all_keys ~max_inputs =
       done)
     Cdfg.all_classes;
   List.rev !keys
-
-let measure_all ?engine ?vectors ?seed t ~max_inputs =
-  List.map
-    (fun (cls, left, right) ->
-      ((cls, left, right), measured_sa ?engine ?vectors ?seed t cls ~left ~right))
-    (all_keys ~max_inputs)
 
 let find_cached t key =
   Mutex.lock t.mu;

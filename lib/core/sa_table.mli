@@ -138,49 +138,6 @@ val lookup : t -> Hlp_cdfg.Cdfg.fu_class -> left:int -> right:int -> float
     in parallel across the {!Hlp_util.Pool} worker count. *)
 val precompute : t -> max_inputs:int -> unit
 
-(** [lut_network t cls ~left ~right] is the technology-mapped LUT
-    network of the partial datapath behind one table entry — the
-    network both the analytic estimate ({!lookup}) and the measured
-    sweep ({!measured_sa}) evaluate.  Exposed so a harness can build
-    the networks once and time only the simulation.
-    @raise Invalid_argument on non-positive sizes. *)
-val lut_network :
-  t ->
-  Hlp_cdfg.Cdfg.fu_class ->
-  left:int ->
-  right:int ->
-  Hlp_netlist.Netlist.t
-
-(** [measured_sa t cls ~left ~right] is the {e measured} counterpart of
-    a {!lookup} entry: elaborate and map the same partial datapath, then
-    drive the LUT network with [vectors] random vectors
-    ({!Hlp_activity.Switching.monte_carlo}) and sum the sampled per-node
-    activity.  [engine] picks the evaluation engine ([`Bit_parallel] by
-    default; [`Scalar] is the oracle — both are bit-identical).  Never
-    reads or writes the cache: the binder's analytic entries are
-    unaffected.  This is the SA-precompute workload the bench harness
-    times under both engines. *)
-val measured_sa :
-  ?engine:[ `Scalar | `Bit_parallel ] ->
-  ?vectors:int ->
-  ?seed:string ->
-  t ->
-  Hlp_cdfg.Cdfg.fu_class ->
-  left:int ->
-  right:int ->
-  float
-
-(** [measure_all t ~max_inputs] runs {!measured_sa} over the same
-    symmetric key square as {!precompute} and returns the
-    [(key, measured sa)] rows in key-enumeration order. *)
-val measure_all :
-  ?engine:[ `Scalar | `Bit_parallel ] ->
-  ?vectors:int ->
-  ?seed:string ->
-  t ->
-  max_inputs:int ->
-  ((Hlp_cdfg.Cdfg.fu_class * int * int) * float) list
-
 (** [entries t] lists the memoized [(class, left, right, sa)] rows. *)
 val entries : t -> (Hlp_cdfg.Cdfg.fu_class * int * int * float) list
 

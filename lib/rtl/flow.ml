@@ -8,7 +8,6 @@ type config = {
   vectors : int;
   seed : string;
   check : bool;
-  engine : Sim.engine;
   model : Power.model;
   objective : Mapper.objective;
   estimator : Power.estimator;
@@ -21,7 +20,6 @@ let default_config =
     vectors = 1000;
     seed = "flow";
     check = true;
-    engine = Sim.Auto;
     model = Power.default_model;
     objective = Mapper.Min_sa;
     estimator = `Sim;
@@ -72,9 +70,6 @@ let phases = [ "elaborate"; "map"; "lint"; "static"; "sim"; "power" ]
 
 let run ?(checkpoint = fun _ -> ()) ?(config = default_config) ~design binding
     =
-  (* One span per design gives the per-design flow-timing breakdown in the
-     telemetry dump; the mapper and simulator record their own timers. *)
-  Telemetry.span ("flow:" ^ design) @@ fun () ->
   checkpoint "elaborate";
   let dp, elab =
     Telemetry.time "flow.elaborate" (fun () ->
@@ -125,12 +120,8 @@ let run ?(checkpoint = fun _ -> ()) ?(config = default_config) ~design binding
     | `Sim | `Both ->
         checkpoint "sim";
         let sim_config =
-          {
-            Sim.vectors = config.vectors;
-            seed = config.seed;
-            check = config.check;
-            engine = config.engine;
-          }
+          { Sim.vectors = config.vectors; seed = config.seed;
+            check = config.check }
         in
         let sim = Sim.run ~config:sim_config elab ~network in
         checkpoint "power";

@@ -12,7 +12,6 @@ type config = {
   vectors : int;  (** random simulation vectors (default 1000) *)
   seed : string;  (** vector PRNG seed *)
   check : bool;  (** verify against the golden CDFG evaluation *)
-  engine : Sim.engine;  (** simulation engine (default [Auto]) *)
   model : Power.model;  (** power/timing constants *)
   objective : Hlp_mapper.Mapper.objective;  (** mapping objective *)
   estimator : Power.estimator;

@@ -11,44 +11,13 @@ let c_toggles = Telemetry.counter "sim.toggles"
 let c_glitches = Telemetry.counter "sim.glitch_toggles"
 let c_vectors = Telemetry.counter "sim.vectors"
 
-type engine = Auto | Scalar | Bit_parallel
-
 type config = {
   vectors : int;
   seed : string;
   check : bool;
-  engine : engine;
 }
 
-let default_config = { vectors = 1000; seed = "sim"; check = true; engine = Auto }
-
-let engine_name = function
-  | Auto -> "auto"
-  | Scalar -> "scalar"
-  | Bit_parallel -> "parallel"
-
-let engine_of_string = function
-  | "auto" -> Some Auto
-  | "scalar" -> Some Scalar
-  | "parallel" | "bit-parallel" | "bit_parallel" -> Some Bit_parallel
-  | _ -> None
-
-let resolve_engine = function
-  | Scalar -> Scalar
-  | Bit_parallel -> Bit_parallel
-  | Auto -> (
-      match Sys.getenv_opt "HLP_SIM_ENGINE" with
-      | None | Some "" -> Bit_parallel
-      | Some s -> (
-          match engine_of_string s with
-          | Some Scalar -> Scalar
-          | Some (Auto | Bit_parallel) -> Bit_parallel
-          | None ->
-              failwith
-                (Printf.sprintf
-                   "HLP_SIM_ENGINE: unknown engine %S (expected \"auto\", \
-                    \"scalar\" or \"parallel\")"
-                   s)))
+let default_config = { vectors = 1000; seed = "sim"; check = true }
 
 type result = {
   node_toggles : int array;
@@ -473,7 +442,7 @@ let settle_words e ~epoch (assignment : int array) =
   e.wtouched := [];
   glitches
 
-let run_parallel ?(config = default_config) (elab : Elaborate.t) ~network =
+let run ?(config = default_config) (elab : Elaborate.t) ~network =
   Telemetry.time "sim.run" @@ fun () ->
   let h = make_harness elab ~network ~config ~fill:0 in
   (* The canonical all-false steady state, shared with the oracle. *)
@@ -562,8 +531,3 @@ let run_parallel ?(config = default_config) (elab : Elaborate.t) ~network =
     cycles = !cycles;
     num_signals = Nl.num_nodes network;
   }
-
-let run ?(config = default_config) (elab : Elaborate.t) ~network =
-  match resolve_engine config.engine with
-  | Scalar -> run_scalar ~config elab ~network
-  | Auto | Bit_parallel -> run_parallel ~config elab ~network

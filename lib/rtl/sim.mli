@@ -11,25 +11,22 @@
 
     {2 Engines}
 
-    Two engines compute the same result:
+    {!run} is the bit-parallel engine: one machine word per signal,
+    packing [Sys.int_size] vectors into the lanes of each word and
+    evaluating every LUT with bitwise truth-table expansion
+    ({!Hlp_netlist.Truth_table.eval_words}).  Per-node toggle counts
+    are popcounts of the XOR between successive word values; the tail
+    batch masks its unused lanes, which idle at the network's canonical
+    (all-false-input) state.
 
-    - {!run_scalar} — the reference oracle: one boolean per signal, one
-      vector at a time.
-    - {!run_parallel} — the bit-parallel engine: one machine word per
-      signal, packing [Sys.int_size] vectors into the lanes of each word
-      and evaluating every LUT with bitwise truth-table expansion
-      ({!Hlp_netlist.Truth_table.eval_words}).  Per-node toggle counts
-      are popcounts of the XOR between successive word values; the tail
-      batch masks its unused lanes, which idle at the network's
-      canonical (all-false-input) state.
-
-    The engines are {e bit-identical}: same [node_toggles],
-    [glitch_toggles], [total_toggles] and [cycles] for every
-    configuration (the differential test suite asserts this
-    exhaustively).  This holds because simulation is per-vector
-    independent and each unit-delay time step commits in two phases, so
-    a node's value at time [t] is a pure function of the network values
-    at [t - 1] — exactly what lane-wise word evaluation computes.
+    {!run_scalar} is the reference oracle the test suite holds {!run}
+    to: one boolean per signal, one vector at a time.  The two are
+    {e bit-identical} — same [node_toggles], [glitch_toggles],
+    [total_toggles] and [cycles] for every configuration.  This holds
+    because simulation is per-vector independent and each unit-delay
+    time step commits in two phases, so a node's value at time [t] is a
+    pure function of the network values at [t - 1] — exactly what
+    lane-wise word evaluation computes.
 
     {2 Semantics}
 
@@ -57,35 +54,14 @@
 
 module Nl = Hlp_netlist.Netlist
 
-(** Engine selection.  [Auto] defers to the [HLP_SIM_ENGINE] environment
-    variable (["auto"], ["scalar"], ["parallel"]), defaulting to
-    [Bit_parallel] when unset. *)
-type engine = Auto | Scalar | Bit_parallel
-
 type config = {
   vectors : int;  (** random input vectors (schedule executions) *)
   seed : string;  (** PRNG seed for the vector stream *)
   check : bool;  (** verify outputs against the golden CDFG evaluation *)
-  engine : engine;  (** which engine {!run} dispatches to *)
 }
 
-(** 1000 vectors (the paper's count), checked, fixed seed, [Auto]
-    engine. *)
+(** 1000 vectors (the paper's count), checked, fixed seed. *)
 val default_config : config
-
-(** [engine_of_string s] parses ["auto"], ["scalar"], ["parallel"] (also
-    accepted: ["bit-parallel"], ["bit_parallel"]); [None] otherwise. *)
-val engine_of_string : string -> engine option
-
-(** [engine_name e] is the canonical name: ["auto"], ["scalar"],
-    ["parallel"]. *)
-val engine_name : engine -> string
-
-(** [resolve_engine e] is the engine {!run} would dispatch to: [Scalar]
-    and [Bit_parallel] are themselves; [Auto] consults [HLP_SIM_ENGINE]
-    (default [Bit_parallel]).
-    @raise Failure if [HLP_SIM_ENGINE] names an unknown engine. *)
-val resolve_engine : engine -> engine
 
 type result = {
   node_toggles : int array;  (** per network node id *)
@@ -106,18 +82,13 @@ val vector_stream :
   seed:string -> vectors:int -> num_inputs:int -> mask:int ->
   int array array
 
-(** [run ~config elab ~network] simulates with the engine selected by
-    [config.engine] (resolving [Auto] through [HLP_SIM_ENGINE]).
+(** [run ~config elab ~network] simulates with the bit-parallel engine.
     [network] must have the same primary-input order and output names as
     [elab]'s netlist (the raw netlist itself, or its mapped LUT network).
     @raise Failure if [config.check] is set and outputs diverge from the
-    golden model, or if [HLP_SIM_ENGINE] names an unknown engine. *)
+    golden model. *)
 val run : ?config:config -> Elaborate.t -> network:Nl.t -> result
 
-(** [run_scalar] forces the scalar oracle engine ([config.engine] is
-    ignored). *)
+(** [run_scalar] is the scalar oracle: same contract and same result as
+    {!run}, one vector at a time. *)
 val run_scalar : ?config:config -> Elaborate.t -> network:Nl.t -> result
-
-(** [run_parallel] forces the bit-parallel engine ([config.engine] is
-    ignored). *)
-val run_parallel : ?config:config -> Elaborate.t -> network:Nl.t -> result

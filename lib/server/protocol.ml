@@ -1,6 +1,5 @@
 module Diagnostic = Hlp_lint.Diagnostic
 module Cdfg = Hlp_cdfg.Cdfg
-module Sim = Hlp_rtl.Sim
 module Power = Hlp_rtl.Power
 
 type bind_params = {
@@ -10,7 +9,6 @@ type bind_params = {
   width : int;
   vectors : int;
   port_assign : bool;
-  engine : string;
   estimator : string;
   graph : Cdfg.t option;
   model : Power.model option;
@@ -25,7 +23,6 @@ let default_bind_params =
     width = 8;
     vectors = 100;
     port_assign = false;
-    engine = "auto";
     estimator = "sim";
     graph = None;
     model = None;
@@ -273,7 +270,6 @@ let json_of_bind_params p : Json.t =
        ("width", Json.Int p.width);
        ("vectors", Json.Int p.vectors);
        ("port_assign", Json.Bool p.port_assign);
-       ("engine", Json.String p.engine);
        ("estimator", Json.String p.estimator);
      ]
     @ (match p.graph with
@@ -779,16 +775,6 @@ let decode_request line =
           | None | Some Json.Null -> None
           | Some v -> decode_model ~add:add_problem v
         in
-        let engine =
-          let s = field "engine" Json.to_string_opt ~default:d.engine in
-          match Sim.engine_of_string s with
-          | Some e -> Sim.engine_name e
-          | None ->
-              problem
-                "parameter \"engine\" must be \"auto\", \"scalar\" or \
-                 \"parallel\"";
-              d.engine
-        in
         let estimator =
           let s = field "estimator" Json.to_string_opt ~default:d.estimator in
           match Hlp_rtl.Power.estimator_of_string s with
@@ -807,7 +793,6 @@ let decode_request line =
             width = pos_int "width" ~default:d.width;
             vectors = pos_int "vectors" ~default:d.vectors;
             port_assign = field "port_assign" Json.to_bool ~default:false;
-            engine;
             estimator;
             graph;
             model;

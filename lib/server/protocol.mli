@@ -7,7 +7,8 @@
     client cannot blow up server memory.
 
     A request names an operation — the same operations the CLI exposes —
-    with the same parameters (and the CLI's defaults when omitted):
+    with the same parameters (and the CLI's defaults when omitted; a
+    parameter the operation does not recognise is ignored):
 
     {v
     {"id": 1, "op": "flow",
@@ -57,7 +58,7 @@
 
     {v
     {"op": "flow",
-     "params": {"width": 8, "engine": "parallel",
+     "params": {"width": 8,
                 "graph": {"name": "mine", "inputs": 3,
                           "ops": [{"kind": "add",
                                    "left": {"input": 0},
@@ -126,9 +127,6 @@ type bind_params = {
   width : int;  (** datapath bit width, within [1..max_width] *)
   vectors : int;
   port_assign : bool;
-  engine : string;
-      (** simulation engine, canonicalized to ["auto"], ["scalar"] or
-          ["parallel"] (see {!Hlp_rtl.Sim.engine_of_string}) *)
   estimator : string;
       (** power estimator for [flow], canonicalized to ["sim"],
           ["static"] or ["both"]

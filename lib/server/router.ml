@@ -262,12 +262,6 @@ let handle_flow t ~checkpoint (p : Protocol.bind_params) =
   let design_base, _, _, binding, _ = bind_binding t ~checkpoint p in
   let binding = apply_port_assign p binding in
   Binding.validate binding;
-  (* The decoder canonicalized [p.engine], so parsing cannot fail here;
-     fall back to [Auto] all the same rather than crash the worker. *)
-  let engine =
-    Option.value ~default:Hlp_rtl.Sim.Auto
-      (Hlp_rtl.Sim.engine_of_string p.engine)
-  in
   let estimator =
     Option.value ~default:`Sim
       (Hlp_rtl.Power.estimator_of_string p.estimator)
@@ -277,7 +271,6 @@ let handle_flow t ~checkpoint (p : Protocol.bind_params) =
       Flow.default_config with
       Flow.width = p.width;
       vectors = p.vectors;
-      engine;
       estimator;
       model =
         (* Validated at the protocol boundary (S011); anything that

@@ -41,6 +41,17 @@ val default_config : config
 
 type t
 
+(** [listen_unix path] binds and listens on the Unix-domain socket
+    [path].  A socket file already at [path] is reclaimed only when it
+    is stale: if a probe connect succeeds, a live daemon owns it and
+    this raises [Unix_error (EADDRINUSE, ...)]; otherwise the file is
+    unlinked first.  The cluster head shares this rule. *)
+val listen_unix : string -> Unix.file_descr
+
+(** [listen_tcp port] binds and listens on [127.0.0.1:port]
+    ([SO_REUSEADDR] set). *)
+val listen_tcp : int -> Unix.file_descr
+
 (** [create ~config ()] binds the sockets.  @raise Unix.Unix_error when
     binding fails (e.g. the socket path is taken by a live daemon). *)
 val create : ?config:config -> unit -> t

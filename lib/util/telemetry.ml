@@ -2,9 +2,9 @@
    the active per-request scope without any registry lookup. *)
 type counter = { c_name : string; c_val : int Atomic.t }
 
-(* One mutex guards the registries and the timer/span stores.  Counter
+(* One mutex guards the counter registry and the timer store.  Counter
    bumps themselves are lock-free; the lock is only taken to create a
-   name, to record a (cold) timer/span, and to snapshot. *)
+   name, to record a (cold) timer, and to snapshot. *)
 let mu = Mutex.create ()
 let locked f = Mutex.lock mu; Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
@@ -13,10 +13,6 @@ let counters_tbl : (string, counter) Hashtbl.t = Hashtbl.create 64
 type timer = { mutable calls : int; mutable seconds : float }
 
 let timers_tbl : (string, timer) Hashtbl.t = Hashtbl.create 64
-
-type span_rec = { sp_name : string; sp_start : float; sp_dur : float }
-
-let span_log : span_rec list ref = ref []
 
 let counter name =
   locked (fun () ->
@@ -83,16 +79,6 @@ let time name f =
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () -> record_timer name (Unix.gettimeofday () -. t0)) f
 
-let span name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dt = Unix.gettimeofday () -. t0 in
-      record_timer name dt;
-      locked (fun () ->
-          span_log := { sp_name = name; sp_start = t0; sp_dur = dt } :: !span_log))
-    f
-
 let counters () =
   locked (fun () ->
       Hashtbl.fold (fun k c acc -> (k, Atomic.get c.c_val) :: acc) counters_tbl [])
@@ -103,15 +89,10 @@ let timers () =
       Hashtbl.fold (fun k t acc -> (k, t.calls, t.seconds) :: acc) timers_tbl [])
   |> List.sort compare
 
-let spans () =
-  locked (fun () ->
-      List.rev_map (fun s -> (s.sp_name, s.sp_start, s.sp_dur)) !span_log)
-
 let reset () =
   locked (fun () ->
       Hashtbl.reset counters_tbl;
-      Hashtbl.reset timers_tbl;
-      span_log := [])
+      Hashtbl.reset timers_tbl)
 
 (* --- hand-rolled JSON (no yojson in this environment) --- *)
 
@@ -158,16 +139,6 @@ let to_json () =
            (json_escape k) calls (json_float seconds));
       sep := ",")
     (timers ());
-  Buffer.add_string buf "\n  ],\n  \"spans\": [";
-  sep := "";
-  List.iter
-    (fun (k, start, dur) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%s\n    {\"name\": \"%s\", \"start\": %s, \"seconds\": %s}" !sep
-           (json_escape k) (json_float start) (json_float dur));
-      sep := ",")
-    (spans ());
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 

@@ -1,10 +1,12 @@
-(** Process-wide observability: named counters, accumulated wall-clock
-    timers, and individual span records, dumped as JSON.
+(** Process-wide observability: named counters and accumulated
+    wall-clock timers, dumped as JSON.
 
     Every primitive is safe to call from any domain, so instrumented code
     (the mapper, the simulator, the SA-table cache, the binder) needs no
-    coordination of its own.  Counters are lock-free atomics; timers and
-    spans share one mutex, taken only on the (cold) record path.
+    coordination of its own.  Counters are lock-free atomics; timers
+    share one mutex, taken only on the (cold) record path.  Names come
+    from the code or the daemon's configuration, never from request
+    data, so a long-running process holds a bounded set of them.
 
     Collection is always on — the cost is a few atomic adds per
     instrumented call — but nothing is written unless the program asks:
@@ -38,10 +40,6 @@ val value : counter -> int
     partial duration is still recorded. *)
 val time : string -> (unit -> 'a) -> 'a
 
-(** [span name f] is {!time} plus an individual record of this call's
-    start time and duration, for per-design / per-phase breakdowns. *)
-val span : string -> (unit -> 'a) -> 'a
-
 (** [with_scope f] runs [f ()] with a per-request counter scope active
     in the calling domain: every counter bump made by this domain while
     [f] runs is recorded both process-wide (as always) and into the
@@ -54,22 +52,18 @@ val span : string -> (unit -> 'a) -> 'a
     discarded and the exception propagates. *)
 val with_scope : (unit -> 'a) -> 'a * (string * int) list
 
-(** Snapshots, sorted by name ([spans] in record order). *)
+(** Snapshots, sorted by name. *)
 val counters : unit -> (string * int) list
 
 (** [(name, calls, total_seconds)] per accumulated timer. *)
 val timers : unit -> (string * int * float) list
 
-(** [(name, start_unix_seconds, duration_seconds)] per recorded span. *)
-val spans : unit -> (string * float * float) list
-
-(** [reset ()] clears all counters, timers and spans (tests). *)
+(** [reset ()] clears all counters and timers (tests). *)
 val reset : unit -> unit
 
 (** [to_json ()] renders the snapshot as a JSON object with fields
-    ["counters"] (object of integers), ["timers"] (array of
-    [{name, calls, seconds}]) and ["spans"] (array of
-    [{name, start, seconds}]). *)
+    ["counters"] (object of integers) and ["timers"] (array of
+    [{name, calls, seconds}]). *)
 val to_json : unit -> string
 
 (** [json_escape s] escapes [s] for embedding in a JSON string literal

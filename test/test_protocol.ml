@@ -339,7 +339,7 @@ let test_graph_roundtrip () =
       deadline_ms = None;
       op =
         P.Flow
-          { P.default_bind_params with P.graph = Some g; engine = "scalar" };
+          { P.default_bind_params with P.graph = Some g; estimator = "both" };
     }
   in
   let line = P.encode_request req in
@@ -467,32 +467,28 @@ let test_width_capped () =
   check "width 64 rejected" true (e.P.err_code = P.Bad_request);
   check "width cap is S003" true (has_code e "S003")
 
-let test_bad_engine () =
-  let e =
-    decode_err
-      "{\"id\": 1, \"op\": \"flow\", \"params\": {\"bench\": \"pr\", \
-       \"engine\": \"quantum\"}}"
+(* The simulator has one engine, so an [engine] parameter — valid
+   engine name or not — is ignored like any other parameter the op
+   does not recognise: the request decodes as if it were absent. *)
+let flow_with_engine wire =
+  let flow extra =
+    decode_ok
+      (Printf.sprintf
+         "{\"id\": 1, \"op\": \"flow\", \"params\": {\"bench\": \"pr\"%s}}"
+         extra)
   in
-  check "unknown engine rejected" true (e.P.err_code = P.Bad_request);
-  check "engine error is S003" true (has_code e "S003")
+  (flow "", flow (Printf.sprintf ", \"engine\": %S" wire))
 
 let test_engine_accepted () =
   List.iter
-    (fun (wire, canonical) ->
-      let req =
-        decode_ok
-          (Printf.sprintf
-             "{\"id\": 1, \"op\": \"flow\", \"params\": {\"bench\": \"pr\", \
-              \"engine\": %S}}"
-             wire)
-      in
-      match req.P.op with
-      | P.Flow p -> check_s ("engine " ^ wire) canonical p.P.engine
-      | _ -> Alcotest.fail "expected flow")
-    [
-      ("auto", "auto"); ("scalar", "scalar"); ("parallel", "parallel");
-      ("bit-parallel", "parallel");
-    ]
+    (fun wire ->
+      let plain, req = flow_with_engine wire in
+      check ("engine " ^ wire ^ " ignored") true (req = plain))
+    [ "auto"; "scalar"; "parallel"; "bit-parallel" ]
+
+let test_bad_engine_ignored () =
+  let plain, req = flow_with_engine "quantum" in
+  check "unknown engine ignored" true (req = plain)
 
 (* --- framing --- *)
 
@@ -922,8 +918,8 @@ let suite =
       test_graph_at_limit_accepted;
     Alcotest.test_case "graph excludes bench" `Quick test_graph_excludes_bench;
     Alcotest.test_case "width capped" `Quick test_width_capped;
-    Alcotest.test_case "bad engine -> S003" `Quick test_bad_engine;
     Alcotest.test_case "engine names accepted" `Quick test_engine_accepted;
+    Alcotest.test_case "bad engine ignored" `Quick test_bad_engine_ignored;
     Alcotest.test_case "frame round trip" `Quick test_frame_roundtrip;
     Alcotest.test_case "partial frame at eof" `Quick test_partial_frame_at_eof;
     Alcotest.test_case "oversized frame rejected" `Quick

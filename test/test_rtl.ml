@@ -127,7 +127,7 @@ let test_sim_deterministic () =
   let b = bind_cdfg (Benchmarks.fir ~taps:3) in
   let dp = Datapath.build ~width:4 b in
   let elab = Elaborate.elaborate dp in
-  let config = { Sim.default_config with Sim.vectors = 10; seed = "same"; check = false } in
+  let config = { Sim.vectors = 10; seed = "same"; check = false } in
   let r1 = Sim.run ~config elab ~network:elab.Elaborate.netlist in
   let r2 = Sim.run ~config elab ~network:elab.Elaborate.netlist in
   check_int "same toggles" r1.Sim.total_toggles r2.Sim.total_toggles
@@ -141,7 +141,7 @@ let test_power_monotone_in_toggles () =
   let elab = Elaborate.elaborate dp in
   let net = elab.Elaborate.netlist in
   let run vectors =
-    let config = { Sim.default_config with Sim.vectors; seed = "p"; check = false } in
+    let config = { Sim.vectors; seed = "p"; check = false } in
     let sim = Sim.run ~config elab ~network:net in
     Power.analyze model ~network:net ~sim
   in

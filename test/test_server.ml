@@ -49,6 +49,13 @@ let error_code = function
   | Ok { P.payload = P.Error { code; _ }; _ } -> Some code
   | _ -> None
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 (* --- concurrent daemon == sequential CLI --- *)
 
 (* Extract the raw bytes of the "result" object from a reply frame, so
@@ -327,8 +334,8 @@ let test_disconnect_before_reply_isolated () =
 (* --- hostile inline graphs over the wire: structured S-diagnostics,
    and the connection survives the rejection --- *)
 
-let inline_diamond () =
-  Hlp_cdfg.Cdfg.create ~name:"wire" ~num_inputs:2
+let inline_diamond ~name =
+  Hlp_cdfg.Cdfg.create ~name ~num_inputs:2
     ~ops:
       [
         { Hlp_cdfg.Cdfg.id = 0; kind = Hlp_cdfg.Cdfg.Add;
@@ -338,10 +345,10 @@ let inline_diamond () =
       ]
     ~outputs:[ Hlp_cdfg.Cdfg.Op 1 ]
 
-let inline_flow ~engine =
+let inline_flow ?(name = "wire") () =
   P.Flow
     { P.default_bind_params with
-      P.graph = Some (inline_diamond ()); width = 4; vectors = 40; engine }
+      P.graph = Some (inline_diamond ~name); width = 4; vectors = 40 }
 
 let test_hostile_graph_over_wire () =
   with_server ~workers:1 (fun socket _server ->
@@ -381,31 +388,37 @@ let test_hostile_graph_over_wire () =
               {
                 P.id = Json.Int 3;
                 deadline_ms = None;
-                op = inline_flow ~engine:"auto";
+                op = inline_flow ();
               }
           in
           check "valid inline graph ok after rejections" true (is_ok r)))
 
-let test_inline_graph_engines_identical () =
-  (* The daemon pipeline threads the engine knob through to the
-     simulator; both engines must produce byte-identical flow reports
-     for the same inline graph. *)
-  with_server ~workers:1 (fun socket _server ->
-      let frame engine =
-        raw_request socket
-          { P.id = Json.Int 1; deadline_ms = None; op = inline_flow ~engine }
-      in
-      let scalar = raw_result_of_frame (frame "scalar") in
-      let parallel = raw_result_of_frame (frame "parallel") in
-      check_s "scalar == parallel over the wire" scalar parallel;
-      check "report names the inline graph" true
-        (let sub = "\"design\": \"wire-hlpower\"" in
-         let n = String.length sub in
-         let rec go i =
-           i + n <= String.length scalar
-           && (String.sub scalar i n = sub || go (i + 1))
-         in
-         go 0))
+(* --- telemetry stays bounded under client-chosen design names --- *)
+
+(* An inline graph's name comes from the client, so no telemetry may be
+   keyed on it: once the pipeline's phase timers exist, flows under
+   fresh design names must leave the process-global timer table as it
+   was, or a long-running daemon grows it without bound. *)
+let test_inline_flows_keep_timers_bounded () =
+  let router = Hlp_server.Router.create () in
+  let flow name =
+    match
+      Hlp_server.Router.handle router ~checkpoint:ignore
+        (inline_flow ~name ())
+    with
+    | Ok j ->
+        check ("report names " ^ name) true
+          (contains (Json.to_string j)
+             (Printf.sprintf "\"design\": \"%s-hlpower\"" name))
+    | Error _ -> Alcotest.failf "inline flow %s failed" name
+  in
+  flow "warm-up";
+  let timers () = List.length (Hlp_util.Telemetry.timers ()) in
+  let before = timers () in
+  for i = 1 to 20 do
+    flow (Printf.sprintf "client-graph-%d" i)
+  done;
+  Alcotest.(check int) "timer count unchanged" before (timers ())
 
 (* --- graceful drain: every accepted request gets its reply --- *)
 
@@ -644,13 +657,6 @@ let test_timeline_step_expires_promptly () =
 
 (* --- the overloaded reply reports the actual queue state --- *)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 let test_overloaded_reports_real_depth () =
   with_server ~workers:1 ~queue_capacity:2 (fun socket _server ->
       let c = Client.connect socket in
@@ -697,8 +703,8 @@ let suite =
       test_disconnect_before_reply_isolated;
     Alcotest.test_case "hostile graph over the wire" `Quick
       test_hostile_graph_over_wire;
-    Alcotest.test_case "inline graph engines identical" `Quick
-      test_inline_graph_engines_identical;
+    Alcotest.test_case "inline flows keep timers bounded" `Quick
+      test_inline_flows_keep_timers_bounded;
     Alcotest.test_case "sessions live on the daemon, not the socket" `Quick
       test_sessions_over_the_wire;
     Alcotest.test_case "drain with open sessions is clean" `Quick

@@ -1,15 +1,18 @@
-(* Differential tests of the bit-parallel LUT simulation engine against
-   the scalar oracle: random CDFGs, awkward vector counts (0, 1, one
-   lane, one lane +/- 1, non-multiples of the lane width) and random
-   seeds must produce bit-identical results; pinned regressions freeze
-   the exact toggle counts and the PRNG vector-stream contract so any
-   behavioural drift in either engine fails loudly. *)
+(* Differential tests of the bit-parallel LUT simulator ([Sim.run])
+   against the scalar oracle ([Sim.run_scalar]): random CDFGs, awkward
+   vector counts (0, 1, one lane, one lane +/- 1, non-multiples of the
+   lane width) and random seeds, plus every Sec. 6 design of the fast
+   bench subset under all three binders, must produce bit-identical
+   results; pinned regressions freeze the exact toggle counts and the
+   PRNG vector-stream contract so any behavioural drift fails loudly. *)
 
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
 module Lifetime = Hlp_cdfg.Lifetime
+module Benchmarks = Hlp_cdfg.Benchmarks
 module Reg_binding = Hlp_core.Reg_binding
 module Hlpower = Hlp_core.Hlpower
+module Lopass = Hlp_core.Lopass
 module Sa_table = Hlp_core.Sa_table
 module Datapath = Hlp_rtl.Datapath
 module Elaborate = Hlp_rtl.Elaborate
@@ -17,7 +20,6 @@ module Sim = Hlp_rtl.Sim
 module Mapper = Hlp_mapper.Mapper
 module Nl = Hlp_netlist.Netlist
 module Tt = Hlp_netlist.Truth_table
-module Switching = Hlp_activity.Switching
 module Bits = Hlp_util.Bits
 
 let check_int = Alcotest.(check int)
@@ -110,30 +112,8 @@ let prop_sim_differential =
       (* config.check stays on: the golden-model check must pass under
          both engines. *)
       let rs = Sim.run_scalar ~config elab ~network in
-      let rp = Sim.run_parallel ~config elab ~network in
+      let rp = Sim.run ~config elab ~network in
       rs = rp)
-
-let prop_monte_carlo_differential =
-  QCheck.Test.make
-    ~name:"monte carlo SA: scalar oracle = bit-parallel (random netlists)"
-    ~count:15
-    QCheck.(
-      quad (int_range 0 10_000) (int_range 1 4) (int_range 1 8)
-        (int_range 1 (Array.length vector_choices - 1)))
-    (fun (seed, num_inputs, num_ops, vi) ->
-      let st = Random.State.make [| seed; num_inputs; num_ops; 7 |] in
-      let cdfg = random_cdfg st ~num_inputs ~num_ops in
-      let elab = elab_of ~width:(1 + (seed mod 3)) cdfg in
-      let net =
-        (Mapper.map elab.Elaborate.netlist ~k:4).Mapper.lut_network
-      in
-      let vectors = vector_choices.(vi) in
-      let seed = Printf.sprintf "mc%d" seed in
-      let s = Switching.monte_carlo ~engine:`Scalar ~seed ~vectors net in
-      let p = Switching.monte_carlo ~engine:`Bit_parallel ~seed ~vectors net in
-      (* Both engines derive the floats from identical integer counts,
-         so equality must be bit-exact, not approximate. *)
-      s = p)
 
 (* --- pinned regressions --------------------------------------------- *)
 
@@ -149,7 +129,7 @@ let single_cdfg () =
 let run_both ~vectors ~seed elab =
   let config = { Sim.default_config with Sim.vectors; seed } in
   let rs = Sim.run_scalar ~config elab ~network:elab.Elaborate.netlist in
-  let rp = Sim.run_parallel ~config elab ~network:elab.Elaborate.netlist in
+  let rp = Sim.run ~config elab ~network:elab.Elaborate.netlist in
   (rs, rp)
 
 let test_zero_vectors () =
@@ -228,8 +208,7 @@ let test_vector_stream_prefix () =
 
 (* Constant-driven LUTs: constants settle in the canonical state and
    never toggle; downstream logic sees them as frozen lanes in every
-   word.  Checked against exhaustive scalar evaluation and through the
-   monte-carlo sampler under both engines. *)
+   word.  Checked against exhaustive scalar evaluation. *)
 let test_constant_driven_luts () =
   let b = Nl.create_builder ~name:"const" in
   let a = Nl.add_input b "a" in
@@ -260,78 +239,55 @@ let test_constant_driven_luts () =
             (Printf.sprintf "node %d words (a=%b)" id v)
             expect w)
         words)
-    [ false; true ];
-  let vectors = 100 in
-  let s = Switching.monte_carlo ~engine:`Scalar ~seed:"c" ~vectors net in
-  let p = Switching.monte_carlo ~engine:`Bit_parallel ~seed:"c" ~vectors net in
-  check_bool "mc engines identical on constants" true (s = p);
-  (* Pinned: a constant is P=1 (or 0) with zero activity; logic that
-     reduces to the input mirrors the input's sampled signal. *)
-  check_bool "const1 signal" true
-    (s.(c1) = { Switching.prob = 1.0; activity = 0.0 });
-  check_bool "const0 signal" true
-    (s.(c0) = { Switching.prob = 0.0; activity = 0.0 });
-  check_bool "AND with 1 = identity" true (s.(y_and) = s.(a));
-  check_bool "OR with 0 = identity" true (s.(y_or) = s.(a));
-  check_bool "OR with 1 = const" true
-    (s.(y_up) = { Switching.prob = 1.0; activity = 0.0 })
+    [ false; true ]
 
-(* --- engine selection ----------------------------------------------- *)
+(* --- the Sec. 6 designs ---------------------------------------------- *)
 
-let test_engine_dispatch () =
+(* The engines agree on the designs the paper evaluates, not only on
+   random graphs: pr, wang, honda and mcm (the fast bench subset), each
+   bound by LOPASS and by HLPower at alpha 1.0 and 0.5, elaborated at
+   16 bits, mapped to 4-LUTs and simulated at 40 vectors with the
+   flow's seed and the golden-model check on. *)
+let test_bench_designs_identical () =
+  let width = 16 in
+  let sa_table = Sa_table.create ~width ~k:4 () in
   List.iter
-    (fun (s, e) ->
-      check_bool (Printf.sprintf "parse %S" s) true
-        (Sim.engine_of_string s = e))
-    [
-      ("auto", Some Sim.Auto);
-      ("scalar", Some Sim.Scalar);
-      ("parallel", Some Sim.Bit_parallel);
-      ("bit-parallel", Some Sim.Bit_parallel);
-      ("bit_parallel", Some Sim.Bit_parallel);
-      ("quantum", None);
-    ];
-  check_bool "forced engines resolve to themselves" true
-    (Sim.resolve_engine Sim.Scalar = Sim.Scalar
-    && Sim.resolve_engine Sim.Bit_parallel = Sim.Bit_parallel);
-  (* Auto consults HLP_SIM_ENGINE; restore the variable whatever
-     happens so the rest of the process is unaffected. *)
-  let old = Sys.getenv_opt "HLP_SIM_ENGINE" in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "HLP_SIM_ENGINE" (Option.value ~default:"" old))
-    (fun () ->
-      Unix.putenv "HLP_SIM_ENGINE" "";
-      check_bool "unset -> bit-parallel" true
-        (Sim.resolve_engine Sim.Auto = Sim.Bit_parallel);
-      Unix.putenv "HLP_SIM_ENGINE" "scalar";
-      check_bool "env scalar" true
-        (Sim.resolve_engine Sim.Auto = Sim.Scalar);
-      Unix.putenv "HLP_SIM_ENGINE" "parallel";
-      check_bool "env parallel" true
-        (Sim.resolve_engine Sim.Auto = Sim.Bit_parallel);
-      Unix.putenv "HLP_SIM_ENGINE" "quantum";
-      check_bool "env bogus raises" true
-        (match Sim.resolve_engine Sim.Auto with
-        | exception Failure _ -> true
-        | _ -> false))
-
-let test_measured_sa_engines () =
-  let s =
-    Sa_table.measured_sa ~engine:`Scalar ~vectors:200 sa_table Cdfg.Add_sub
-      ~left:2 ~right:3
-  in
-  let p =
-    Sa_table.measured_sa ~engine:`Bit_parallel ~vectors:200 sa_table
-      Cdfg.Add_sub ~left:2 ~right:3
-  in
-  check_bool "measured SA positive" true (s > 0.);
-  check_bool "measured SA engines identical" true (Float.equal s p)
+    (fun name ->
+      let profile = Benchmarks.find name in
+      let resources = Benchmarks.resources profile in
+      let schedule =
+        Schedule.list_schedule (Benchmarks.generate profile) ~resources
+      in
+      let regs = Reg_binding.bind (Lifetime.analyze schedule) in
+      let min_res cls = max 1 (Schedule.max_density schedule cls) in
+      let hlpower alpha =
+        (Hlpower.bind
+           ~params:(Hlpower.calibrate ~alpha sa_table)
+           ~sa_table ~regs ~resources:min_res schedule)
+          .Hlpower.binding
+      in
+      List.iter
+        (fun (binder, binding) ->
+          let elab = Elaborate.elaborate (Datapath.build ~width binding) in
+          let network =
+            (Mapper.map elab.Elaborate.netlist ~k:4).Mapper.lut_network
+          in
+          let config =
+            { Sim.default_config with Sim.vectors = 40; seed = "flow" }
+          in
+          assert_same (name ^ "-" ^ binder)
+            (Sim.run_scalar ~config elab ~network)
+            (Sim.run ~config elab ~network))
+        [
+          ("lopass", Lopass.bind ~regs ~resources schedule);
+          ("hlp-a1.0", hlpower 1.0);
+          ("hlp-a0.5", hlpower 0.5);
+        ])
+    [ "pr"; "wang"; "honda"; "mcm" ]
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_sim_differential;
-    QCheck_alcotest.to_alcotest prop_monte_carlo_differential;
     Alcotest.test_case "zero vectors" `Quick test_zero_vectors;
     Alcotest.test_case "single node pinned" `Quick test_single_node_pinned;
     Alcotest.test_case "glitch network pinned" `Quick
@@ -342,6 +298,6 @@ let suite =
       test_vector_stream_prefix;
     Alcotest.test_case "constant-driven luts" `Quick
       test_constant_driven_luts;
-    Alcotest.test_case "engine dispatch" `Quick test_engine_dispatch;
-    Alcotest.test_case "measured sa engines" `Quick test_measured_sa_engines;
+    Alcotest.test_case "sec. 6 designs: scalar oracle = bit-parallel"
+      `Slow test_bench_designs_identical;
   ]

@@ -46,21 +46,6 @@ let test_timer_records_on_exception () =
   in
   check_int "call recorded despite raise" (before + 1) calls
 
-let test_spans_recorded_in_order () =
-  ignore (T.span "test.span.a" (fun () -> ()));
-  ignore (T.span "test.span.b" (fun () -> ()));
-  let names =
-    List.filter_map
-      (fun (n, _, _) ->
-        if String.length n >= 10 && String.sub n 0 10 = "test.span." then
-          Some n
-        else None)
-      (T.spans ())
-  in
-  check_bool "record order" true
-    (names = [ "test.span.a"; "test.span.b" ]
-    || (* earlier runs of this test in a retried suite *) List.length names > 2)
-
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
@@ -72,7 +57,6 @@ let test_json_shape () =
   let json = T.to_json () in
   check_bool "counters key" true (contains ~needle:"\"counters\"" json);
   check_bool "timers key" true (contains ~needle:"\"timers\"" json);
-  check_bool "spans key" true (contains ~needle:"\"spans\"" json);
   check_bool "escaped quotes" true
     (contains ~needle:"test.json \\\"quoted\\\"" json);
   (* Minimal structural validation: balanced braces/brackets outside
@@ -121,8 +105,6 @@ let suite =
     Alcotest.test_case "timers accumulate" `Quick test_timers_accumulate;
     Alcotest.test_case "timer records on exception" `Quick
       test_timer_records_on_exception;
-    Alcotest.test_case "spans recorded in order" `Quick
-      test_spans_recorded_in_order;
     Alcotest.test_case "json shape" `Quick test_json_shape;
     Alcotest.test_case "write + HLP_TELEMETRY knob" `Quick
       test_write_and_env_knob;
