@@ -3,10 +3,11 @@
     Both the register binding of [11] and each iteration of the HLPower
     functional-unit binding (Algorithm 1, line 14) solve a weighted
     bipartite graph for a maximum-weight matching.  The implementation is
-    the O(n^3) Hungarian algorithm with potentials on a square matrix
-    padded with zero-weight dummy edges, so the graph may be unbalanced
-    and sparse; only pairs connected by a real (strictly positive weight)
-    edge are reported. *)
+    the Hungarian algorithm with potentials, with the left side as rows:
+    columns are padded with zero-weight dummy edges only when left >
+    right, so a solve costs O(n_left^2 * max(n_left, n_right)).  The graph
+    may be unbalanced and sparse; only pairs connected by a real (strictly
+    positive weight) edge are reported. *)
 
 (** [max_weight_matching ~n_left ~n_right ~weight] returns the matching
     [(left, right)] pairs maximizing total weight, where [weight i j] is
