@@ -14,49 +14,81 @@ let signal ~prob ~activity =
   let bound = 2. *. Float.min prob (1. -. prob) in
   { prob; activity = Float.min activity bound }
 
-(* Per-input joint distribution over (x(t), x(t+T)) implied by (P, s):
-   P(0->1) = P(1->0) = s/2; P(1->1) = P - s/2; P(0->0) = 1 - P - s/2. *)
-let joint { prob = p; activity = s } =
-  let h = s /. 2. in
-  let p11 = Float.max 0. (p -. h) in
-  let p00 = Float.max 0. (1. -. p -. h) in
-  (* [| p(0,0); p(1,0); p(0,1); p(1,1) |], indexed by bit0 = x(t),
-     bit1 = x(t+T). *)
-  [| p00; h; h; p11 |]
+(* Chou-Roy Eq. 2 in two stages.  The first depends only on the function
+   and the input probabilities: P(f) and the on-set of f.  The second
+   maps per-input activities to P(y(t) = 1 and y(t+T) = 1), the sum over
+   pairs (m, m') of on-set minterms of the product of per-input joint
+   probabilities over (x(t), x(t+T)):
+     P(0->1) = P(1->0) = s/2; P(1->1) = P - s/2; P(0->0) = 1 - P - s/2.
+   A pair whose minterms differ on an input with s/2 = 0 has a zero
+   factor.  When every joint entry lies in [-1, 1], no product can
+   overflow to infinity before reaching that factor, so the term is
+   zero and the step visits only pairs that agree on the static inputs.
+   Visited pairs come in the same order, and each product multiplies
+   the same factors in input order and stops at the first zero, so the
+   sum equals the full double loop's bit for bit. *)
+let of_table_staged f probs =
+  let n = Tt.arity f in
+  if Array.length probs <> n then
+    invalid_arg "Switching.of_table_staged: wrong number of inputs";
+  let p = Prob.of_table f probs in
+  let on = Array.init (1 lsl n) (Tt.eval f) in
+  let ones =
+    Array.of_list (List.filter (Array.get on) (List.init (1 lsl n) Fun.id))
+  in
+  let step activities =
+    if Array.length activities <> n then
+      invalid_arg "Switching.of_table_staged: wrong number of activities";
+    (* [joints.(4i + (b lor (b' lsl 1)))]: input [i]'s probability of
+       (x(t) = b, x(t+T) = b'). *)
+    let joints = Array.make (4 * n) 0. in
+    let moving = ref 0 and bounded = ref true in
+    for i = 0 to n - 1 do
+      let h = activities.(i) /. 2. in
+      let p11 = Float.max 0. (probs.(i) -. h) in
+      let p00 = Float.max 0. (1. -. probs.(i) -. h) in
+      joints.(4 * i) <- p00;
+      joints.((4 * i) + 1) <- h;
+      joints.((4 * i) + 2) <- h;
+      joints.((4 * i) + 3) <- p11;
+      if h <> 0. then moving := !moving lor (1 lsl i);
+      (* NaN fails every comparison, so it counts as unbounded. *)
+      if not (p00 <= 1. && p11 <= 1. && Float.abs h <= 1.) then
+        bounded := false
+    done;
+    let moving = if !bounded then !moving else (1 lsl n) - 1 in
+    let p_joint = ref 0. in
+    for a = 0 to Array.length ones - 1 do
+      let m = ones.(a) in
+      let base = m land lnot moving in
+      (* [x] runs over the submasks of [moving] in increasing order, so
+         [m'] increases too. *)
+      let x = ref 0 and more = ref true in
+      while !more do
+        let m' = base lor !x in
+        if on.(m') then begin
+          let acc = ref 1. and i = ref 0 in
+          while !i < n && !acc <> 0. do
+            let b = (m lsr !i) land 1 and b' = (m' lsr !i) land 1 in
+            acc := !acc *. joints.((4 * !i) + (b lor (b' lsl 1)));
+            incr i
+          done;
+          p_joint := !p_joint +. !acc
+        end;
+        if !x = moving then more := false
+        else x := ((!x lor lnot moving) + 1) land moving
+      done
+    done;
+    let s = 2. *. (p -. !p_joint) in
+    signal ~prob:p ~activity:(Hlp_util.Stats.clamp ~lo:0. ~hi:1. s)
+  in
+  (p, step)
 
 let of_table f inputs =
-  let n = Tt.arity f in
-  if Array.length inputs <> n then
+  if Array.length inputs <> Tt.arity f then
     invalid_arg "Switching.of_table: wrong number of inputs";
-  let probs = Array.map (fun s -> s.prob) inputs in
-  let p = Prob.of_table f probs in
-  let joints = Array.map joint inputs in
-  (* Ones of f, enumerated once. *)
-  let ones = ref [] in
-  for m = (1 lsl n) - 1 downto 0 do
-    if Tt.eval f m then ones := m :: !ones
-  done;
-  let ones = Array.of_list !ones in
-  (* P(y(t) = 1 and y(t+T) = 1) = sum over pairs of satisfying minterms of
-     the product of per-input joint probabilities. *)
-  let p_joint = ref 0. in
-  Array.iter
-    (fun m ->
-      Array.iter
-        (fun m' ->
-          let acc = ref 1. in
-          (try
-             for i = 0 to n - 1 do
-               let b = (m lsr i) land 1 and b' = (m' lsr i) land 1 in
-               acc := !acc *. joints.(i).(b lor (b' lsl 1));
-               if !acc = 0. then raise Exit
-             done
-           with Exit -> ());
-          p_joint := !p_joint +. !acc)
-        ones)
-    ones;
-  let s = 2. *. (p -. !p_joint) in
-  signal ~prob:p ~activity:(Hlp_util.Stats.clamp ~lo:0. ~hi:1. s)
+  let _, step = of_table_staged f (Array.map (fun s -> s.prob) inputs) in
+  step (Array.map (fun s -> s.activity) inputs)
 
 let najm_density f inputs =
   let n = Tt.arity f in

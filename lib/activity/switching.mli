@@ -11,8 +11,9 @@
       this paper: [s(y) = 2 * (P(y) - P(y(t) * y(t+T)))], where the joint
       two-time term is computed from a per-input joint distribution over
       [(x(t), x(t+T))] derived from each input's probability and
-      normalized activity.  This is the kernel invoked once per discrete
-      time step by the glitch-aware {!Timed} estimator.
+      normalized activity.  Staged as {!of_table_staged}, it is the
+      kernel the glitch-aware {!Timed} estimator invokes once per
+      discrete time step.
 
     A signal's [activity] is its normalized switching activity: the
     probability of a transition across one unit time period (so values lie
@@ -34,8 +35,25 @@ val signal : prob:float -> activity:float -> signal
 
 (** [of_table f inputs] is the Eq. 2 switching activity and probability of
     node [y = f(inputs)] under simultaneous-switching-aware propagation.
+    It is the one-step case of {!of_table_staged}:
+    [snd (of_table_staged f probs) activities] with the inputs' [prob]
+    and [activity] fields.
     @raise Invalid_argument if [Array.length inputs <> arity f]. *)
 val of_table : Hlp_netlist.Truth_table.t -> signal array -> signal
+
+(** [of_table_staged f probs] is the Eq. 2 kernel split for repeated
+    use on one function with fixed input probabilities, as the timed
+    model evaluates a node once per time step.  The first stage computes
+    P(f) and the on-set of [f] once and returns [(p, step)];
+    [step activities] is the signal [of_table] returns for inputs with
+    probabilities [probs] and activities [activities], bit for bit: a
+    step does the float operations of the full pair sum in the same
+    order, leaving out only products that are exactly zero because the
+    two minterms differ on an input with zero activity.
+    @raise Invalid_argument if [probs] or [activities] has a length
+    other than [arity f]. *)
+val of_table_staged :
+  Hlp_netlist.Truth_table.t -> float array -> float * (float array -> signal)
 
 (** [najm_density f inputs] is the Eq. 1 transition density of [y]. *)
 val najm_density : Hlp_netlist.Truth_table.t -> signal array -> float

@@ -36,30 +36,40 @@ let node_waveform func ~fanins ~delay =
     invalid_arg "Timed.node_waveform: fanin count mismatch";
   (* Candidate switch times for the output: every fanin switch time plus
      the node delay. *)
-  let module IS = Set.Make (Int) in
   let times =
     Array.fold_left
-      (fun acc w ->
-        List.fold_left (fun acc (t, _) -> IS.add (t + delay) acc) acc w.w_steps)
-      IS.empty fanins
+      (fun acc w -> List.rev_map (fun (t, _) -> t + delay) w.w_steps @ acc)
+      [] fanins
+    |> List.sort_uniq Int.compare
   in
-  let probs = Array.map (fun w -> w.w_prob) fanins in
-  let p = Prob.of_table func probs in
-  let activity_at w t =
-    match List.assoc_opt t w.w_steps with Some a -> a | None -> 0.
+  let p, step =
+    Switching.of_table_staged func (Array.map (fun w -> w.w_prob) fanins)
+  in
+  (* Per fanin, the steps not yet passed.  Steps are sorted by time and
+     [times] increases, so the activity at [t_in] is that of the first
+     remaining entry at [t_in], or 0; of several entries at one time
+     ([make] keeps them all), the first counts. *)
+  let rest = Array.map (fun w -> w.w_steps) fanins in
+  let rec skip t_in = function
+    | (t, _) :: tl when t < t_in -> skip t_in tl
+    | l -> l
   in
   let step_activity t_out =
     let t_in = t_out - delay in
-    let inputs =
-      Array.map
-        (fun w ->
-          Switching.signal ~prob:w.w_prob ~activity:(activity_at w t_in))
+    let activities =
+      Array.mapi
+        (fun i w ->
+          rest.(i) <- skip t_in rest.(i);
+          let a =
+            match rest.(i) with (t, a) :: _ when t = t_in -> a | _ -> 0.
+          in
+          (Switching.signal ~prob:w.w_prob ~activity:a).Switching.activity)
         fanins
     in
-    (Switching.of_table func inputs).Switching.activity
+    (step activities).Switching.activity
   in
   let steps =
-    IS.fold (fun t acc -> (t, step_activity t) :: acc) times []
+    List.fold_left (fun acc t -> (t, step_activity t) :: acc) [] times
   in
   { w_prob = p; w_steps = normalize steps }
 

@@ -70,25 +70,19 @@ let check ~k (m : Mapper.t) =
   (* --- functional equivalence on random vectors: M003.  Only
      meaningful once the structure above holds. --- *)
   if D.errors !diags = [] then begin
-    let rng = Hlp_util.Rng.create "lint-mapped-equiv" in
-    let n_inputs = Array.length (Nl.inputs t) in
-    (try
-       let mismatch = ref false in
-       for _ = 1 to 64 do
-         let assignment = Array.init n_inputs (fun _ -> Hlp_util.Rng.bool rng) in
-         let expect = Nl.output_values t assignment in
-         let got = Nl.output_values m.Mapper.lut_network assignment in
-         if List.sort compare expect <> List.sort compare got then
-           mismatch := true
-       done;
-       if !mismatch then
-         report
-           (D.error "M003" D.Design
-              "LUT network disagrees with the source netlist on random \
-               vectors")
-     with e ->
-       report
-         (D.error "M003" D.Design "equivalence check failed to run: %s"
-            (Printexc.to_string e)))
+    match
+      Rules_netlist.equivalent_on_random_vectors ~seed:"lint-mapped-equiv" t
+        m.Mapper.lut_network
+    with
+    | true -> ()
+    | false ->
+        report
+          (D.error "M003" D.Design
+             "LUT network disagrees with the source netlist on random \
+              vectors")
+    | exception e ->
+        report
+          (D.error "M003" D.Design "equivalence check failed to run: %s"
+             (Printexc.to_string e))
   end;
   List.sort D.compare !diags

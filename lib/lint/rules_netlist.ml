@@ -105,6 +105,31 @@ let parse_blif s =
   | Ok t -> Ok t
   | Error (lineno, msg) -> Error (D.error "N010" (D.Line lineno) "%s" msg)
 
+let equivalent_on_random_vectors ~seed a b =
+  let module Bits = Hlp_util.Bits in
+  let rng = Hlp_util.Rng.create seed in
+  let n_in = Array.length (Nl.inputs a) in
+  let outs_a = Nl.outputs a and outs_b = Nl.outputs b in
+  let words = Array.make n_in 0 in
+  let rec from base =
+    base >= 64
+    ||
+    let active = min Bits.lanes (64 - base) in
+    Array.fill words 0 n_in 0;
+    for lane = 0 to active - 1 do
+      for i = 0 to n_in - 1 do
+        if Hlp_util.Rng.bool rng then words.(i) <- words.(i) lor (1 lsl lane)
+      done
+    done;
+    let va = Nl.eval_words a words and vb = Nl.eval_words b words in
+    let mask = Bits.mask_lanes active in
+    List.for_all2
+      (fun (_, x) (_, y) -> (va.(x) lxor vb.(y)) land mask = 0)
+      outs_a outs_b
+    && from (base + active)
+  in
+  List.compare_lengths outs_a outs_b = 0 && from 0
+
 let check_blif_roundtrip (t : Nl.t) =
   let s = Blif.to_string t in
   match Blif.parse s with
@@ -125,30 +150,16 @@ let check_blif_roundtrip (t : Nl.t) =
             (List.length (Nl.outputs t))
             (List.length (Nl.outputs t'));
         ]
-      else begin
-        let rng = Hlp_util.Rng.create "lint-blif-roundtrip" in
-        let diags = ref [] in
-        (try
-           for _ = 1 to 64 do
-             let assignment =
-               Array.init n_in (fun _ -> Hlp_util.Rng.bool rng)
-             in
-             let values t = List.map snd (Nl.output_values t assignment) in
-             if
-               !diags = []
-               && List.sort compare (values t) <> List.sort compare (values t')
-             then
-               diags :=
-                 [
-                   D.error "N009" D.Design
-                     "round trip is not functionally equivalent";
-                 ]
-           done
-         with e ->
-           diags :=
-             [
-               D.error "N009" D.Design "round-trip evaluation failed: %s"
-                 (Printexc.to_string e);
-             ]);
-        !diags
-      end
+      else
+        match equivalent_on_random_vectors ~seed:"lint-blif-roundtrip" t t' with
+        | true -> []
+        | false ->
+            [
+              D.error "N009" D.Design
+                "round trip is not functionally equivalent";
+            ]
+        | exception e ->
+            [
+              D.error "N009" D.Design "round-trip evaluation failed: %s"
+                (Printexc.to_string e);
+            ]

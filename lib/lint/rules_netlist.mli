@@ -21,8 +21,19 @@
 val check : Hlp_netlist.Netlist.t -> Diagnostic.t list
 
 (** [check_blif_roundtrip t] prints [t] as BLIF, parses it back, and
-    compares structure and behavior on random vectors ([N009]/[N010]). *)
+    compares structure, then behavior on random vectors output by output
+    in declaration order ([N009]/[N010]). *)
 val check_blif_roundtrip : Hlp_netlist.Netlist.t -> Diagnostic.t list
+
+(** [equivalent_on_random_vectors ~seed a b] holds iff [a] and [b] have
+    as many outputs and, on 64 random input vectors, every output of [a]
+    equals the output of [b] at the same position.  The vectors come
+    from [Rng.create seed], one [Rng.bool] per input, vector after
+    vector, and are evaluated {!Hlp_util.Bits.lanes} at a time with
+    [Netlist.eval_words].  Shared by [N009] and [M003].
+    @raise Invalid_argument if the input counts differ. *)
+val equivalent_on_random_vectors :
+  seed:string -> Hlp_netlist.Netlist.t -> Hlp_netlist.Netlist.t -> bool
 
 (** [parse_blif s] parses BLIF source, mapping parse failures to an
     [N010] diagnostic whose location is the offending source line. *)

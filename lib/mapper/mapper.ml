@@ -104,7 +104,11 @@ let map ?(objective = Min_sa) ?(max_cuts = default_max_cuts)
       | Some b -> Array.iter (fun l -> needed.(l) <- true) b.b_cut.Cut.leaves
       | None -> assert false
   done;
-  let luts = ref [] in
+  (* Eq. 3 over the cover, summed in [luts] order from the waveforms
+     chosen above: each is what a unit-delay propagation over the LUT
+     network would compute for that LUT (same function, same leaf
+     waveforms, delay 1), and the network's constants add nothing. *)
+  let luts = ref [] and total = ref 0. and functional = ref 0. in
   Array.iter
     (fun id ->
       if needed.(id) && not (is_terminal t id) then
@@ -112,7 +116,9 @@ let map ?(objective = Min_sa) ?(max_cuts = default_max_cuts)
         | Some b ->
             luts :=
               { root = id; leaves = b.b_cut.Cut.leaves; func = b.b_func }
-              :: !luts
+              :: !luts;
+            total := !total +. Timed.total_activity b.b_wave;
+            functional := !functional +. Timed.functional_activity b.b_wave
         | None -> assert false)
     order;
   let luts = List.rev !luts in
@@ -152,19 +158,15 @@ let map ?(objective = Min_sa) ?(max_cuts = default_max_cuts)
     (fun (name, id) -> Nl.mark_output builder name (map_leaf id))
     (Nl.outputs t);
   let lut_network = Nl.freeze builder in
-  let summary =
-    Timed.summarize lut_network
-      (Timed.propagate lut_network ~delay:(fun _ -> 1) ~input)
-  in
   Telemetry.incr c_maps;
   Telemetry.add c_luts (List.length luts);
   {
     source = t;
     luts;
     lut_network;
-    total_sa = summary.Timed.total_sa;
-    functional_sa = summary.Timed.functional_sa;
-    glitch_sa = summary.Timed.glitch_sa;
+    total_sa = !total;
+    functional_sa = !functional;
+    glitch_sa = !total -. !functional;
     depth = Nl.max_depth lut_network;
     lut_count = List.length luts;
   }

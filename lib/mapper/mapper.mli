@@ -32,9 +32,13 @@ type t = {
   source : Nl.t;  (** the netlist that was mapped *)
   luts : lut list;  (** selected cover, topological order *)
   lut_network : Nl.t;  (** the LUT-level netlist (inputs = source inputs) *)
-  total_sa : float;  (** Eq. 3 over the final LUT network *)
+  total_sa : float;
+      (** Eq. 3: the effective SA of the selected LUTs' waveforms, summed
+          in [luts] order.  Bit-identical to [Timed.summarize] of a
+          unit-delay [Timed.propagate] over [lut_network] with the same
+          [input], which the mapper does not run. *)
   functional_sa : float;  (** non-glitch component of [total_sa] *)
-  glitch_sa : float;  (** glitch component of [total_sa] *)
+  glitch_sa : float;  (** [total_sa -. functional_sa] *)
   depth : int;  (** LUT levels on the critical path *)
   lut_count : int;  (** number of LUTs in the cover *)
 }

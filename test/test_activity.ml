@@ -318,12 +318,179 @@ let prop_arrival_monotone_in_composition =
       && Timed.arrival w <= max_in + delay
       && Timed.arrival slower >= Timed.arrival w)
 
+(* --- the staged kernel against the unstaged one --- *)
+
+(* [Switching.of_table] and [Timed.node_waveform] as they were before
+   the Chou-Roy kernel was staged: a full [of_table] per time step, over
+   every pair of on-set minterms.  Copied verbatim, except that waveforms
+   are read through [Timed.prob]/[Timed.steps] and the result is the
+   (probability, steps) pair. *)
+module Reference = struct
+  let joint { Sw.prob = p; activity = s } =
+    let h = s /. 2. in
+    let p11 = Float.max 0. (p -. h) in
+    let p00 = Float.max 0. (1. -. p -. h) in
+    (* [| p(0,0); p(1,0); p(0,1); p(1,1) |], indexed by bit0 = x(t),
+       bit1 = x(t+T). *)
+    [| p00; h; h; p11 |]
+
+  let of_table f inputs =
+    let n = Tt.arity f in
+    if Array.length inputs <> n then
+      invalid_arg "Switching.of_table: wrong number of inputs";
+    let probs = Array.map (fun s -> s.Sw.prob) inputs in
+    let p = Prob.of_table f probs in
+    let joints = Array.map joint inputs in
+    (* Ones of f, enumerated once. *)
+    let ones = ref [] in
+    for m = (1 lsl n) - 1 downto 0 do
+      if Tt.eval f m then ones := m :: !ones
+    done;
+    let ones = Array.of_list !ones in
+    (* P(y(t) = 1 and y(t+T) = 1) = sum over pairs of satisfying minterms of
+       the product of per-input joint probabilities. *)
+    let p_joint = ref 0. in
+    Array.iter
+      (fun m ->
+        Array.iter
+          (fun m' ->
+            let acc = ref 1. in
+            (try
+               for i = 0 to n - 1 do
+                 let b = (m lsr i) land 1 and b' = (m' lsr i) land 1 in
+                 acc := !acc *. joints.(i).(b lor (b' lsl 1));
+                 if !acc = 0. then raise Exit
+               done
+             with Exit -> ());
+            p_joint := !p_joint +. !acc)
+          ones)
+      ones;
+    let s = 2. *. (p -. !p_joint) in
+    Sw.signal ~prob:p ~activity:(Hlp_util.Stats.clamp ~lo:0. ~hi:1. s)
+
+  let normalize steps =
+    List.filter (fun (_, a) -> a > 0.) steps
+    |> List.sort (fun (t1, _) (t2, _) -> compare t1 t2)
+
+  let node_waveform func ~fanins ~delay =
+    if delay < 1 then invalid_arg "Timed.node_waveform: delay must be >= 1";
+    let n = Tt.arity func in
+    if Array.length fanins <> n then
+      invalid_arg "Timed.node_waveform: fanin count mismatch";
+    (* Candidate switch times for the output: every fanin switch time plus
+       the node delay. *)
+    let module IS = Set.Make (Int) in
+    let times =
+      Array.fold_left
+        (fun acc w ->
+          List.fold_left
+            (fun acc (t, _) -> IS.add (t + delay) acc)
+            acc (Timed.steps w))
+        IS.empty fanins
+    in
+    let probs = Array.map (fun w -> Timed.prob w) fanins in
+    let p = Prob.of_table func probs in
+    let activity_at w t =
+      match List.assoc_opt t (Timed.steps w) with Some a -> a | None -> 0.
+    in
+    let step_activity t_out =
+      let t_in = t_out - delay in
+      let inputs =
+        Array.map
+          (fun w ->
+            Sw.signal ~prob:(Timed.prob w) ~activity:(activity_at w t_in))
+          fanins
+      in
+      (of_table func inputs).Sw.activity
+    in
+    let steps =
+      IS.fold (fun t acc -> (t, step_activity t) :: acc) times []
+    in
+    (p, normalize steps)
+end
+
+let bits = Int64.bits_of_float
+
+(* Probabilities 0, 1 and in between; activities 0, 1 and in between,
+   so many exceed the 2 * min(P, 1 - P) clamp; up to five steps per
+   fanin over times 0-4, so times repeat and arrive unsorted. *)
+let gen_node =
+  let open QCheck.Gen in
+  let unit_or_rail =
+    frequency [ (1, return 0.); (1, return 1.); (4, float_range 0. 1.) ]
+  in
+  let wave =
+    pair unit_or_rail
+      (list_size (int_range 0 5) (pair (int_range 0 4) unit_or_rail))
+  in
+  int_range 0 6 >>= fun n ->
+  map3 (fun table waves delay -> (n, table, waves, delay))
+    ui64 (list_repeat n wave) (int_range 1 3)
+
+let print_node (n, table, waves, delay) =
+  let step (t, a) = Printf.sprintf "(%d, %h)" t a in
+  let wave (p, steps) =
+    Printf.sprintf "{p=%h; [%s]}" p (String.concat "; " (List.map step steps))
+  in
+  Printf.sprintf "arity %d table %Lx delay %d fanins [%s]" n table delay
+    (String.concat "; " (List.map wave waves))
+
+let prop_staged_waveform_matches_reference =
+  QCheck.Test.make ~count:2000
+    ~name:"node_waveform = unstaged reference, bit for bit"
+    (QCheck.make ~print:print_node gen_node)
+    (fun (n, table, waves, delay) ->
+      let f = Tt.create n table in
+      let fanins =
+        Array.of_list
+          (List.map (fun (prob, steps) -> Timed.make ~prob ~steps) waves)
+      in
+      let w = Timed.node_waveform f ~fanins ~delay in
+      let p, steps = Reference.node_waveform f ~fanins ~delay in
+      bits (Timed.prob w) = bits p
+      && List.map (fun (t, a) -> (t, bits a)) (Timed.steps w)
+         = List.map (fun (t, a) -> (t, bits a)) steps)
+
+(* Raw signal records, not built with [Switching.signal]: out-of-range,
+   infinite and NaN fields take the staged kernel's unbounded path.  Any
+   two NaNs count as equal: which NaN an operation on two of them returns
+   depends on the order the compiler gives the operands. *)
+let prop_of_table_matches_reference =
+  let open QCheck.Gen in
+  let field =
+    frequency
+      [ (1, return 0.); (1, return 1.); (4, float_range 0. 1.);
+        (2, float_range (-1.) 3.); (1, return nan); (1, return infinity) ]
+  in
+  let gen =
+    int_range 0 6 >>= fun n ->
+    pair ui64 (list_repeat n (pair field field)) >|= fun (table, inputs) ->
+    (n, table, inputs)
+  in
+  let print (n, table, inputs) =
+    Printf.sprintf "arity %d table %Lx inputs [%s]" n table
+      (String.concat "; "
+         (List.map (fun (p, s) -> Printf.sprintf "(%h, %h)" p s) inputs))
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"of_table = unstaged reference, bit for bit"
+    (QCheck.make ~print gen) (fun (n, table, inputs) ->
+      let f = Tt.create n table in
+      let inputs =
+        Array.of_list
+          (List.map (fun (prob, activity) -> { Sw.prob; activity }) inputs)
+      in
+      let got = Sw.of_table f inputs and want = Reference.of_table f inputs in
+      let same a b = bits a = bits b || (Float.is_nan a && Float.is_nan b) in
+      same got.Sw.prob want.Sw.prob && same got.Sw.activity want.Sw.activity)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_eq2_bounds; prop_eq1_dominates_eq2;
       prop_timed_total_at_least_zero_delay_functional;
       prop_waveform_glitch_nonnegative; prop_waveform_decomposition;
-      prop_arrival_monotone_in_composition ]
+      prop_arrival_monotone_in_composition;
+      prop_staged_waveform_matches_reference; prop_of_table_matches_reference ]
 
 let suite =
   [

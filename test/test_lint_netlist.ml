@@ -131,6 +131,23 @@ let test_roundtrip_adder () =
   check_codes "round trip equivalent" []
     (D.codes (Rules.check_blif_roundtrip t))
 
+(* BLIF names logic node 3 "n3", the name of the first input, and the
+   parser resolves that name to the input: the round trip computes
+   y1 = n3 and y2 = not n3 instead of y1 = n3 & b and y2 = not y1.  At
+   n3 = 1, b = 0 the two outputs swap values, so a comparison of each
+   vector's sorted output values misses it; N009 compares by position. *)
+let test_roundtrip_swapped_outputs () =
+  let b = Nl.create_builder ~name:"clash" in
+  let n3 = Nl.add_input b "n3" and bb = Nl.add_input b "b" in
+  let _node2 = Cl.not_ b bb in
+  let node3 = Cl.and2 b n3 bb in
+  check_bool "node 3" true (node3 = 3);
+  let node4 = Cl.not_ b node3 in
+  Nl.mark_output b "y1" node3;
+  Nl.mark_output b "y2" node4;
+  check_codes "round trip swaps two outputs" [ "N009" ]
+    (D.codes (Rules.check_blif_roundtrip (Nl.freeze b)))
+
 let suite =
   [
     Alcotest.test_case "clean netlist lints clean" `Quick test_clean;
@@ -147,4 +164,6 @@ let suite =
     Alcotest.test_case "N010 cycle line no" `Quick test_blif_cycle_line;
     Alcotest.test_case "round trip clean" `Quick test_roundtrip_clean;
     Alcotest.test_case "round trip 4-bit adder" `Quick test_roundtrip_adder;
+    Alcotest.test_case "N009 compares outputs by position" `Quick
+      test_roundtrip_swapped_outputs;
   ]

@@ -139,6 +139,21 @@ let test_min_depth_objective () =
   check_bool "depth objective at least as shallow" true
     (depth.Mapper.depth <= sa.Mapper.depth)
 
+(* The mapper sums Eq. 3 from the waveforms it chose; a fresh unit-delay
+   propagation over the LUT network it returns must give the same three
+   totals, bit for bit. *)
+let totals_match_propagation (m : Mapper.t) =
+  let module Timed = Hlp_activity.Timed in
+  let s =
+    Timed.summarize m.Mapper.lut_network
+      (Timed.propagate m.Mapper.lut_network ~delay:(fun _ -> 1)
+         ~input:(fun _ -> Hlp_activity.Switching.default_input))
+  in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  same m.Mapper.total_sa s.Timed.total_sa
+  && same m.Mapper.functional_sa s.Timed.functional_sa
+  && same m.Mapper.glitch_sa s.Timed.glitch_sa
+
 let test_map_with_const_outputs () =
   let b = Nl.create_builder ~name:"constout" in
   let a = Nl.add_input b "a" in
@@ -148,7 +163,18 @@ let test_map_with_const_outputs () =
   Nl.mark_output b "k" k1;
   let t = Nl.freeze b in
   let m = Mapper.map t ~k:4 in
-  Mapper.check_cover m
+  Mapper.check_cover m;
+  check_bool "totals = fresh propagation" true (totals_match_propagation m)
+
+let test_partial_datapath_totals () =
+  List.iter
+    (fun fu ->
+      let t =
+        Cl.partial_datapath ~fu ~width:16 ~left_inputs:4 ~right_inputs:3 ()
+      in
+      check_bool "totals = fresh propagation" true
+        (totals_match_propagation (Mapper.map t ~k:4)))
+    [ Cl.Adder; Cl.Multiplier ]
 
 let test_sa_decomposition () =
   let t =
@@ -199,7 +225,7 @@ let prop_random_cover =
       let t = Nl.freeze b in
       let m = Mapper.map t ~k in
       Mapper.check_cover m;
-      true)
+      totals_match_propagation m)
 
 let suite =
   [
@@ -219,6 +245,8 @@ let suite =
       test_map_multiplier_cover;
     Alcotest.test_case "min-depth objective" `Quick test_min_depth_objective;
     Alcotest.test_case "constant outputs" `Quick test_map_with_const_outputs;
+    Alcotest.test_case "width-16 partial datapath totals" `Quick
+      test_partial_datapath_totals;
     Alcotest.test_case "sa decomposition" `Quick test_sa_decomposition;
     Alcotest.test_case "mapping reduces SA vs gate level" `Quick
       test_mapping_reduces_sa_vs_gates;

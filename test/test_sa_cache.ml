@@ -154,6 +154,14 @@ let test_load_rejects_wrong_fingerprint () =
           check_bool "mentions the fingerprint" true
             (String.length msg > 0))
 
+(* The fingerprint hashes mapper results, so a persisted table loads
+   only while the mapper and activity estimator compute the same bits.
+   Pinned so that a change which moves them (and so invalidates every
+   cache on disk) cannot pass unnoticed. *)
+let test_fingerprint_pinned () =
+  Alcotest.(check string)
+    "fingerprint" "c434a5de78559f20dbf72b99f378725c" (ST.fingerprint ())
+
 (* Parallel warm-up: HLP_JOBS=4 precompute races domains on the shared
    table; the persisted file must hold exactly the bits a sequential
    fill produces. *)
@@ -205,4 +213,5 @@ let suite =
       test_load_rejects_wrong_fingerprint;
     Alcotest.test_case "HLP_JOBS=4 warm-up persists sequential bits" `Quick
       test_concurrent_warmup_matches_sequential;
+    Alcotest.test_case "fingerprint pinned" `Quick test_fingerprint_pinned;
   ]
