@@ -270,65 +270,13 @@ let run_lint bench binder width json_out catalog verbose =
   end
   else
   try
-    let binders =
-      match binder with
-      | "both" -> [ "hlpower"; "lopass" ]
-      | ("hlpower" | "lopass") as b -> [ b ]
-      | other -> failwith ("unknown binder: " ^ other)
-    in
-    let min_res schedule cls = max 1 (Schedule.max_density schedule cls) in
-    let kernel name cdfg =
-      let schedule =
-        Schedule.list_schedule cdfg ~resources:(fun _ -> 2)
-      in
-      let regs = Reg_binding.bind (Lifetime.analyze schedule) in
-      (name, schedule, regs, min_res schedule)
-    in
-    let targets =
-      List.map
-        (fun p ->
-          let name = p.Benchmarks.bench_name in
-          let _, schedule, regs = prepare name in
-          (name, schedule, regs, Benchmarks.resources p))
-        Benchmarks.all
-      @ [
-          kernel "fir8" (Benchmarks.fir ~taps:8);
-          kernel "dct4" (Benchmarks.dct4 ());
-          kernel "biquad" (Benchmarks.biquad ());
-          (let schedule = Benchmarks.fig1 () in
-           let regs = Reg_binding.bind (Lifetime.analyze schedule) in
-           ("fig1", schedule, regs, min_res schedule));
-        ]
-    in
-    let targets =
-      match bench with
-      | None -> targets
-      | Some b -> (
-          match List.filter (fun (n, _, _, _) -> n = b) targets with
-          | [] -> raise Not_found
-          | l -> l)
-    in
     let sa_table = lazy (Sa_table.create_default ~width ~k:4 ()) in
     let config = { Flow.default_config with Flow.width } in
     let results =
-      List.concat_map
-        (fun (name, schedule, regs, resources) ->
-          List.map
-            (fun binder ->
-              let design = name ^ "-" ^ binder in
-              let binding =
-                match binder with
-                | "lopass" -> Lopass.bind ~regs ~resources schedule
-                | _ ->
-                    let sa_table = Lazy.force sa_table in
-                    let params = Hlpower.calibrate ~alpha:0.5 sa_table in
-                    (Hlpower.bind ~params ~sa_table ~regs
-                       ~resources:(min_res schedule) schedule)
-                      .Hlpower.binding
-              in
-              (design, Hlp_lint.Lint.run_all ~config ~design binding))
-            binders)
-        targets
+      List.map
+        (fun (design, binding) ->
+          (design, Hlp_lint.Lint.run_all ~config ~design (binding ())))
+        (Hlp_lint.Lint.designs ?bench ~binder ~sa_table ())
     in
     List.iter (fun r -> Format.printf "%a" Hlp_lint.Lint.pp_report r) results;
     (match json_out with

@@ -5,7 +5,8 @@
    diagnostic:
 
    1. Decode phase: [Protocol.decode_request] is hammered with
-      (a) generated valid requests (which must round-trip),
+      (a) valid requests of every op, drawn by
+          [Protocol.random_request] (which must round-trip),
       (b) byte-level mutations of valid frames,
       (c) structurally hostile inline graphs (at/over the admission
           limits, near-cyclic reference patterns, width mismatches,
@@ -31,11 +32,9 @@
      HLP_FUZZ_CORPUS  directory for failing frames (default
                       _fuzz_corpus) *)
 
-module Gen = QCheck2.Gen
 module Json = Hlp_server.Json
 module P = Hlp_server.Protocol
 module Server = Hlp_server.Server
-module Cdfg = Hlp_cdfg.Cdfg
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -49,7 +48,6 @@ let corpus_dir =
   Option.value ~default:"_fuzz_corpus" (Sys.getenv_opt "HLP_FUZZ_CORPUS")
 
 let rand = Random.State.make [| seed |]
-let g1 g = Gen.generate1 ~rand g
 
 (* --- failure accounting ----------------------------------------------- *)
 
@@ -97,105 +95,17 @@ let check_diagnosed ~phase ~frame (ds : P.Diagnostic.t list) =
             frame)
       ds
 
-(* --- valid-request generators ----------------------------------------- *)
+(* --- valid requests ---------------------------------------------------- *)
 
-let gen_bench = Gen.oneofl [ "pr"; "wang"; "honda"; "mcm"; "nope" ]
-let gen_binder = Gen.oneofl [ "hlpower"; "lopass" ]
-let gen_estimator = Gen.oneofl [ "sim"; "static"; "both" ]
+(* Every op the schema knows, counted as the decode phase draws it. *)
+let drawn = Hashtbl.create 16
 
-(* Decoded alphas always re-encode bit-exactly (%.17g), so any float in
-   [0,1] keeps the round-trip law. *)
-let gen_alpha = Gen.float_bound_inclusive 1.0
-
-let gen_valid_graph =
-  let open Gen in
-  int_range 1 4 >>= fun num_inputs ->
-  int_range 1 12 >>= fun num_ops ->
-  let gen_operand bound =
-    if bound = 0 then map (fun k -> Cdfg.Input k) (int_range 0 (num_inputs - 1))
-    else
-      oneof
-        [
-          map (fun k -> Cdfg.Input k) (int_range 0 (num_inputs - 1));
-          map (fun j -> Cdfg.Op j) (int_range 0 (bound - 1));
-        ]
-  in
-  let rec gen_ops i acc =
-    if i >= num_ops then return (List.rev acc)
-    else
-      oneofl [ Cdfg.Add; Cdfg.Sub; Cdfg.Mult ] >>= fun kind ->
-      gen_operand i >>= fun left ->
-      gen_operand i >>= fun right ->
-      gen_ops (i + 1) ({ Cdfg.id = i; kind; left; right } :: acc)
-  in
-  gen_ops 0 [] >>= fun ops ->
-  list_size (int_range 1 3) (gen_operand num_ops) >>= fun outputs ->
-  return (Cdfg.create ~name:"fuzz" ~num_inputs ~ops ~outputs)
-
-let gen_model =
-  let open Gen in
-  let d = Hlp_rtl.Power.default_model in
-  float_range 0.8 3.3 >>= fun vdd ->
-  float_range 1e-16 1e-13 >>= fun c_base ->
-  return
-    { d with Hlp_rtl.Power.vdd; c_base_f = c_base }
-
-let gen_valid_bind_params =
-  let open Gen in
-  bool >>= fun inline ->
-  gen_binder >>= fun binder ->
-  gen_alpha >>= fun alpha ->
-  int_range 1 P.max_width >>= fun width ->
-  int_range 1 64 >>= fun vectors ->
-  bool >>= fun port_assign ->
-  gen_estimator >>= fun estimator ->
-  option gen_model >>= fun model ->
-  (if inline then map (fun g -> ("", Some g)) gen_valid_graph
-   else map (fun b -> (b, None)) gen_bench)
-  >>= fun (bench, graph) ->
-  return
-    {
-      P.bench;
-      binder;
-      alpha;
-      width;
-      vectors;
-      port_assign;
-      estimator;
-      graph;
-      model;
-    }
-
-let gen_valid_request =
-  let open Gen in
-  oneofl [ `Ping; `Bind; `Flow; `Explore; `Lint; `Stats ] >>= fun tag ->
-  option (int_range 0 60_000) >>= fun deadline_ms ->
-  oneof
-    [ map (fun i -> Json.Int i) (int_range 0 1_000_000);
-      map (fun s -> Json.String s) (string_size ~gen:printable (int_range 0 12));
-      return Json.Null ]
-  >>= fun id ->
-  (match tag with
-  | `Ping -> map (fun ms -> P.Ping ms) (int_range 0 5)
-  | `Bind -> map (fun p -> P.Bind p) gen_valid_bind_params
-  | `Flow -> map (fun p -> P.Flow p) gen_valid_bind_params
-  | `Explore ->
-      gen_bench >>= fun ex_bench ->
-      int_range 1 P.max_width >>= fun ex_width ->
-      int_range 1 64 >>= fun ex_vectors ->
-      list_size (int_range 1 3) (int_range 1 4) >>= fun ex_adds ->
-      list_size (int_range 1 3) (int_range 1 4) >>= fun ex_mults ->
-      list_size (int_range 1 3) gen_alpha >>= fun ex_alphas ->
-      return
-        (P.Explore { P.ex_bench; ex_width; ex_vectors; ex_adds; ex_mults;
-                     ex_alphas })
-  | `Lint ->
-      option gen_bench >>= fun lint_bench ->
-      Gen.oneofl [ "hlpower"; "lopass"; "both" ] >>= fun lint_binder ->
-      int_range 1 P.max_width >>= fun lint_width ->
-      return (P.Lint { P.lint_bench; lint_binder; lint_width })
-  | `Stats -> return P.Stats)
-  >>= fun op -> return { P.id; deadline_ms; op }
+let valid_request () =
+  let r = P.random_request rand in
+  let op = P.op_name r.P.op in
+  let n = Option.value ~default:0 (Hashtbl.find_opt drawn op) in
+  Hashtbl.replace drawn op (n + 1);
+  r
 
 (* --- hostile generators (raw frame text) ------------------------------ *)
 
@@ -368,7 +278,7 @@ let decode_phase () =
     (match ri 10 with
     | 0 | 1 | 2 ->
         (* valid request: decodes, and round-trips exactly *)
-        let req = g1 gen_valid_request in
+        let req = valid_request () in
         let line = P.encode_request req in
         (match P.decode_request line with
         | Ok req' ->
@@ -390,7 +300,7 @@ let decode_phase () =
     | 3 | 4 | 5 ->
         (* byte-level mutation of a valid frame *)
         check_decode ~phase:"decode"
-          (mutate_bytes (P.encode_request (g1 gen_valid_request)))
+          (mutate_bytes (P.encode_request (valid_request ())))
     | 6 | 7 ->
         check_decode ~phase:"decode"
           (hostile_graph_frame ~big_ok:(case mod 997 = 0))
@@ -398,7 +308,10 @@ let decode_phase () =
     if case mod 2000 = 0 then
       Printf.eprintf "hlp_fuzz: decode %d/%d (%d failures)\n%!" case runs
         !failures
-  done
+  done;
+  Printf.eprintf "hlp_fuzz: valid requests per op:%s\n%!"
+    (Hashtbl.fold (fun op n acc -> Printf.sprintf " %s=%d" op n :: acc) drawn []
+    |> List.sort compare |> String.concat "")
 
 (* --- phase 2: wire fuzz ----------------------------------------------- *)
 
@@ -508,7 +421,7 @@ let wire_phase () =
     | 2 | 3 | 4 | 5 ->
         exchange
           (strip_newlines
-             (mutate_bytes (P.encode_request (g1 gen_valid_request))))
+             (mutate_bytes (P.encode_request (P.random_request rand))))
           ~liveness:false
     | 6 | 7 | 8 ->
         exchange (strip_newlines (hostile_graph_frame ~big_ok:false))

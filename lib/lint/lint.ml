@@ -5,6 +5,9 @@ module Elaborate = Hlp_rtl.Elaborate
 module Flow = Hlp_rtl.Flow
 module Static_model = Hlp_rtl.Static_model
 module Mapper = Hlp_mapper.Mapper
+module Benchmarks = Hlp_cdfg.Benchmarks
+module Schedule = Hlp_cdfg.Schedule
+module Hlpower = Hlp_core.Hlpower
 
 type rule = {
   r_code : string;
@@ -147,6 +150,67 @@ let run_all ?(config = Flow.default_config) ~design:_ binding =
       | Error d -> acc := d :: !acc)
   | _ -> ());
   List.sort D.compare !acc
+
+(* --- the designs to lint ---------------------------------------------- *)
+
+(* The seven benchmarks keep their Table 2 resource profile for
+   LOPASS; the kernels, which have none, schedule with two units per
+   class.  HLPower always binds against the schedule's own density. *)
+let designs ?bench ~binder ~sa_table () =
+  let binders =
+    match binder with
+    | "both" -> [ "hlpower"; "lopass" ]
+    | ("hlpower" | "lopass") as b -> [ b ]
+    | other -> failwith ("unknown binder: " ^ other)
+  in
+  let min_res schedule cls = max 1 (Schedule.max_density schedule cls) in
+  let prepared schedule resources =
+    let lifetimes = Hlp_cdfg.Lifetime.analyze schedule in
+    (schedule, Hlp_core.Reg_binding.bind lifetimes, resources)
+  in
+  let kernel cdfg () =
+    let schedule = Schedule.list_schedule cdfg ~resources:(fun _ -> 2) in
+    prepared schedule (min_res schedule)
+  in
+  let benchmark p () =
+    let resources = Benchmarks.resources p in
+    let cdfg = Benchmarks.generate p in
+    prepared (Schedule.list_schedule cdfg ~resources) resources
+  in
+  let targets =
+    List.map (fun p -> (p.Benchmarks.bench_name, benchmark p)) Benchmarks.all
+    @ [ ("fir8", kernel (Benchmarks.fir ~taps:8));
+        ("dct4", kernel (Benchmarks.dct4 ()));
+        ("biquad", kernel (Benchmarks.biquad ()));
+        ("fig1", fun () ->
+           let s = Benchmarks.fig1 () in
+           prepared s (min_res s)) ]
+  in
+  let targets =
+    match bench with
+    | None -> targets
+    | Some b -> (
+        match List.filter (fun (name, _) -> name = b) targets with
+        | [] -> raise Not_found
+        | l -> l)
+  in
+  let bind binder (schedule, regs, resources) =
+    match binder with
+    | "lopass" -> Hlp_core.Lopass.bind ~regs ~resources schedule
+    | _ ->
+        let sa_table = Lazy.force sa_table in
+        let params = Hlpower.calibrate ~alpha:0.5 sa_table in
+        (Hlpower.bind ~params ~sa_table ~regs ~resources:(min_res schedule)
+           schedule)
+          .Hlpower.binding
+  in
+  List.concat_map
+    (fun (name, prepare) ->
+      let target = lazy (prepare ()) in
+      List.map
+        (fun b -> (name ^ "-" ^ b, fun () -> bind b (Lazy.force target)))
+        binders)
+    targets
 
 (* --- reporting -------------------------------------------------------- *)
 

@@ -134,18 +134,6 @@ type op =
   | Stats
   | Cluster_stats
 
-let op_name = function
-  | Ping _ -> "ping"
-  | Bind _ -> "bind"
-  | Flow _ -> "flow"
-  | Explore _ -> "explore"
-  | Lint _ -> "lint"
-  | Session_open _ -> "session_open"
-  | Session_edit _ -> "session_edit"
-  | Session_close _ -> "session_close"
-  | Stats -> "stats"
-  | Cluster_stats -> "cluster_stats"
-
 type request = { id : Json.t; deadline_ms : int option; op : op }
 
 type error_code =
@@ -159,28 +147,18 @@ type error_code =
   | Unavailable
   | Internal
 
-let error_code_to_string = function
-  | Parse_error -> "parse_error"
-  | Unknown_op -> "unknown_op"
-  | Bad_request -> "bad_request"
-  | Frame_too_large -> "frame_too_large"
-  | Overloaded -> "overloaded"
-  | Deadline_exceeded -> "deadline_exceeded"
-  | Draining -> "draining"
-  | Unavailable -> "unavailable"
-  | Internal -> "internal"
+let error_codes =
+  [ (Parse_error, "parse_error"); (Unknown_op, "unknown_op");
+    (Bad_request, "bad_request"); (Frame_too_large, "frame_too_large");
+    (Overloaded, "overloaded"); (Deadline_exceeded, "deadline_exceeded");
+    (Draining, "draining"); (Unavailable, "unavailable");
+    (Internal, "internal") ]
 
-let error_code_of_string = function
-  | "parse_error" -> Some Parse_error
-  | "unknown_op" -> Some Unknown_op
-  | "bad_request" -> Some Bad_request
-  | "frame_too_large" -> Some Frame_too_large
-  | "overloaded" -> Some Overloaded
-  | "deadline_exceeded" -> Some Deadline_exceeded
-  | "draining" -> Some Draining
-  | "unavailable" -> Some Unavailable
-  | "internal" -> Some Internal
-  | _ -> None
+let error_code_to_string code = List.assoc code error_codes
+
+let error_code_of_string s =
+  List.find_map (fun (code, name) -> if name = s then Some code else None)
+    error_codes
 
 type payload =
   | Result of {
@@ -250,36 +228,6 @@ let json_of_graph (g : Cdfg.t) : Json.t =
       ("outputs", List (List.map json_of_operand (Cdfg.outputs g)));
     ]
 
-let json_of_model (m : Power.model) : Json.t =
-  Obj
-    [
-      ("vdd", Float m.vdd);
-      ("c_base_f", Float m.c_base_f);
-      ("c_fanout_f", Float m.c_fanout_f);
-      ("t_lut_ns", Float m.t_lut_ns);
-      ("t_route_ns", Float m.t_route_ns);
-      ("t_seq_ns", Float m.t_seq_ns);
-    ]
-
-let json_of_bind_params p : Json.t =
-  Json.Obj
-    ([
-       ("bench", Json.String p.bench);
-       ("binder", Json.String p.binder);
-       ("alpha", Json.Float p.alpha);
-       ("width", Json.Int p.width);
-       ("vectors", Json.Int p.vectors);
-       ("port_assign", Json.Bool p.port_assign);
-       ("estimator", Json.String p.estimator);
-     ]
-    @ (match p.graph with
-      | None -> []
-      | Some g -> [ ("graph", json_of_graph g) ])
-    @
-    match p.model with
-    | None -> []
-    | Some m -> [ ("model", json_of_model m) ])
-
 let json_of_delta : session_delta -> Json.t = function
   | D_add_op { d_kind; d_left; d_right; d_output } ->
       Obj
@@ -299,76 +247,6 @@ let json_of_delta : session_delta -> Json.t = function
           ("units", Int n);
         ]
   | D_set_alpha a -> Obj [ ("kind", String "set_alpha"); ("alpha", Float a) ]
-
-let json_of_session_open_params p : Json.t =
-  Json.Obj
-    ([
-       ("bench", Json.String p.so_bench);
-       ("binder", Json.String p.so_binder);
-       ("alpha", Json.Float p.so_alpha);
-       ("width", Json.Int p.so_width);
-       ("k", Json.Int p.so_k);
-     ]
-    @ (match p.so_graph with
-      | None -> []
-      | Some g -> [ ("graph", json_of_graph g) ])
-    @
-    match (p.so_res_add, p.so_res_mult) with
-    | None, None -> []
-    | a, m ->
-        let f name = function
-          | None -> []
-          | Some n -> [ (name, Json.Int n) ]
-        in
-        [ ("resources", Json.Obj (f "add" a @ f "mult" m)) ])
-
-let json_of_op op : (string * Json.t) list =
-  let params : Json.t option =
-    match op with
-    | Ping ms -> Some (Obj [ ("sleep_ms", Int ms) ])
-    | Bind p | Flow p -> Some (json_of_bind_params p)
-    | Session_open p -> Some (json_of_session_open_params p)
-    | Session_edit p ->
-        Some
-          (Obj
-             [
-               ("session", String p.se_session);
-               ("delta", json_of_delta p.se_delta);
-             ])
-    | Session_close p -> Some (Obj [ ("session", String p.sc_session) ])
-    | Explore p ->
-        Some
-          (Obj
-             [
-               ("bench", String p.ex_bench);
-               ("width", Int p.ex_width);
-               ("vectors", Int p.ex_vectors);
-               ("adds", List (List.map (fun i -> Json.Int i) p.ex_adds));
-               ("mults", List (List.map (fun i -> Json.Int i) p.ex_mults));
-               ("alphas", List (List.map (fun a -> Json.Float a) p.ex_alphas));
-             ])
-    | Lint p ->
-        Some
-          (Obj
-             [
-               ( "bench",
-                 match p.lint_bench with None -> Null | Some b -> String b );
-               ("binder", String p.lint_binder);
-               ("width", Int p.lint_width);
-             ])
-    | Stats | Cluster_stats -> None
-  in
-  ("op", Json.String (op_name op))
-  :: (match params with None -> [] | Some p -> [ ("params", p) ])
-
-let encode_request r =
-  Json.to_string
-    (Obj
-       ((match r.id with Json.Null -> [] | id -> [ ("id", id) ])
-       @ (match r.deadline_ms with
-         | None -> []
-         | Some ms -> [ ("deadline_ms", Json.Int ms) ])
-       @ json_of_op r.op))
 
 let encode_reply r =
   let fields =
@@ -413,6 +291,14 @@ type decode_error = {
   err_id : Json.t;
   err_diagnostics : Diagnostic.t list;
 }
+
+(* Report a diagnostic; [bad] is an S003, and [none] also yields [None]. *)
+let report ~add code fmt =
+  Printf.ksprintf (fun m -> add (Diagnostic.error code Design "%s" m)) fmt
+
+let bad ~add fmt = report ~add "S003" fmt
+
+let none ~add fmt = Printf.ksprintf (fun m -> bad ~add "%s" m; None) fmt
 
 (* Inline-graph admission.  An untrusted graph is validated in three
    strictly ordered stages so that hostile input never reaches CDFG
@@ -582,94 +468,6 @@ let decode_graph ~add v =
       bad "S003" Design "parameter \"graph\" must be an object";
       None
 
-(* Power-model override admission.  Every field is a physical constant
-   the estimator divides by or accumulates over millions of events, so
-   a hostile value (NaN via 1e999-0-style tricks is unspellable in
-   JSON, but infinity, subnormals and non-positive capacitances are
-   not) must die here, not as a NaN power figure three layers down.
-   [vdd] and [c_base_f] must be strictly positive (both are divisors /
-   sole factors); per-unit adders may be zero but not negative.
-
-   Each field also has a generous physical ceiling: a *finite* 1e308
-   volt supply passes every NaN/infinity test yet overflows vdd^2
-   downstream into an [inf] that the report printer would emit as
-   unparseable JSON (found by hlp_fuzz).  The caps are orders of
-   magnitude above any real silicon (100 V supply, 1 mF per net, 1 s
-   per LUT level), so they bound every downstream product without
-   constraining legitimate calibration. *)
-let model_fields =
-  [
-    ("vdd", (`Positive, 100.));
-    ("c_base_f", (`Positive, 1e-3));
-    ("c_fanout_f", (`Non_negative, 1e-3));
-    ("t_lut_ns", (`Non_negative, 1e9));
-    ("t_route_ns", (`Non_negative, 1e9));
-    ("t_seq_ns", (`Non_negative, 1e9));
-  ]
-
-let decode_model ~add v =
-  match v with
-  | Json.Obj kvs ->
-      let ok = ref true in
-      let bad code fmt =
-        Printf.ksprintf
-          (fun m ->
-            ok := false;
-            add (Diagnostic.error code Diagnostic.Design "%s" m))
-          fmt
-      in
-      List.iter
-        (fun (k, _) ->
-          if not (List.mem_assoc k model_fields) then
-            bad "S003" "unknown model field %S" k)
-        kvs;
-      let field name current =
-        let kind, ceiling = List.assoc name model_fields in
-        match Json.member name v with
-        | None | Some Json.Null -> current
-        | Some jv -> (
-            match Json.to_float jv with
-            | None ->
-                bad "S003" "model field %S must be a number" name;
-                current
-            | Some f ->
-                if not (usable_number f) then (
-                  bad "S011"
-                    "model field %S is not a usable number (infinite, NaN \
-                     or subnormal): %s"
-                    name (Json.to_string jv);
-                  current)
-                else if kind = `Positive && f <= 0. then (
-                  bad "S011" "model field %S must be strictly positive" name;
-                  current)
-                else if f < 0. then (
-                  bad "S011" "model field %S must be non-negative" name;
-                  current)
-                else if f > ceiling then (
-                  bad "S011"
-                    "model field %S is out of physical range (max %g)" name
-                    ceiling;
-                  current)
-                else f)
-      in
-      let d = Power.default_model in
-      let m =
-        {
-          Power.vdd = field "vdd" d.Power.vdd;
-          c_base_f = field "c_base_f" d.Power.c_base_f;
-          c_fanout_f = field "c_fanout_f" d.Power.c_fanout_f;
-          t_lut_ns = field "t_lut_ns" d.Power.t_lut_ns;
-          t_route_ns = field "t_route_ns" d.Power.t_route_ns;
-          t_seq_ns = field "t_seq_ns" d.Power.t_seq_ns;
-        }
-      in
-      if !ok then Some m else None
-  | _ ->
-      add
-        (Diagnostic.error "S003" Diagnostic.Design
-           "parameter \"model\" must be an object");
-      None
-
 (* [Json.member] silently returns the first binding of a duplicated
    key, so {"alpha":0.1,"alpha":99} would validate one value and — were
    a different reader to pick the last binding — execute another.
@@ -694,7 +492,475 @@ let rec check_duplicate_keys ~add path (v : Json.t) =
         vs
   | _ -> ()
 
+(* --- the request schema ---
+
+   Each op's parameters are listed once, as typed field descriptors
+   over the params record the op already has.  The decoder, the
+   encoder, the random request generator and the DESIGN §11 table all
+   read these lists, so a parameter cannot be checked one way, fuzzed
+   another and documented a third. *)
+
+type _ ty =
+  | Int : { min : int; max : int; gen_max : int } -> int ty
+      (* [max = max_int]: no ceiling.  Random requests draw from
+         [min..gen_max], so a drawn ping or flow is cheap to execute. *)
+  | Alpha : float ty (* Eq. 4's weight: usable (S009), then in [0, 1] *)
+  | Phys : { positive : bool; ceiling : float } -> float ty (* S011 *)
+  | Bool : bool ty
+  | Str : { max_len : int; samples : string list } -> string ty
+  | Enum : string list -> string ty
+  | List : 'a ty -> 'a list ty (* non-empty *)
+  | Option : 'a ty -> 'a option ty
+  | Obj : { fields : 'a field list; default : 'a } -> 'a ty
+      (* a nested object; unlike params, it rejects unknown keys *)
+  | Graph : Cdfg.t ty
+  | Delta : session_delta ty
+
+and 'r field =
+  | Field : { name : string; ty : 'a ty; get : 'r -> 'a; set : 'r -> 'a -> 'r }
+      -> 'r field
+
+(* The rules no single field can state.  A field is {e given} when the
+   frame carries a non-null value for it — for a string field, a
+   non-empty string — whether or not that value then decodes. *)
+type rule = Required of string | One_of of string * string
+
+(* An op's parameters; [inject] and [project] map its record into and
+   out of [op]. *)
+type spec =
+  | Op : { name : string; fields : 'r field list; rules : rule list;
+           default : 'r; inject : 'r -> op; project : op -> 'r option }
+      -> spec
+
+let field name ty get set = Field { name; ty; get; set }
+let range min max = Int { min; max; gen_max = max }
+let at_least min ~gen_max = Int { min; max = max_int; gen_max }
+let width = range 1 max_width
+let vectors = at_least 1 ~gen_max:64
+let binder = Enum [ "hlpower"; "lopass" ]
+let session = Str { max_len = max_session_id_len; samples = [ "s-1"; "s-2" ] }
+let bench_xor_graph = [ One_of ("bench", "graph") ]
+
+let bench =
+  Str { max_len = max_int; samples = [ "pr"; "wang"; "honda"; "mcm"; "nope" ] }
+
+(* Power-model override admission.  Every field is a physical constant
+   the estimator divides by or accumulates over millions of events, so
+   a hostile value (NaN via 1e999-0-style tricks is unspellable in
+   JSON, but infinity, subnormals and non-positive capacitances are
+   not) must die here, not as a NaN power figure three layers down.
+   [vdd] and [c_base_f] must be strictly positive (both are divisors /
+   sole factors); per-unit adders may be zero but not negative.
+
+   Each field also has a generous physical ceiling: a *finite* 1e308
+   volt supply passes every NaN/infinity test yet overflows vdd^2
+   downstream into an [inf] that the report printer would emit as
+   unparseable JSON (found by hlp_fuzz).  The caps are orders of
+   magnitude above any real silicon (100 V supply, 1 mF per net, 1 s
+   per LUT level), so they bound every downstream product without
+   constraining legitimate calibration. *)
+let model =
+  let phys name positive ceiling = field name (Phys { positive; ceiling }) in
+  let open Power in
+  Obj
+    { default = default_model;
+      fields =
+        [ phys "vdd" true 100. (fun m -> m.vdd) (fun m vdd -> { m with vdd });
+          phys "c_base_f" true 1e-3 (fun m -> m.c_base_f) (fun m c_base_f ->
+              { m with c_base_f });
+          phys "c_fanout_f" false 1e-3 (fun m -> m.c_fanout_f) (fun m c ->
+              { m with c_fanout_f = c });
+          phys "t_lut_ns" false 1e9 (fun m -> m.t_lut_ns) (fun m t_lut_ns ->
+              { m with t_lut_ns });
+          phys "t_route_ns" false 1e9 (fun m -> m.t_route_ns) (fun m t ->
+              { m with t_route_ns = t });
+          phys "t_seq_ns" false 1e9 (fun m -> m.t_seq_ns) (fun m t_seq_ns ->
+              { m with t_seq_ns }) ] }
+
+let bind_fields =
+  [ field "bench" bench (fun p -> p.bench) (fun p bench -> { p with bench });
+    field "binder" binder (fun p -> p.binder) (fun p binder ->
+        { p with binder });
+    field "alpha" Alpha (fun p -> p.alpha) (fun p alpha -> { p with alpha });
+    field "width" width (fun p -> p.width) (fun p width -> { p with width });
+    field "vectors" vectors (fun p -> p.vectors) (fun p vectors ->
+        { p with vectors });
+    field "port_assign" Bool (fun p -> p.port_assign) (fun p port_assign ->
+        { p with port_assign });
+    field "estimator" (Enum [ "sim"; "static"; "both" ]) (fun p -> p.estimator)
+      (fun p estimator -> { p with estimator });
+    field "graph" (Option Graph) (fun p -> p.graph) (fun p graph ->
+        { p with graph });
+    field "model" (Option model) (fun p -> p.model) (fun p model ->
+        { p with model }) ]
+
+let specs =
+  let op name ?(rules = []) fields default inject project =
+    Op { name; fields; rules; default; inject; project }
+  in
+  [ op "ping"
+      [ field "sleep_ms" (at_least 0 ~gen_max:5) Fun.id (fun _ ms -> ms) ]
+      0 (fun ms -> Ping ms) (function Ping ms -> Some ms | _ -> None);
+    op "bind" ~rules:bench_xor_graph bind_fields default_bind_params
+      (fun p -> Bind p) (function Bind p -> Some p | _ -> None);
+    op "flow" ~rules:bench_xor_graph bind_fields default_bind_params
+      (fun p -> Flow p) (function Flow p -> Some p | _ -> None);
+    op "explore" ~rules:[ Required "bench" ]
+      [ field "bench" bench (fun p -> p.ex_bench) (fun p ex_bench ->
+            { p with ex_bench });
+        field "width" width (fun p -> p.ex_width) (fun p ex_width ->
+            { p with ex_width });
+        field "vectors" vectors (fun p -> p.ex_vectors) (fun p ex_vectors ->
+            { p with ex_vectors });
+        field "adds" (List (at_least 1 ~gen_max:4)) (fun p -> p.ex_adds)
+          (fun p ex_adds -> { p with ex_adds });
+        field "mults" (List (at_least 1 ~gen_max:4)) (fun p -> p.ex_mults)
+          (fun p ex_mults -> { p with ex_mults });
+        field "alphas" (List Alpha) (fun p -> p.ex_alphas) (fun p ex_alphas ->
+            { p with ex_alphas }) ]
+      default_explore_params
+      (fun p -> Explore p) (function Explore p -> Some p | _ -> None);
+    op "lint"
+      [ field "bench"
+          (Option (Str { max_len = max_int; samples = [ "pr"; "fir8"; "x" ] }))
+          (fun p -> p.lint_bench) (fun p lint_bench -> { p with lint_bench });
+        field "binder" (Enum [ "hlpower"; "lopass"; "both" ])
+          (fun p -> p.lint_binder) (fun p b -> { p with lint_binder = b });
+        field "width" width (fun p -> p.lint_width) (fun p lint_width ->
+            { p with lint_width }) ]
+      default_lint_params
+      (fun p -> Lint p) (function Lint p -> Some p | _ -> None);
+    op "session_open" ~rules:bench_xor_graph
+      [ field "bench" bench (fun p -> p.so_bench) (fun p so_bench ->
+            { p with so_bench });
+        field "binder" binder (fun p -> p.so_binder) (fun p so_binder ->
+            { p with so_binder });
+        field "alpha" Alpha (fun p -> p.so_alpha) (fun p so_alpha ->
+            { p with so_alpha });
+        field "width" width (fun p -> p.so_width) (fun p so_width ->
+            { p with so_width });
+        field "k" (range 1 max_session_k) (fun p -> p.so_k) (fun p so_k ->
+            { p with so_k });
+        field "graph" (Option Graph) (fun p -> p.so_graph) (fun p so_graph ->
+            { p with so_graph });
+        field "resources"
+          (let units = Option (at_least 1 ~gen_max:4) in
+           Obj
+             { default = (None, None);
+               fields = [ field "add" units fst (fun (_, m) a -> (a, m));
+                          field "mult" units snd (fun (a, _) m -> (a, m)) ] })
+          (fun p -> (p.so_res_add, p.so_res_mult))
+          (fun p (a, m) -> { p with so_res_add = a; so_res_mult = m }) ]
+      default_session_open_params
+      (fun p -> Session_open p) (function Session_open p -> Some p | _ -> None);
+    (* The placeholder delta never executes: a frame without a given
+       delta breaks the [Required] rule. *)
+    op "session_edit" ~rules:[ Required "session"; Required "delta" ]
+      [ field "session" session (fun p -> p.se_session) (fun p se_session ->
+            { p with se_session });
+        field "delta" Delta (fun p -> p.se_delta) (fun p se_delta ->
+            { p with se_delta }) ]
+      { se_session = ""; se_delta = D_remove_op 0 }
+      (fun p -> Session_edit p) (function Session_edit p -> Some p | _ -> None);
+    op "session_close" ~rules:[ Required "session" ]
+      [ field "session" session (fun p -> p.sc_session) (fun _ s ->
+            { sc_session = s }) ]
+      { sc_session = "" }
+      (fun p -> Session_close p)
+      (function Session_close p -> Some p | _ -> None);
+    op "stats" [] () (fun () -> Stats) (function Stats -> Some () | _ -> None);
+    op "cluster_stats" [] () (fun () -> Cluster_stats)
+      (function Cluster_stats -> Some () | _ -> None) ]
+
+(* The one envelope field beside [id] and [op]. *)
+let deadline =
+  let ms = Option (at_least 0 ~gen_max:60_000) in
+  field "deadline_ms" ms Fun.id (fun _ d -> d)
+
+let op_name op =
+  let (Op s) = List.find (fun (Op s) -> Option.is_some (s.project op)) specs in
+  s.name
+
+(* --- decode, encode and draw, by type --- *)
+
+(* [shape ty v] converts a JSON value of the right type; structured
+   types are decoded by [decode] and never reach it. *)
+let rec shape : type a. a ty -> Json.t -> a option =
+ fun ty v ->
+  match ty with
+  | Int _ -> Json.to_int v
+  | Alpha -> Json.to_float v
+  | Phys _ -> Json.to_float v
+  | Bool -> Json.to_bool v
+  | Str _ -> Json.to_string_opt v
+  | Enum _ -> Json.to_string_opt v
+  | List t -> (
+      match Option.map (List.map (shape t)) (Json.to_list v) with
+      | Some (_ :: _ as xs) when List.for_all Option.is_some xs ->
+          Some (List.map Option.get xs)
+      | _ -> None)
+  | Option _ | Obj _ | Graph | Delta -> None
+
+(* [check ty x] reports every range offense of a converted value.  A
+   list converts all its items before any is checked, so a list with
+   one ill-typed item earns a single S003, not per-item checks. *)
+let rec check : type a.
+    add:(Diagnostic.t -> unit) -> label:(unit -> string) -> a ty -> a -> unit
+    =
+ fun ~add ~label ty x ->
+  let diag code = report ~add code in
+  let unusable = "is not a usable number (infinite, NaN or subnormal)" in
+  match ty with
+  | Int { min; max; _ } when x < min || x > max ->
+      if max = max_int then
+        bad ~add "%t must be at least %d (got %d)" label min x
+      else bad ~add "%t must be within %d..%d (got %d)" label min max x
+  | Alpha when not (usable_number x) -> diag "S009" "%t %s" label unusable
+  | Alpha when not (x >= 0. && x <= 1.) ->
+      bad ~add "%t must be within [0, 1]" label
+  | Phys _ when not (usable_number x) ->
+      diag "S011" "%t %s: %s" label unusable (Json.to_string (Json.Float x))
+  | Phys { positive = true; _ } when x <= 0. ->
+      diag "S011" "%t must be strictly positive" label
+  | Phys _ when x < 0. -> diag "S011" "%t must be non-negative" label
+  | Phys { ceiling; _ } when x > ceiling ->
+      diag "S011" "%t is out of physical range (max %g)" label ceiling
+  | Str { max_len; _ } when String.length x > max_len ->
+      bad ~add "%t exceeds %d characters" label max_len
+  | Enum names when not (List.mem x names) ->
+      bad ~add "%t must be one of %s" label
+        (String.concat ", " (List.map (Printf.sprintf "%S") names))
+  | List t ->
+      List.iteri
+        (fun i ->
+          check ~add ~label:(fun () -> Printf.sprintf "%t item %d" label i) t)
+        x
+  | _ -> ()
+
+(* Delta shapes are validated here; references are checked against the
+   session's current graph by the router (S014), which this decoder
+   cannot see. *)
+let decode_delta ~add ~label dv =
+  let none fmt = none ~add fmt in
+  let member k conv = Option.bind (Json.member k dv) conv in
+  let operand name =
+    match Json.member name dv with
+    | Some (Json.Obj _ as ov) -> (
+        let index k make =
+          match Option.bind (Json.member k ov) Json.to_int with
+          | Some i when i >= 0 -> Some (make i)
+          | _ -> none "delta operand field %S must be a non-negative integer" k
+        in
+        match (Json.member "input" ov, Json.member "op" ov) with
+        | Some _, None -> index "input" (fun k -> Cdfg.Input k)
+        | None, Some _ -> index "op" (fun j -> Cdfg.Op j)
+        | _ ->
+            none
+              "delta operand must be exactly one of {\"input\": k} or \
+               {\"op\": j}")
+    | _ -> none "add_op delta is missing operand object %S" name
+  in
+  match dv with
+  | Json.Obj _ -> (
+      match member "kind" Json.to_string_opt with
+      | Some "add_op" -> (
+          let kind =
+            match member "op_kind" Json.to_string_opt with
+            | Some "add" -> Some Cdfg.Add
+            | Some "sub" -> Some Cdfg.Sub
+            | Some "mult" -> Some Cdfg.Mult
+            | Some k ->
+                none "delta op_kind %S is not \"add\", \"sub\" or \"mult\"" k
+            | None -> none "add_op delta is missing a string \"op_kind\" field"
+          in
+          let output =
+            match Json.member "output" dv with
+            | None | Some Json.Null -> Some false
+            | Some (Json.Bool b) -> Some b
+            | Some _ -> none "delta field \"output\" must be a boolean"
+          in
+          match (kind, operand "left", operand "right", output) with
+          | Some d_kind, Some d_left, Some d_right, Some d_output ->
+              Some (D_add_op { d_kind; d_left; d_right; d_output })
+          | _ -> None)
+      | Some "remove_op" -> (
+          match member "id" Json.to_int with
+          | Some id when id >= 0 -> Some (D_remove_op id)
+          | _ -> none "remove_op delta requires a non-negative integer \"id\"")
+      | Some "set_resource" -> (
+          let cls = function "add" -> Cdfg.Add_sub | _ -> Cdfg.Multiplier in
+          let units = member "units" Json.to_int in
+          match (member "class" Json.to_string_opt, units) with
+          | Some (("add" | "mult") as c), Some n when n >= 1 ->
+              Some (D_set_resource (cls c, n))
+          | Some ("add" | "mult"), _ ->
+              none "set_resource delta requires a positive integer \"units\""
+          | _ ->
+              none
+                "set_resource delta requires \"class\" of \"add\" or \
+                 \"mult\"")
+      | Some "set_alpha" -> (
+          match member "alpha" Json.to_float with
+          | Some a when not (usable_number a) ->
+              check ~add ~label:(fun () -> "delta field \"alpha\"") Alpha a;
+              None
+          | Some a when a >= 0. && a <= 1. -> Some (D_set_alpha a)
+          | _ -> none "set_alpha delta requires \"alpha\" within [0, 1]")
+      | Some k -> none "unknown delta kind %S" k
+      | None -> none "delta is missing a string \"kind\" field")
+  | _ -> none "%t must be an object" label
+
+(* [decode ty v] is [None] when [v] has the wrong shape (reported); a
+   value that only fails its range checks is reported and returned. *)
+let rec decode : type a. add:(Diagnostic.t -> unit) -> name:string ->
+    label:(unit -> string) -> a ty -> Json.t -> a option =
+ fun ~add ~name ~label ty v ->
+  match (ty, v) with
+  | Option t, _ -> Option.map Option.some (decode ~add ~name ~label t v)
+  | Obj o, Json.Obj kvs ->
+      let known k = List.exists (fun (Field f) -> f.name = k) o.fields in
+      kvs |> List.iter (fun (k, _) ->
+          if not (known k) then bad ~add "unknown %s field %S" name k);
+      let label = Printf.sprintf "%s field %S" name in
+      Some (decode_fields ~add ~label o.fields o.default v)
+  | Obj _, _ -> none ~add "%t must be an object" label
+  | Graph, _ -> decode_graph ~add v
+  | Delta, _ -> decode_delta ~add ~label v
+  | _ -> (
+      match shape ty v with
+      | Some x ->
+          check ~add ~label ty x;
+          Some x
+      | None ->
+          none ~add "%t has an invalid value: %s" label (Json.to_string v))
+
+(* Absent and null fields keep [init]'s value. *)
+and decode_fields : type r. add:(Diagnostic.t -> unit) ->
+    label:(string -> string) -> r field list -> r -> Json.t -> r =
+ fun ~add ~label fields init obj ->
+  List.fold_left
+    (fun r (Field f) ->
+      match Json.member f.name obj with
+      | None | Some Json.Null -> r
+      | Some v -> (
+          let label () = label f.name in
+          match decode ~add ~name:f.name ~label f.ty v with
+          | Some x -> f.set r x
+          | None -> r))
+    init fields
+
+let find_field fields name = List.find (fun (Field f) -> f.name = name) fields
+
+let given fields params name =
+  let (Field f) = find_field fields name in
+  match (Json.member name params, f.ty) with
+  | (None | Some Json.Null), _ -> false
+  | Some (Json.String s), Str _ -> s <> ""
+  | Some _, Str _ -> false
+  | Some _, _ -> true
+
+let check_rule ~add fields params rule =
+  let given = given fields params in
+  match rule with
+  | Required n when not (given n) -> bad ~add "parameter %S is required" n
+  | One_of (a, b) when given a && given b ->
+      bad ~add "parameters %S and %S are mutually exclusive" a b
+  | One_of (a, b) when not (given a || given b) ->
+      bad ~add "parameter %S or %S is required" a b
+  | _ -> ()
+
+(* [None] omits the field: an absent option, or an object with nothing
+   left to say. *)
+let rec encode : type a. a ty -> a -> Json.t option =
+ fun ty x ->
+  match ty with
+  | Int _ -> Some (Json.Int x)
+  | Alpha -> Some (Json.Float x)
+  | Phys _ -> Some (Json.Float x)
+  | Bool -> Some (Json.Bool x)
+  | Str _ -> Some (Json.String x)
+  | Enum _ -> Some (Json.String x)
+  | List t -> Some (Json.List (List.filter_map (encode t) x))
+  | Option t -> Option.bind x (encode t)
+  | Obj o ->
+      let kvs = encode_fields o.fields x in
+      if kvs = [] then None else Some (Json.Obj kvs)
+  | Graph -> Some (json_of_graph x)
+  | Delta -> Some (json_of_delta x)
+
+and encode_fields : type r. r field list -> r -> (string * Json.t) list =
+ fun fields r ->
+  List.filter_map
+    (fun (Field f) -> Option.map (fun v -> (f.name, v)) (encode f.ty (f.get r)))
+    fields
+
+let pick rand l = List.nth l (Random.State.int rand (List.length l))
+
+(* A CDFG the decoder admits: 1-4 inputs, 1-12 ops, 1-3 outputs. *)
+let random_graph rand =
+  let num_inputs = 1 + Random.State.int rand 4 in
+  let num_ops = 1 + Random.State.int rand 12 in
+  let operand bound =
+    if bound = 0 || Random.State.bool rand then
+      Cdfg.Input (Random.State.int rand num_inputs)
+    else Cdfg.Op (Random.State.int rand bound)
+  in
+  let op id =
+    let kind = pick rand [ Cdfg.Add; Cdfg.Sub; Cdfg.Mult ] in
+    let left = operand id in
+    { Cdfg.id; kind; left; right = operand id }
+  in
+  let ops = List.init num_ops op in
+  let num_outputs = 1 + Random.State.int rand 3 in
+  let outputs = List.init num_outputs (fun _ -> operand num_ops) in
+  Cdfg.create ~name:"g" ~num_inputs ~ops ~outputs
+
+let random_delta rand =
+  let small () = Random.State.int rand 8 in
+  let operand () =
+    if Random.State.bool rand then Cdfg.Input (small ()) else Cdfg.Op (small ())
+  in
+  match Random.State.int rand 4 with
+  | 0 ->
+      let d_kind = pick rand [ Cdfg.Add; Cdfg.Sub; Cdfg.Mult ] in
+      let d_left = operand () in
+      let d_right = operand () in
+      D_add_op { d_kind; d_left; d_right; d_output = Random.State.bool rand }
+  | 1 -> D_remove_op (small ())
+  | 2 ->
+      let cls = pick rand [ Cdfg.Add_sub; Cdfg.Multiplier ] in
+      D_set_resource (cls, 1 + Random.State.int rand 4)
+  | _ -> D_set_alpha (Random.State.float rand 1.)
+
+(* [gen ~given:true] draws an option present. *)
+let rec gen : type a. ?given:bool -> Random.State.t -> a ty -> a =
+ fun ?(given = false) rand ty ->
+  match ty with
+  | Int { min; gen_max; _ } -> min + Random.State.int rand (gen_max - min + 1)
+  | Alpha -> Random.State.float rand 1.
+  | Phys { ceiling; _ } -> ceiling -. Random.State.float rand ceiling
+  | Bool -> Random.State.bool rand
+  | Str { samples; _ } -> pick rand samples
+  | Enum names -> pick rand names
+  | List t -> List.init (1 + Random.State.int rand 3) (fun _ -> gen rand t)
+  | Option t when given || Random.State.bool rand -> Some (gen rand t)
+  | Option _ -> None
+  | Obj o -> gen_fields rand o.fields o.default
+  | Graph -> random_graph rand
+  | Delta -> random_delta rand
+
+and gen_fields : type r. Random.State.t -> r field list -> r -> r =
+ fun rand fields init ->
+  List.fold_left (fun r (Field f) -> f.set r (gen rand f.ty)) init fields
+
+(* --- requests --- *)
+
 let decode_request line =
+  let reject code =
+    Printf.ksprintf (fun m ->
+        let err_diagnostics = [ Diagnostic.error code (Line 1) "%s" m ] in
+        Stdlib.Error { err_code = Parse_error; err_id = Null; err_diagnostics })
+  in
   match Json.parse line with
   | Error (pos, msg) ->
       (* Exhausting the parser's nesting budget is a resource-limit
@@ -702,462 +968,165 @@ let decode_request line =
          perfectly well-formed JSON, just hostile to a recursive
          reader. *)
       let code = if Json.is_depth_error msg then "S012" else "S001" in
-      Stdlib.Error
-        {
-          err_code = Parse_error;
-          err_id = Json.Null;
-          err_diagnostics =
-            [
-              Diagnostic.error code (Line 1)
-                "malformed frame (byte %d: %s): %s" pos msg (excerpt line);
-            ];
-        }
+      reject code "malformed frame (byte %d: %s): %s" pos msg (excerpt line)
   | Ok ((Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
         | Json.String _ | Json.List _ | Json.Raw _) as json) ->
-      Stdlib.Error
-        {
-          err_code = Parse_error;
-          err_id = Json.Null;
-          err_diagnostics =
-            [
-              Diagnostic.error "S001" (Line 1)
-                "frame is not a JSON object: %s"
-                (excerpt (Json.to_string json));
-            ];
-        }
+      reject "S001" "frame is not a JSON object: %s"
+        (excerpt (Json.to_string json))
   | Ok (Json.Obj _ as json) -> (
       let problems = ref [] in
-      let add_problem diag = problems := diag :: !problems in
-      let problem fmt =
-        Printf.ksprintf
-          (fun m ->
-            problems :=
-              Diagnostic.error "S003" Design "%s" m :: !problems)
-          fmt
-      in
-      check_duplicate_keys ~add:add_problem "request" json;
+      let add diag = problems := diag :: !problems in
+      check_duplicate_keys ~add "request" json;
       let id = Option.value ~default:Json.Null (Json.member "id" json) in
       let params =
         Option.value ~default:(Json.Obj []) (Json.member "params" json)
       in
-      let field name conv ~default =
-        match Json.member name params with
-        | None | Some Json.Null -> default
-        | Some v -> (
-            match conv v with
-            | Some v -> v
-            | None ->
-                problem "parameter %S has an invalid value: %s" name
-                  (Json.to_string v);
-                default)
-      in
-      let pos_int name ~default =
-        let v = field name Json.to_int ~default in
-        if v > 0 then v
-        else (
-          problem "parameter %S must be positive" name;
-          default)
-      in
-      let bind_params () =
-        let d = default_bind_params in
-        let graph_given =
-          match Json.member "graph" params with
-          | None | Some Json.Null -> false
-          | Some _ -> true
-        in
-        let graph =
-          match Json.member "graph" params with
-          | None | Some Json.Null -> None
-          | Some v -> decode_graph ~add:add_problem v
-        in
-        let model =
-          match Json.member "model" params with
-          | None | Some Json.Null -> None
-          | Some v -> decode_model ~add:add_problem v
-        in
-        let estimator =
-          let s = field "estimator" Json.to_string_opt ~default:d.estimator in
-          match Hlp_rtl.Power.estimator_of_string s with
-          | Some e -> Hlp_rtl.Power.estimator_name e
-          | None ->
-              problem
-                "parameter \"estimator\" must be \"sim\", \"static\" or \
-                 \"both\"";
-              d.estimator
-        in
-        let p =
-          {
-            bench = field "bench" Json.to_string_opt ~default:d.bench;
-            binder = field "binder" Json.to_string_opt ~default:d.binder;
-            alpha = field "alpha" Json.to_float ~default:d.alpha;
-            width = pos_int "width" ~default:d.width;
-            vectors = pos_int "vectors" ~default:d.vectors;
-            port_assign = field "port_assign" Json.to_bool ~default:false;
-            estimator;
-            graph;
-            model;
-          }
-        in
-        if graph_given then begin
-          if p.bench <> "" then
-            problem
-              "parameters \"bench\" and \"graph\" are mutually exclusive"
-        end
-        else if p.bench = "" then
-          problem "parameter \"bench\" or \"graph\" is required";
-        if not (p.binder = "hlpower" || p.binder = "lopass") then
-          problem "parameter \"binder\" must be \"hlpower\" or \"lopass\"";
-        if not (usable_number p.alpha) then
-          add_problem
-            (Diagnostic.error "S009" Design
-               "parameter \"alpha\" is not a usable number (infinite, NaN \
-                or subnormal)")
-        else if not (p.alpha >= 0. && p.alpha <= 1.) then
-          problem "parameter \"alpha\" must be within [0, 1]";
-        if p.width > max_width then
-          problem "parameter \"width\" must be within 1..%d (got %d)"
-            max_width p.width;
-        p
-      in
-      let int_list name ~default =
-        field name
-          (fun v ->
-            Option.bind (Json.to_list v) (fun vs ->
-                let is = List.filter_map Json.to_int vs in
-                if List.length is = List.length vs && is <> [] then Some is
-                else None))
-          ~default
-      in
-      let check_alpha a =
-        if not (usable_number a) then
-          add_problem
-            (Diagnostic.error "S009" Design
-               "parameter \"alpha\" is not a usable number (infinite, NaN \
-                or subnormal)")
-        else if not (a >= 0. && a <= 1.) then
-          problem "parameter \"alpha\" must be within [0, 1]"
-      in
-      let session_id () =
-        let s = field "session" Json.to_string_opt ~default:"" in
-        if s = "" then problem "parameter \"session\" is required"
-        else if String.length s > max_session_id_len then
-          problem "parameter \"session\" exceeds %d characters"
-            max_session_id_len;
-        s
-      in
-      let session_open_params () =
-        let d = default_session_open_params in
-        let graph_given =
-          match Json.member "graph" params with
-          | None | Some Json.Null -> false
-          | Some _ -> true
-        in
-        let graph =
-          match Json.member "graph" params with
-          | None | Some Json.Null -> None
-          | Some v -> decode_graph ~add:add_problem v
-        in
-        let res_add, res_mult =
-          match Json.member "resources" params with
-          | None | Some Json.Null -> (None, None)
-          | Some (Json.Obj kvs as r) ->
-              List.iter
-                (fun (k, _) ->
-                  if k <> "add" && k <> "mult" then
-                    problem "unknown resources field %S" k)
-                kvs;
-              let f name =
-                match Json.member name r with
-                | None | Some Json.Null -> None
-                | Some v -> (
-                    match Json.to_int v with
-                    | Some n when n >= 1 -> Some n
-                    | _ ->
-                        problem
-                          "resources field %S must be a positive integer"
-                          name;
-                        None)
-              in
-              (f "add", f "mult")
-          | Some _ ->
-              problem "parameter \"resources\" must be an object";
-              (None, None)
-        in
-        let p =
-          {
-            so_bench = field "bench" Json.to_string_opt ~default:d.so_bench;
-            so_binder =
-              field "binder" Json.to_string_opt ~default:d.so_binder;
-            so_alpha = field "alpha" Json.to_float ~default:d.so_alpha;
-            so_width = pos_int "width" ~default:d.so_width;
-            so_k = pos_int "k" ~default:d.so_k;
-            so_graph = graph;
-            so_res_add = res_add;
-            so_res_mult = res_mult;
-          }
-        in
-        if graph_given then begin
-          if p.so_bench <> "" then
-            problem
-              "parameters \"bench\" and \"graph\" are mutually exclusive"
-        end
-        else if p.so_bench = "" then
-          problem "parameter \"bench\" or \"graph\" is required";
-        if not (p.so_binder = "hlpower" || p.so_binder = "lopass") then
-          problem "parameter \"binder\" must be \"hlpower\" or \"lopass\"";
-        check_alpha p.so_alpha;
-        if p.so_width > max_width then
-          problem "parameter \"width\" must be within 1..%d (got %d)"
-            max_width p.so_width;
-        if p.so_k > max_session_k then
-          problem "parameter \"k\" must be within 1..%d (got %d)"
-            max_session_k p.so_k;
-        p
-      in
-      (* Delta shapes are validated here; references are checked against
-         the session's current graph by the router (S014), which this
-         decoder cannot see. *)
-      let session_delta () =
-        match Json.member "delta" params with
-        | None | Some Json.Null ->
-            problem "parameter \"delta\" is required";
-            None
-        | Some (Json.Obj _ as dv) -> (
-            let operand name =
-              match Json.member name dv with
-              | Some (Json.Obj _ as ov) -> (
-                  match (Json.member "input" ov, Json.member "op" ov) with
-                  | Some iv, None -> (
-                      match Json.to_int iv with
-                      | Some k when k >= 0 -> Some (Cdfg.Input k)
-                      | _ ->
-                          problem
-                            "delta operand field \"input\" must be a \
-                             non-negative integer";
-                          None)
-                  | None, Some jv -> (
-                      match Json.to_int jv with
-                      | Some j when j >= 0 -> Some (Cdfg.Op j)
-                      | _ ->
-                          problem
-                            "delta operand field \"op\" must be a \
-                             non-negative integer";
-                          None)
-                  | _ ->
-                      problem
-                        "delta operand must be exactly one of {\"input\": \
-                         k} or {\"op\": j}";
-                      None)
-              | _ ->
-                  problem "add_op delta is missing operand object %S" name;
-                  None
-            in
-            match Option.bind (Json.member "kind" dv) Json.to_string_opt with
-            | Some "add_op" -> (
-                let kind =
-                  match
-                    Option.bind (Json.member "op_kind" dv) Json.to_string_opt
-                  with
-                  | Some "add" -> Some Cdfg.Add
-                  | Some "sub" -> Some Cdfg.Sub
-                  | Some "mult" -> Some Cdfg.Mult
-                  | Some other ->
-                      problem
-                        "delta op_kind %S is not \"add\", \"sub\" or \
-                         \"mult\""
-                        other;
-                      None
-                  | None ->
-                      problem
-                        "add_op delta is missing a string \"op_kind\" field";
-                      None
-                in
-                let output =
-                  match Json.member "output" dv with
-                  | None | Some Json.Null -> false
-                  | Some v -> (
-                      match Json.to_bool v with
-                      | Some b -> b
-                      | None ->
-                          problem
-                            "delta field \"output\" must be a boolean";
-                          false)
-                in
-                match (kind, operand "left", operand "right") with
-                | Some k, Some l, Some r ->
-                    Some
-                      (D_add_op
-                         {
-                           d_kind = k;
-                           d_left = l;
-                           d_right = r;
-                           d_output = output;
-                         })
-                | _ -> None)
-            | Some "remove_op" -> (
-                match Option.bind (Json.member "id" dv) Json.to_int with
-                | Some id when id >= 0 -> Some (D_remove_op id)
-                | _ ->
-                    problem
-                      "remove_op delta requires a non-negative integer \
-                       \"id\"";
-                    None)
-            | Some "set_resource" -> (
-                let cls =
-                  match
-                    Option.bind (Json.member "class" dv) Json.to_string_opt
-                  with
-                  | Some "add" -> Some Cdfg.Add_sub
-                  | Some "mult" -> Some Cdfg.Multiplier
-                  | _ ->
-                      problem
-                        "set_resource delta requires \"class\" of \"add\" \
-                         or \"mult\"";
-                      None
-                in
-                match (cls, Option.bind (Json.member "units" dv) Json.to_int)
-                with
-                | Some c, Some n when n >= 1 -> Some (D_set_resource (c, n))
-                | Some _, _ ->
-                    problem
-                      "set_resource delta requires a positive integer \
-                       \"units\"";
-                    None
-                | None, _ -> None)
-            | Some "set_alpha" -> (
-                match Option.bind (Json.member "alpha" dv) Json.to_float with
-                | Some a when usable_number a && a >= 0. && a <= 1. ->
-                    Some (D_set_alpha a)
-                | Some a when not (usable_number a) ->
-                    add_problem
-                      (Diagnostic.error "S009" Design
-                         "delta field \"alpha\" is not a usable number \
-                          (infinite, NaN or subnormal)");
-                    None
-                | _ ->
-                    problem
-                      "set_alpha delta requires \"alpha\" within [0, 1]";
-                    None)
-            | Some other ->
-                problem "unknown delta kind %S" other;
-                None
-            | None ->
-                problem "delta is missing a string \"kind\" field";
-                None)
-        | Some _ ->
-            problem "parameter \"delta\" must be an object";
-            None
+      (* An unknown op's S002 replaces every other diagnostic so far. *)
+      let unknown fmt =
+        problems := [];
+        Printf.ksprintf (fun m -> report ~add "S002" "%s" m; None) fmt
       in
       let op =
         match Json.member "op" json with
-        | Some (Json.String "ping") ->
-            Some (Ping (max 0 (field "sleep_ms" Json.to_int ~default:0)))
-        | Some (Json.String "bind") -> Some (Bind (bind_params ()))
-        | Some (Json.String "flow") -> Some (Flow (bind_params ()))
-        | Some (Json.String "explore") ->
-            let d = default_explore_params in
-            let p =
-              {
-                ex_bench = field "bench" Json.to_string_opt ~default:"";
-                ex_width = pos_int "width" ~default:d.ex_width;
-                ex_vectors = pos_int "vectors" ~default:d.ex_vectors;
-                ex_adds = int_list "adds" ~default:d.ex_adds;
-                ex_mults = int_list "mults" ~default:d.ex_mults;
-                ex_alphas =
-                  field "alphas"
-                    (fun v ->
-                      Option.bind (Json.to_list v) (fun vs ->
-                          let fs = List.filter_map Json.to_float vs in
-                          if List.length fs = List.length vs && fs <> []
-                          then Some fs
-                          else None))
-                    ~default:d.ex_alphas;
-              }
-            in
-            if p.ex_bench = "" then problem "parameter \"bench\" is required";
-            List.iter
-              (fun a ->
-                if not (usable_number a) then
-                  add_problem
-                    (Diagnostic.error "S009" Design
-                       "parameter \"alphas\" contains a value that is not a \
-                        usable number (infinite, NaN or subnormal)"))
-              p.ex_alphas;
-            Some (Explore p)
-        | Some (Json.String "lint") ->
-            let d = default_lint_params in
-            let p =
-              {
-                lint_bench =
-                  field "bench"
-                    (fun v -> Option.map Option.some (Json.to_string_opt v))
-                    ~default:None;
-                lint_binder =
-                  field "binder" Json.to_string_opt ~default:d.lint_binder;
-                lint_width = pos_int "width" ~default:d.lint_width;
-              }
-            in
-            if
-              not
-                (List.mem p.lint_binder [ "hlpower"; "lopass"; "both" ])
-            then
-              problem
-                "parameter \"binder\" must be \"hlpower\", \"lopass\" or \
-                 \"both\"";
-            Some (Lint p)
-        | Some (Json.String "session_open") ->
-            Some (Session_open (session_open_params ()))
-        | Some (Json.String "session_edit") ->
-            let se_session = session_id () in
-            let se_delta =
-              (* [None] always comes with a recorded problem, so the
-                 placeholder below never survives to execution — the
-                 request is rejected as [Bad_request]. *)
-              Option.value ~default:(D_remove_op 0) (session_delta ())
-            in
-            Some (Session_edit { se_session; se_delta })
-        | Some (Json.String "session_close") ->
-            Some (Session_close { sc_session = session_id () })
-        | Some (Json.String "stats") -> Some Stats
-        | Some (Json.String "cluster_stats") -> Some Cluster_stats
-        | Some (Json.String other) ->
-            problems :=
-              [ Diagnostic.error "S002" Design "unknown op %S" other ];
-            None
-        | Some _ | None ->
-            problems :=
-              [
-                Diagnostic.error "S002" Design
-                  "missing or non-string \"op\" field";
-              ];
-            None
+        | Some (Json.String name) -> (
+            match List.find_opt (fun (Op s) -> s.name = name) specs with
+            | Some (Op s) ->
+                let label = Printf.sprintf "parameter %S" in
+                let p = decode_fields ~add ~label s.fields s.default params in
+                List.iter (check_rule ~add s.fields params) s.rules;
+                Some (s.inject p)
+            | None -> unknown "unknown op %S" name)
+        | Some _ | None -> unknown "missing or non-string \"op\" field"
       in
-      let deadline_ms =
-        match Json.member "deadline_ms" json with
-        | None | Some Json.Null -> None
-        | Some v -> (
-            match Json.to_int v with
-            | Some ms when ms >= 0 -> Some ms
-            | _ ->
-                problem "field \"deadline_ms\" must be a non-negative integer";
-                None)
-      in
-      match (op, !problems) with
+      let label = Printf.sprintf "field %S" in
+      let deadline_ms = decode_fields ~add ~label [ deadline ] None json in
+      match (op, List.rev !problems) with
       | Some op, [] -> Ok { id; deadline_ms; op }
-      | None, ds ->
-          Stdlib.Error
-            {
-              err_code = Unknown_op;
-              err_id = id;
-              err_diagnostics = List.rev ds;
-            }
-      | Some _, ds ->
-          Stdlib.Error
-            {
-              err_code = Bad_request;
-              err_id = id;
-              err_diagnostics = List.rev ds;
-            })
+      | op, err_diagnostics ->
+          let err_code = if op = None then Unknown_op else Bad_request in
+          Stdlib.Error { err_code; err_id = id; err_diagnostics })
+
+let encode_request r =
+  let params (Op s) =
+    Option.map (fun p -> (s.name, encode_fields s.fields p)) (s.project r.op)
+  in
+  let name, kvs = Option.get (List.find_map params specs) in
+  Json.to_string
+    (Json.Obj
+       ((match r.id with Json.Null -> [] | id -> [ ("id", id) ])
+       @ encode_fields [ deadline ] r.deadline_ms
+       @ [ ("op", Json.String name) ]
+       @ match kvs with [] -> [] | kvs -> [ ("params", Json.Obj kvs) ]))
+
+let random_request rand =
+  let (Op s) = pick rand specs in
+  let set ~to_default p n =
+    let (Field f) = find_field s.fields n in
+    f.set p (if to_default then f.get s.default else gen ~given:true rand f.ty)
+  in
+  let obey p = function
+    | Required n -> set ~to_default:false p n
+    | One_of (a, b) ->
+        let a, b = if Random.State.bool rand then (a, b) else (b, a) in
+        set ~to_default:true (set ~to_default:false p a) b
+  in
+  let p = List.fold_left obey (gen_fields rand s.fields s.default) s.rules in
+  let printable _ = Char.chr (32 + Random.State.int rand 95) in
+  let id =
+    match Random.State.int rand 3 with
+    | 0 -> Json.Int (Random.State.int rand 1_000_000)
+    | 1 -> Json.String (String.init (Random.State.int rand 13) printable)
+    | _ -> Json.Null
+  in
+  { id; deadline_ms = gen_fields rand [ deadline ] None; op = s.inject p }
+
+(* --- the DESIGN §11 parameter table --- *)
+
+(* [describe ty] is its type, range or allowed values, and S-codes. *)
+let rec describe : type a. a ty -> string * string * string = function
+  | Int { min; max; _ } when max = max_int ->
+      ("int", Printf.sprintf "≥ %d" min, "S003")
+  | Int { min; max; _ } -> ("int", Printf.sprintf "%d‥%d" min max, "S003")
+  | Alpha -> ("float", "[0, 1]", "S003, S009")
+  | Phys { positive; ceiling } ->
+      let lo = if positive then "(0" else "[0" in
+      ("float", Printf.sprintf "%s, %g]" lo ceiling, "S003, S011")
+  | Bool -> ("bool", "`true`, `false`", "S003")
+  | Str { max_len; _ } when max_len = max_int -> ("string", "any", "S003")
+  | Str { max_len; _ } ->
+      ("string", Printf.sprintf "≤ %d bytes" max_len, "S003")
+  | Enum names ->
+      let quote = List.map (Printf.sprintf "`%s`") names in
+      ("string", String.concat ", " quote, "S003")
+  | List t ->
+      let ty, range, codes = describe t in
+      ("list of " ^ ty, "non-empty; each " ^ range, codes)
+  | Option t -> describe t
+  | Obj _ -> ("object", "the fields below; no others", "S003")
+  | Graph ->
+      ( "graph",
+        Printf.sprintf "≤ %d ops, ≤ %d inputs, ≤ %d outputs" max_graph_ops
+          max_graph_inputs max_graph_outputs,
+        "S003, S007, S008" )
+  | Delta ->
+      let kinds = "`add_op`, `remove_op`, `set_resource`, `set_alpha`" in
+      ("delta", kinds, "S003, S009")
+
+let params_table () =
+  let rec rows : type r.
+      string -> (string -> string option) -> r field list -> r -> string list =
+   fun prefix note fields r ->
+    List.concat_map
+      (fun (Field f) ->
+        let name = prefix ^ f.name in
+        let x = f.get r in
+        let default =
+          match (note f.name, f.ty, encode f.ty x) with
+          | Some n, _, _ -> n
+          | None, _, None -> "absent"
+          | None, Phys _, _ -> Printf.sprintf "`%g`" x
+          | None, _, Some v -> "`" ^ Json.to_string v ^ "`"
+        in
+        let ty, range, codes = describe f.ty in
+        Printf.sprintf "`%s` | %s | %s | %s | %s" name ty range default codes
+        ::
+        (match f.ty with
+        | Obj o -> rows (name ^ ".") (fun _ -> None) o.fields o.default
+        | Option (Obj o) -> rows (name ^ ".") (fun _ -> None) o.fields o.default
+        | _ -> []))
+      fields
+  in
+  let body (Op s) =
+    let note n =
+      List.find_map
+        (function
+          | Required r when r = n -> Some "required"
+          | One_of (a, b) when n = a || n = b ->
+              Some (Printf.sprintf "`%s` xor `%s` required" a b)
+          | _ -> None)
+        s.rules
+    in
+    match s.fields with
+    | [] -> [ "— | — | — | — | —" ]
+    | fields -> rows "" note fields s.default
+  in
+  (* Ops with the same parameters (bind and flow) share their rows. *)
+  let rec lines = function
+    | [] -> []
+    | spec :: rest ->
+        let rows = body spec in
+        let same, rest = List.partition (fun s -> body s = rows) rest in
+        let name (Op s) = s.name in
+        let ops = String.concat ", " (List.map name (spec :: same)) in
+        List.map (Printf.sprintf "| %s | %s |" ops) rows @ lines rest
+  in
+  "| op | field | type | range or values | default | S-code |\n\
+   |---|---|---|---|---|---|\n"
+  ^ String.concat "\n"
+      (List.map (Printf.sprintf "| any | %s |")
+         (rows "" (fun _ -> None) [ deadline ] None)
+      @ lines specs)
+  ^ "\n"
 
 let loc_of_json (v : Json.t) : Diagnostic.loc option =
   let index () = Option.bind (Json.member "index" v) Json.to_int in

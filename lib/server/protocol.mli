@@ -159,10 +159,6 @@ val max_graph_inputs : int
 val max_graph_outputs : int
 val max_width : int
 
-(** [json_of_graph g] is the wire encoding of an inline graph —
-    {!decode_request} parses it back to an equal CDFG. *)
-val json_of_graph : Hlp_cdfg.Cdfg.t -> Json.t
-
 (** Parameters of [explore] — the CLI [explore] options plus the sweep
     grid. *)
 type explore_params = {
@@ -263,6 +259,9 @@ type error_code =
           ring heals *)
   | Internal
 
+(** Every error code with its wire name. *)
+val error_codes : (error_code * string) list
+
 val error_code_to_string : error_code -> string
 val error_code_of_string : string -> error_code option
 
@@ -311,9 +310,26 @@ type decode_error = {
     parameter, S007 oversized inline graph, S008 ill-formed inline
     graph reference, S009 non-finite/subnormal numeric parameter, S010
     duplicate object key, S011 hostile power-model field, S012 nesting
-    deeper than the parser's recursion budget), never just the
-    first. *)
+    deeper than the parser's recursion budget), never just the first.
+
+    One schema lists each op's parameters; this decoder,
+    {!encode_request}, {!random_request} and {!params_table} read it.
+    Diagnostics follow it: S010s, each parameter's in table order, the
+    cross-field rules (bench xor graph, a required [session] or
+    [delta]), then [deadline_ms].  Five frames that once decoded and
+    failed or misbehaved at execution are S003s here: [explore] alphas
+    outside [0, 1], [explore] or [lint] width over {!max_width},
+    [explore] adds or mults below 1, and [ping] sleep_ms below 0. *)
 val decode_request : string -> (request, decode_error) result
+
+(** [random_request rand] draws a request, of any op, that decodes
+    back to itself.  Unbounded integers stay small ([vectors] <= 64,
+    [sleep_ms] <= 5), so a drawn request is cheap to execute. *)
+val random_request : Random.State.t -> request
+
+(** The Markdown table of every op's parameters that DESIGN §11
+    embeds verbatim. *)
+val params_table : unit -> string
 
 val encode_reply : reply -> string
 

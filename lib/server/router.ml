@@ -328,46 +328,15 @@ let handle_explore t ~checkpoint (p : Protocol.explore_params) =
 
 let handle_lint t ~checkpoint (p : Protocol.lint_params) =
   checkpoint "lint";
-  let binders =
-    match p.lint_binder with
-    | "both" -> [ "hlpower"; "lopass" ]
-    | b -> [ b ]
-  in
-  let targets =
-    match p.lint_bench with
-    | Some b ->
-        let _, schedule, regs = prepare b in
-        [ (b, schedule, regs) ]
-    | None ->
-        List.map
-          (fun (profile : Benchmarks.profile) ->
-            let name = profile.Benchmarks.bench_name in
-            let _, schedule, regs = prepare name in
-            (name, schedule, regs))
-          Benchmarks.all
-  in
   let config = { Flow.default_config with Flow.width = p.lint_width } in
+  let sa_table = lazy (sa_table t ~width:p.lint_width ~k:4) in
   let results =
-    List.concat_map
-      (fun (name, schedule, regs) ->
-        let min_res cls = max 1 (Schedule.max_density schedule cls) in
-        List.map
-          (fun binder ->
-            checkpoint "lint";
-            let design = name ^ "-" ^ binder in
-            let binding =
-              match binder with
-              | "lopass" -> Lopass.bind ~regs ~resources:min_res schedule
-              | _ ->
-                  let sa_table = sa_table t ~width:p.lint_width ~k:4 in
-                  let params = Hlpower.calibrate ~alpha:0.5 sa_table in
-                  (Hlpower.bind ~params ~sa_table ~regs ~resources:min_res
-                     schedule)
-                    .Hlpower.binding
-            in
-            (design, Hlp_lint.Lint.run_all ~config ~design binding))
-          binders)
-      targets
+    List.map
+      (fun (design, binding) ->
+        checkpoint "lint";
+        (design, Hlp_lint.Lint.run_all ~config ~design (binding ())))
+      (Hlp_lint.Lint.designs ?bench:p.lint_bench ~binder:p.lint_binder
+         ~sa_table ())
   in
   let errors =
     List.fold_left

@@ -163,7 +163,21 @@ let test_request_roundtrip () =
           check (Printf.sprintf "request %s round trips" line) true
             (req = req')
       | Error _ -> Alcotest.failf "%s failed to decode" line)
-    all_requests
+    all_requests;
+  (* The schema's own generator reaches every op, and everything it
+     draws decodes back to itself. *)
+  let drawn = Hashtbl.create 16 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 16 |])
+    (QCheck.Test.make ~name:"random_request round trips" ~count:2000
+       (QCheck.make ~print:P.encode_request P.random_request)
+       (fun r ->
+         Hashtbl.replace drawn (P.op_name r.P.op) ();
+         P.decode_request (P.encode_request r) = Ok r));
+  Alcotest.(check (list string))
+    "every op drawn"
+    [ "bind"; "cluster_stats"; "explore"; "flow"; "lint"; "ping";
+      "session_close"; "session_edit"; "session_open"; "stats" ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys drawn)))
 
 (* --- reply round trips --- *)
 
@@ -220,21 +234,12 @@ let test_reply_roundtrip () =
 
 let test_error_code_roundtrip () =
   List.iter
-    (fun code ->
-      check
-        (Printf.sprintf "error code %s" (P.error_code_to_string code))
-        true
+    (fun (code, name) ->
+      check_s "wire name" name (P.error_code_to_string code);
+      check ("error code " ^ name) true
         (P.error_code_of_string (P.error_code_to_string code) = Some code))
-    [
-      P.Parse_error;
-      P.Unknown_op;
-      P.Bad_request;
-      P.Frame_too_large;
-      P.Overloaded;
-      P.Deadline_exceeded;
-      P.Draining;
-      P.Internal;
-    ]
+    P.error_codes;
+  check_i "nine codes" 9 (List.length P.error_codes)
 
 (* --- malformed frames: structured replies, never exceptions --- *)
 
@@ -465,7 +470,21 @@ let test_width_capped () =
        \"width\": 64}}"
   in
   check "width 64 rejected" true (e.P.err_code = P.Bad_request);
-  check "width cap is S003" true (has_code e "S003")
+  check "width cap is S003" true (has_code e "S003");
+  (* The cap holds for every op, as do the sweep grid's and ping's
+     floors. *)
+  List.iter
+    (fun frame ->
+      let e = decode_err frame in
+      check (frame ^ " is bad_request") true (e.P.err_code = P.Bad_request);
+      check (frame ^ " -> S003") true (has_code e "S003"))
+    [ "{\"op\": \"explore\", \"params\": {\"bench\": \"pr\", \"width\": 31}}";
+      "{\"op\": \"lint\", \"params\": {\"width\": 31}}";
+      "{\"op\": \"lint\", \"params\": {\"width\": 40}}";
+      "{\"op\": \"explore\", \"params\": {\"bench\": \"pr\", \"adds\": [0]}}";
+      "{\"op\": \"explore\", \"params\": {\"bench\": \"pr\", \"adds\": [-1]}}";
+      "{\"op\": \"explore\", \"params\": {\"bench\": \"pr\", \"mults\": [0]}}";
+      "{\"op\": \"ping\", \"params\": {\"sleep_ms\": -1}}" ]
 
 (* The simulator has one engine, so an [engine] parameter — valid
    engine name or not — is ignored like any other parameter the op
@@ -626,7 +645,20 @@ let test_nonfinite_alpha () =
       "{\"id\": 1, \"op\": \"explore\", \"params\": {\"bench\": \"pr\", \
        \"alphas\": [0.5, 1e999]}}"
   in
-  check "explore alphas -> S009" true (has_code e "S009")
+  check "explore alphas -> S009" true (has_code e "S009");
+  (* A usable alpha outside [0, 1] is a range offense, not S009. *)
+  List.iter
+    (fun alphas ->
+      let e =
+        decode_err
+          (Printf.sprintf
+             "{\"op\": \"explore\", \"params\": {\"bench\": \"pr\", \
+              \"alphas\": %s}}"
+             alphas)
+      in
+      check (alphas ^ " -> S003") true (has_code e "S003");
+      check (alphas ^ " is not S009") false (has_code e "S009"))
+    [ "[2.0]"; "[-3.0]" ]
 
 let test_duplicate_keys () =
   let e = decode_err "{\"id\": 1, \"op\": \"stats\", \"id\": 2}" in
@@ -887,6 +919,314 @@ let test_session_decode_errors () =
     "{\"id\": 1, \"op\": \"session_edit\", \"params\": {\"session\": \
      \"s-1\", \"delta\": {\"kind\": \"remove_op\", \"id\": -1}}}"
 
+(* --- decode corpus: what the decoder answers, pinned per op --- *)
+
+(* A deterministic corpus of request frames: every op name (plus an
+   unknown and a missing one) crossed with every parameter name any op
+   reads (plus [engine] and an unknown name) and a fixed value set, each
+   probe both alone and over params that are otherwise valid; then
+   seeded random frames that set several fields at once, with valid and
+   invalid deadlines.  Each entry is (digest group, frame): the group
+   is the frame's op name. *)
+let corpus_ops =
+  [ "ping"; "bind"; "flow"; "explore"; "lint"; "session_open";
+    "session_edit"; "session_close"; "stats"; "cluster_stats";
+    "frobnicate" ]
+
+let corpus_names =
+  [ "sleep_ms"; "bench"; "binder"; "alpha"; "width"; "vectors";
+    "port_assign"; "estimator"; "graph"; "model"; "adds"; "mults";
+    "alphas"; "k"; "resources"; "session"; "delta"; "engine"; "zzz" ]
+
+let corpus_base = function
+  | "bind" | "flow" | "session_open" | "explore" -> [ ("bench", "\"pr\"") ]
+  | "session_edit" ->
+      [ ("session", "\"s-1\"");
+        ("delta", "{\"kind\": \"set_alpha\", \"alpha\": 0.5}") ]
+  | "session_close" -> [ ("session", "\"s-1\"") ]
+  | _ -> []
+
+let corpus_graphs =
+  let g ?(inputs = "2") ?(outputs = "[{\"op\": 0}]") ops =
+    Printf.sprintf "{\"name\": \"c\", \"inputs\": %s, \"ops\": [%s], \
+                    \"outputs\": %s}" inputs ops outputs
+  in
+  let add l r =
+    Printf.sprintf "{\"kind\": \"add\", \"left\": %s, \"right\": %s}" l r
+  in
+  let i0 = "{\"input\": 0}" and i1 = "{\"input\": 1}" in
+  [ g (add i0 i1);
+    g (add i0 i1 ^ ", " ^ add "{\"op\": 0}" i1) ~outputs:"[{\"op\": 1}]";
+    g (add "{\"op\": 0}" i1);
+    g (add "{\"op\": 1}" i1 ^ ", " ^ add "{\"op\": 0}" i1);
+    g (add "{\"input\": 2}" "{\"input\": -1}");
+    g (add "{\"op\": 7}" i0);
+    g (add "{\"input\": 0, \"op\": 0}" i0);
+    g (add "{}" i0);
+    g (add "{\"input\": \"x\"}" i0);
+    g (add "{\"op\": 1.5}" i0);
+    g (add i0 "5");
+    g "{\"kind\": \"div\", \"left\": {\"input\": 0}, \
+       \"right\": {\"input\": 0}}";
+    g "{\"kind\": 5, \"left\": {\"input\": 0}, \"right\": {\"input\": 0}}";
+    g "{\"left\": {\"input\": 0}, \"right\": {\"input\": 0}}";
+    g "{\"kind\": \"mult\", \"right\": {\"input\": 0}}";
+    g "";
+    g (add i0 i1) ~outputs:"[]";
+    g (add i0 i1) ~outputs:"[5]";
+    g (add i0 i1) ~outputs:"[{\"op\": 1}]";
+    g (add i0 i1) ~outputs:"[{\"input\": 1}]";
+    g (add i0 i1) ~outputs:"\"x\"";
+    g (add i0 i1) ~inputs:"257";
+    g (add i0 i1) ~inputs:"256";
+    g (add i0 i1) ~inputs:"-1";
+    g (add i0 i1) ~inputs:"0";
+    g (add i0 i1) ~inputs:"\"2\"";
+    g (add i0 i1) ~inputs:"2.0";
+    "{\"inputs\": 1, \"ops\": \"x\", \"outputs\": [{\"op\": 0}]}";
+    "{\"inputs\": 1, \"ops\": [" ^ add i0 i0 ^ "]}";
+    "{\"name\": 5, \"inputs\": 1, \"ops\": [" ^ add i0 i0
+    ^ "], \"outputs\": [{\"op\": 0}]}";
+    "{\"name\": \"\", \"inputs\": 1, \"ops\": [" ^ add i0 i0
+    ^ "], \"outputs\": [{\"op\": 0}]}" ]
+
+let corpus_models =
+  [ "{\"vdd\": 1.1}"; "{\"vdd\": 0}"; "{\"vdd\": -1}"; "{\"vdd\": 100}";
+    "{\"vdd\": 100.00000000000001}"; "{\"vdd\": 1e308}"; "{\"vdd\": \"x\"}";
+    "{\"vdd\": null}"; "{\"bogus\": 1}"; "{\"t_lut_ns\": -0.0}";
+    "{\"c_base_f\": 5e-324}"; "{\"c_base_f\": 1e-3}"; "{\"c_fanout_f\": 0}";
+    "{\"c_fanout_f\": 0.0011}"; "{\"t_seq_ns\": 1e9}";
+    "{\"t_route_ns\": 1.000001e9}"; "{\"t_lut_ns\": 1e999}";
+    "{\"vdd\": 1.2, \"c_base_f\": 2e-15, \"c_fanout_f\": 1e-15, \
+     \"t_lut_ns\": 0.5, \"t_route_ns\": 0.2, \"t_seq_ns\": 0.3}";
+    "{\"vdd\": 0, \"bogus\": 1, \"t_seq_ns\": \"x\"}" ]
+
+let corpus_resources =
+  [ "{\"add\": 2, \"mult\": 1}"; "{\"add\": 0}"; "{\"add\": \"x\"}";
+    "{\"add\": null}"; "{\"mult\": -1}"; "{\"mult\": 1.5}"; "{\"bogus\": 1}";
+    "{\"add\": 3}"; "{\"add\": 0, \"mult\": 0, \"x\": 1}" ]
+
+let corpus_deltas =
+  let add_op ?(op_kind = "\"add\"") ?(left = "{\"input\": 0}")
+      ?(right = "{\"op\": 1}") ?(output = "true") () =
+    Printf.sprintf
+      "{\"kind\": \"add_op\", \"op_kind\": %s, \"left\": %s, \"right\": %s, \
+       \"output\": %s}"
+      op_kind left right output
+  in
+  [ add_op (); add_op ~op_kind:"\"div\"" (); add_op ~op_kind:"5" ();
+    add_op ~op_kind:"null" (); add_op ~left:"{\"input\": -1}" ();
+    add_op ~left:"{\"input\": 0, \"op\": 1}" (); add_op ~left:"{}" ();
+    add_op ~left:"5" (); add_op ~right:"{\"op\": \"x\"}" ();
+    add_op ~right:"{\"op\": -2}" (); add_op ~output:"\"yes\"" ();
+    add_op ~output:"null" (); add_op ~output:"false" ();
+    add_op ~op_kind:"\"mult\"" ~left:"{}" ~right:"7" ~output:"1" ();
+    "{\"kind\": \"add_op\"}";
+    "{\"kind\": \"remove_op\", \"id\": 0}";
+    "{\"kind\": \"remove_op\", \"id\": 3}";
+    "{\"kind\": \"remove_op\", \"id\": -1}";
+    "{\"kind\": \"remove_op\", \"id\": \"x\"}"; "{\"kind\": \"remove_op\"}";
+    "{\"kind\": \"set_resource\", \"class\": \"add\", \"units\": 2}";
+    "{\"kind\": \"set_resource\", \"class\": \"mult\", \"units\": 0}";
+    "{\"kind\": \"set_resource\", \"class\": \"div\", \"units\": 0}";
+    "{\"kind\": \"set_resource\", \"class\": \"add\", \"units\": \"x\"}";
+    "{\"kind\": \"set_resource\", \"units\": 2}";
+    "{\"kind\": \"set_alpha\", \"alpha\": 0.25}";
+    "{\"kind\": \"set_alpha\", \"alpha\": 1e999}";
+    "{\"kind\": \"set_alpha\", \"alpha\": 5e-324}";
+    "{\"kind\": \"set_alpha\", \"alpha\": 2}";
+    "{\"kind\": \"set_alpha\", \"alpha\": \"x\"}";
+    "{\"kind\": \"set_alpha\"}"; "{\"kind\": \"frob\"}"; "{\"kind\": 5}";
+    "{}" ]
+
+let corpus_values =
+  let q s = "\"" ^ s ^ "\"" in
+  [ "null"; "true"; "false"; "0"; "1"; "-1"; "2"; "3"; "4"; "5"; "6"; "7";
+    "8"; "9"; "16"; "29"; "30"; "31"; "32"; "40"; "63"; "64"; "65"; "1000";
+    "60000"; "4611686018427387903"; "-4611686018427387904";
+    "123456789123456789123456789"; "0.0"; "-0.0"; "0.5"; "1.0"; "1.5";
+    "2.0"; "-3.0"; "0.9999999999999999"; "1.0000000000000002"; "-1e-9";
+    "8.0"; "1e999"; "-1e999"; "5e-324"; "-5e-324"; "1e308"; "0.1e-999";
+    q ""; q "x"; q "pr"; q "wang"; q "fir8"; q "nope"; q "hlpower";
+    q "lopass"; q "both"; q "sim"; q "static"; q "BOTH"; q "8"; q "s-1";
+    q (String.make 64 's'); q (String.make 65 's'); q (String.make 70 's');
+    "[]"; "[1]"; "[0]"; "[-1]"; "[1, 2, 4]"; "[1, \"x\"]"; "[0.5, 1e999]";
+    "[1e999, 1e999]"; "[1e999, \"x\"]"; "[2.0]"; "[-3.0]"; "[0.5, 1.0]";
+    "[1, 0]"; "[[1]]"; "[null]"; "[1.5]"; "[0.5, 2, 5e-324]"; "{}";
+    "{\"a\": 1}" ]
+  @ corpus_graphs @ corpus_models @ corpus_resources @ corpus_deltas
+
+let corpus_frame ?(id = "1") ?deadline ?op params =
+  let kv (k, v) = Printf.sprintf "%S: %s" k v in
+  String.concat ", "
+    ((("\"id\": " ^ id)
+     :: (match op with None -> [] | Some o -> [ kv ("op", "\"" ^ o ^ "\"") ]))
+    @ (match deadline with None -> [] | Some d -> [ kv ("deadline_ms", d) ])
+    @ [ "\"params\": {" ^ String.concat ", " (List.map kv params) ^ "}" ])
+  |> Printf.sprintf "{%s}"
+
+let decode_corpus () =
+  let out = ref [] in
+  let emit group frame = out := (group, frame) :: !out in
+  let group = function None -> "<missing>" | Some o -> o in
+  let ops = List.map Option.some corpus_ops @ [ None ] in
+  let with_field base (k, v) = List.remove_assoc k base @ [ (k, v) ] in
+  List.iter
+    (fun op ->
+      let base = corpus_base (group op) in
+      emit (group op) (corpus_frame ?op base);
+      emit (group op) (corpus_frame ?op []);
+      List.iter
+        (fun p ->
+          emit (group op)
+            (Printf.sprintf "{\"id\": 2, %s\"params\": %s}"
+               (match op with None -> "" | Some o -> "\"op\": \"" ^ o ^ "\", ")
+               p))
+        [ "5"; "null"; "[]"; "\"x\"" ];
+      List.iter
+        (fun d -> emit (group op) (corpus_frame ?op ~deadline:d base))
+        [ "null"; "0"; "1"; "30000"; "-1"; "-5"; "1.5"; "\"10\""; "1e999";
+          "5e-324"; "-0.0"; "true"; "[]" ];
+      List.iter
+        (fun name ->
+          List.iter
+            (fun v ->
+              emit (group op) (corpus_frame ?op (with_field base (name, v)));
+              emit (group op) (corpus_frame ?op [ (name, v) ]))
+            corpus_values)
+        corpus_names)
+    ops;
+  (* One graph over the op cap per graph-reading op: S007 must arrive
+     without per-op diagnostics. *)
+  let big =
+    Printf.sprintf "{\"inputs\": 1, \"ops\": [%s], \"outputs\": [{\"op\": 0}]}"
+      (String.concat ","
+         (List.init (P.max_graph_ops + 1) (fun _ -> "{\"bogus\": true}")))
+  in
+  List.iter
+    (fun op -> emit op (corpus_frame ~op [ ("graph", big) ]))
+    [ "bind"; "flow"; "session_open" ];
+  let rand = Random.State.make [| 16 |] in
+  let pick l = List.nth l (Random.State.int rand (List.length l)) in
+  for i = 1 to 4000 do
+    let op = pick ops in
+    let params =
+      List.fold_left
+        (fun acc _ -> with_field acc (pick corpus_names, pick corpus_values))
+        (if Random.State.bool rand then corpus_base (group op) else [])
+        (List.init (2 + Random.State.int rand 5) Fun.id)
+    in
+    let deadline =
+      pick [ None; Some "null"; Some "0"; Some "250"; Some "-1"; Some "\"x\"";
+             Some "2.5"; Some "1e999" ]
+    in
+    let id = pick [ string_of_int i; "\"r\""; "null"; "[1]"; "{}" ] in
+    emit (group op) (corpus_frame ~id ?deadline ?op params)
+  done;
+  (* The S001, S010 and S012 frames of the tests above. *)
+  List.iter (emit "<frame>")
+    [ "{\"op\": \"ping\", "; "[1, 2, 3]"; "{\"id\": 1}";
+      "{\"id\": 7, \"op\": \"frobnicate\"}";
+      "{\"id\": 1, \"op\": \"stats\", \"id\": 2}";
+      "{\"id\": 1, \"op\": \"frobnicate\", \"id\": 2}";
+      "{\"id\": 1, \"op\": \"bind\", \"params\": {\"bench\": \"pr\", \
+       \"alpha\": 0.1, \"alpha\": 99}}";
+      graph_req
+        "{\"inputs\": 1, \"ops\": [{\"kind\": \"add\", \"left\": {\"input\": \
+         0}, \"left\": {\"input\": 0}, \"right\": {\"input\": 0}}], \
+         \"outputs\": [{\"op\": 0}]}";
+      (let d = Json.default_max_depth + 8 in
+       "{\"id\": 1, \"op\": \"ping\", \"params\": "
+       ^ String.concat "" (List.init d (fun _ -> "["))
+       ^ String.concat "" (List.init d (fun _ -> "]"))
+       ^ "}");
+      ""; "null"; "\"ping\""; "{}" ];
+  List.rev !out
+
+(* What a frame's decode means, as bytes: an accepted request exactly,
+   a rejection by its code, echoed id and diagnostic (code, severity,
+   location) multiset — not its message text or order. *)
+let corpus_result frame =
+  match P.decode_request frame with
+  | Ok req -> "ok " ^ Marshal.to_string req [ Marshal.No_sharing ]
+  | Error e ->
+      let triples =
+        List.sort compare
+          (List.map
+             (fun (d : Diagnostic.t) -> (d.code, d.severity, d.loc))
+             e.P.err_diagnostics)
+      in
+      "error "
+      ^ Marshal.to_string (e.P.err_code, e.P.err_id, triples)
+          [ Marshal.No_sharing ]
+
+let corpus_digests () =
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun (g, frame) ->
+      let b =
+        match Hashtbl.find_opt groups g with
+        | Some b -> b
+        | None ->
+            let b = Buffer.create 4096 in
+            Hashtbl.add groups g b;
+            b
+      in
+      let r = corpus_result frame in
+      Buffer.add_string b (string_of_int (String.length r));
+      Buffer.add_char b ':';
+      Buffer.add_string b r)
+    (decode_corpus ());
+  Hashtbl.fold
+    (fun g b acc ->
+      (g, Digest.to_hex (Digest.string (Buffer.contents b))) :: acc)
+    groups []
+  |> List.sort compare
+
+(* One digest per op group: any decoder change that moves a frame's
+   outcome, request, code, id or diagnostic multiset moves its op's. *)
+let pinned_corpus_digests =
+  [
+    ("<frame>", "e16743047ae3a7b73732ab4f068e3484");
+    ("<missing>", "f8186dfe4a3e3dd1e96f62ba1b656ad2");
+    ("bind", "0deab0997fde2df9001c915db048af34");
+    ("cluster_stats", "595fc9cc568c1d9124c14190ef7b3ef2");
+    ("explore", "397e0265bac9d96fac3ebe4e49416c38");
+    ("flow", "8385b04fc9752a1c093aaff01d9c8d2e");
+    ("frobnicate", "7f16c0732006db552d17db5b3093d03b");
+    ("lint", "a438d84a7ee055b2450bce5084f2c557");
+    ("ping", "f3ee5b7da773ed7b1cc59b0a902acb06");
+    ("session_close", "5315b51474a80321617805bfc1b475fa");
+    ("session_edit", "3cafd9f3082f693768f864eda0806579");
+    ("session_open", "c77acfab018e1bc276842492f7ea02ad");
+    ("stats", "2078fb510aefb03aea01de3339b793c1");
+  ]
+
+let test_decode_corpus_pinned () =
+  let got = corpus_digests () in
+  if got <> pinned_corpus_digests then
+    Alcotest.failf "decode corpus digests moved:\n%s"
+      (String.concat "\n"
+         (List.map (fun (g, d) -> Printf.sprintf "    (%S, %S);" g d) got))
+
+(* DESIGN §11 embeds the schema's parameter table verbatim. *)
+let test_design_table () =
+  let path = List.find Sys.file_exists [ "../DESIGN.md"; "DESIGN.md" ] in
+  let design = In_channel.with_open_bin path In_channel.input_all in
+  let table = P.params_table () in
+  let head = String.sub table 0 (String.index table '\n') in
+  let rec at i =
+    if i + String.length head > String.length design then None
+    else if String.sub design i (String.length head) = head then Some i
+    else at (i + 1)
+  in
+  match at 0 with
+  | None -> Alcotest.fail "DESIGN.md has no parameter table"
+  | Some i ->
+      let n = min (String.length table) (String.length design - i) in
+      check_s "DESIGN.md carries Protocol.params_table ()" table
+        (String.sub design i n)
+
 let suite =
   [
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
@@ -945,4 +1285,8 @@ let suite =
       test_session_roundtrip;
     Alcotest.test_case "session decode errors" `Quick
       test_session_decode_errors;
+    Alcotest.test_case "protocol decode corpus pinned" `Quick
+      test_decode_corpus_pinned;
+    Alcotest.test_case "DESIGN parameter table is the schema's" `Quick
+      test_design_table;
   ]

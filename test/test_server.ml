@@ -171,32 +171,35 @@ let test_lint_reply_single_frame () =
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
-          match
-            Client.request c
-              {
-                P.id = Json.Int 1;
-                deadline_ms = None;
-                op =
-                  P.Lint
-                    {
-                      P.lint_bench = Some "pr";
-                      lint_binder = "both";
-                      lint_width = 8;
-                    };
-              }
-          with
-          | Ok { P.payload = P.Result { result; _ }; _ } ->
-              check "two designs linted" true
-                (Json.member "designs" result = Some (Json.Int 2));
-              check "no lint errors" true
-                (Json.member "errors" result = Some (Json.Int 0));
-              check "report object present" true
-                (match Json.member "report" result with
-                | Some (Json.Obj _) -> true
-                | _ -> false)
-          | Ok { P.payload = P.Error { message; _ }; _ } ->
-              Alcotest.failf "lint replied error: %s" message
-          | Error e -> Alcotest.failf "lint transport error: %s" e))
+          (* A kernel names a design too, and no bench lints all 22 the
+             CLI does: 11 designs under both binders. *)
+          List.iter
+            (fun (lint_bench, designs) ->
+              match
+                Client.request c
+                  {
+                    P.id = Json.Int 1;
+                    deadline_ms = None;
+                    op =
+                      P.Lint
+                        { P.lint_bench; lint_binder = "both"; lint_width = 8 };
+                  }
+              with
+              | Ok { P.payload = P.Result { result; _ }; _ } ->
+                  check
+                    (Printf.sprintf "%d designs linted" designs)
+                    true
+                    (Json.member "designs" result = Some (Json.Int designs));
+                  check "no lint errors" true
+                    (Json.member "errors" result = Some (Json.Int 0));
+                  check "report object present" true
+                    (match Json.member "report" result with
+                    | Some (Json.Obj _) -> true
+                    | _ -> false)
+              | Ok { P.payload = P.Error { message; _ }; _ } ->
+                  Alcotest.failf "lint replied error: %s" message
+              | Error e -> Alcotest.failf "lint transport error: %s" e)
+            [ (Some "pr", 2); (Some "fir8", 2); (None, 22) ]))
 
 (* --- backpressure: a full queue refuses rather than hangs --- *)
 
