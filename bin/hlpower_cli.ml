@@ -476,7 +476,6 @@ let metrics_port_arg =
 (* --- cluster head options --- *)
 
 module Cluster_head = Hlp_cluster.Head
-module Forwarder = Hlp_cluster.Forwarder
 
 let head_arg =
   let doc = "Run as a cluster head instead of a worker: fan requests \
@@ -513,7 +512,7 @@ let parse_backends spec =
       match String.index_opt part '=' with
       | Some i ->
           ( String.sub part 0 i,
-            Forwarder.addr_of_string
+            Client.addr_of_string
               (String.sub part (i + 1) (String.length part - i - 1)) )
       | None -> failwith ("--backends entry has no name=: " ^ part))
     (List.filter
@@ -561,33 +560,26 @@ let spawn_workers ~dir ~n ~workers ~queue ~sa_cache ~metrics_port =
             child_env Unix.stdin Unix.stdout Unix.stderr
         in
         children := pid :: !children;
-        (name, sock))
+        (name, Client.Unix_path sock))
   in
   (* Wait (bounded) for every worker to accept. *)
   List.iter
-    (fun (_, sock) ->
+    (fun (_, addr) ->
       let deadline = Unix.gettimeofday () +. 30. in
       let rec wait () =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        let ok =
-          try
-            Unix.connect fd (Unix.ADDR_UNIX sock);
-            true
-          with Unix.Unix_error _ -> false
-        in
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        if ok then ()
-        else if Unix.gettimeofday () > deadline then
-          failwith ("worker did not come up: " ^ sock)
-        else begin
-          Unix.sleepf 0.05;
-          wait ()
-        end
+        match Client.dial addr with
+        | fd -> Unix.close fd
+        | exception Unix.Unix_error _ ->
+            if Unix.gettimeofday () > deadline then
+              failwith ("worker did not come up: " ^ Client.addr_to_string addr)
+            else begin
+              Unix.sleepf 0.05;
+              wait ()
+            end
       in
       wait ())
     backends;
-  ( List.map (fun (n, s) -> (n, Forwarder.Unix_path s)) backends,
-    List.rev !children )
+  (backends, List.rev !children)
 
 let run_head ~socket ~tcp ~backends ~spawn ~workers ~queue ~sa_cache
     ~ping_interval ~metrics_port ~max_frame =

@@ -1,22 +1,6 @@
 module Protocol = Hlp_server.Protocol
+module Client = Hlp_server.Client
 module Telemetry = Hlp_util.Telemetry
-
-type addr = Unix_path of string | Tcp of string * int
-
-let addr_of_string s =
-  match String.rindex_opt s ':' with
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when host <> "" && not (String.contains host '/') ->
-          Tcp (host, p)
-      | _ -> Unix_path s)
-  | None -> Unix_path s
-
-let addr_to_string = function
-  | Unix_path p -> p
-  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
 
 type conn = { fd : Unix.file_descr; reader : Protocol.reader }
 
@@ -33,27 +17,7 @@ let create ?max_frame () =
 let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 let dial t addr =
-  let fd =
-    match addr with
-    | Unix_path path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_UNIX path)
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        fd
-    | Tcp (host, port) ->
-        let inet =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_INET (inet, port))
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        fd
-  in
+  let fd = Client.dial addr in
   { fd; reader = Protocol.reader_of_fd ?max_frame:t.max_frame fd }
 
 let pop_idle t key =
@@ -100,7 +64,7 @@ let attempt ?timeout_s c frame =
   | exception Sys_error msg -> Error msg
 
 let request_raw ?timeout_s ?(retry_stale = true) t addr frame =
-  let key = addr_to_string addr in
+  let key = Client.addr_to_string addr in
   let fresh_attempt () =
     match dial t addr with
     | exception Unix.Unix_error (e, _, _) ->
@@ -137,7 +101,7 @@ let request_raw ?timeout_s ?(retry_stale = true) t addr frame =
             fresh_attempt ())
 
 let invalidate t addr =
-  let key = addr_to_string addr in
+  let key = Client.addr_to_string addr in
   Mutex.lock t.mu;
   let conns = Option.value ~default:[] (Hashtbl.find_opt t.idle key) in
   Hashtbl.remove t.idle key;

@@ -8,19 +8,12 @@
     rewriting — happens in {!Head}, which re-encodes deliberately).
     Decoding for routing is the head's business, not this module's.
 
+    Workers are addressed and dialled as {!Hlp_server.Client} does.
     Connections are pooled per worker address: a request pops an idle
     connection or dials a new one, and returns it on clean completion.
     A request that fails on a {e pooled} connection retries once on a
     fresh dial — the pooled socket may simply have been closed by an
     idle worker — before reporting the worker unreachable. *)
-
-type addr = Unix_path of string | Tcp of string * int
-
-(** [addr_of_string s]: [host:port] (with a numeric port) parses as
-    TCP, anything else is a Unix-domain socket path. *)
-val addr_of_string : string -> addr
-
-val addr_to_string : addr -> string
 
 type t
 
@@ -41,12 +34,12 @@ val request_raw :
   ?timeout_s:float ->
   ?retry_stale:bool ->
   t ->
-  addr ->
+  Hlp_server.Client.addr ->
   string ->
   (string, string) result
 
 (** Drop every pooled connection to [addr] (a shard just declared
     dead). *)
-val invalidate : t -> addr -> unit
+val invalidate : t -> Hlp_server.Client.addr -> unit
 
 val close_all : t -> unit

@@ -1,13 +1,14 @@
 module P = Hlp_server.Protocol
 module Json = Hlp_server.Json
+module Client = Hlp_server.Client
+module Front = Hlp_server.Front
 module Telemetry = Hlp_util.Telemetry
-module Clock = Hlp_util.Clock
 module Diagnostic = P.Diagnostic
 
 type config = {
   socket_path : string;
   tcp_port : int option;
-  backends : (string * Forwarder.addr) list;
+  backends : (string * Client.addr) list;
   vnodes : int;
   ping_interval_ms : int;
   fail_threshold : int;
@@ -35,29 +36,15 @@ let default_config =
     metrics_port = None;
   }
 
-type conn_entry = {
-  cfd : Unix.file_descr;
-  writer : P.writer;
-  mutable cth : Thread.t option;
-}
-
 type t = {
   cfg : config;
+  front : Front.t;
   ring : Ring.t;
   health : Health.t;
   fwd : Forwarder.t;
   fingerprint : string;
-  listeners : Unix.file_descr list;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  stop : bool Atomic.t;
-  started_at : float;
   inflight : int Atomic.t;
   rr : int Atomic.t;  (* round-robin cursor for keyless ops *)
-  conn_mu : Mutex.t;
-  mutable conns : conn_entry list;
-  mutable metrics : Hlp_server.Metrics.t option;
-  mutable health_th : Thread.t option;
   (* per-shard forward counters, for stats/metrics *)
   counts_mu : Mutex.t;
   counts : (string, int) Hashtbl.t;
@@ -86,7 +73,6 @@ let reply_is_ok line =
 let create ?(config = default_config) () =
   if config.backends = [] then
     invalid_arg "Head.create: no backends configured";
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fwd = Forwarder.create ~max_frame:config.max_frame () in
   let ping name =
     match
@@ -105,44 +91,25 @@ let create ?(config = default_config) () =
       ~fail_threshold:config.fail_threshold ~ping
       (List.map fst config.backends)
   in
-  let listeners =
-    Hlp_server.Server.listen_unix config.socket_path
-    ::
-    (match config.tcp_port with
-    | Some p -> [ Hlp_server.Server.listen_tcp p ]
-    | None -> [])
+  let front =
+    Front.create ~socket_path:config.socket_path ~tcp_port:config.tcp_port
+      ~max_frame:config.max_frame
   in
-  let wake_r, wake_w = Unix.pipe () in
   {
     cfg = config;
+    front;
     ring = Ring.create ~vnodes:config.vnodes (List.map fst config.backends);
     health;
     fwd;
     fingerprint = Hlp_core.Sa_table.fingerprint ();
-    listeners;
-    wake_r;
-    wake_w;
-    stop = Atomic.make false;
-    started_at = Clock.monotonic ();
     inflight = Atomic.make 0;
     rr = Atomic.make 0;
-    conn_mu = Mutex.create ();
-    conns = [];
-    metrics = None;
-    health_th = None;
     counts_mu = Mutex.create ();
     counts = Hashtbl.create 8;
   }
 
-let shutdown t =
-  if not (Atomic.exchange t.stop true) then
-    try ignore (Unix.write t.wake_w (Bytes.of_string "x") 0 1)
-    with Unix.Unix_error _ -> ()
-
-let install_signal_handlers t =
-  let handle _ = shutdown t in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle handle);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle handle)
+let shutdown t = Front.shutdown t.front
+let install_signal_handlers t = Front.install_signal_handlers t.front
 
 let force_health_round t = Health.force_round t.health
 
@@ -156,7 +123,7 @@ let stats_json t : Json.t =
         ( name,
           Json.Obj
             [
-              ("addr", Json.String (Forwarder.addr_to_string addr));
+              ("addr", Json.String (Client.addr_to_string addr));
               ("alive", Json.Bool (Health.alive t.health name));
               ("requests", Json.Int n);
             ] ))
@@ -165,8 +132,8 @@ let stats_json t : Json.t =
   Json.Obj
     [
       ("role", Json.String "head");
-      ("uptime_s", Json.Float (Clock.monotonic () -. t.started_at));
-      ("draining", Json.Bool (Atomic.get t.stop));
+      ("uptime_s", Json.Float (Front.uptime t.front));
+      ("draining", Json.Bool (Front.stopping t.front));
       ("inflight", Json.Int (Atomic.get t.inflight));
       ( "ring",
         Json.Obj
@@ -204,9 +171,9 @@ let metrics_body t () =
   in
   Prom.render
     (Prom.gauge ~help:"Seconds since the head started." "hlp_uptime_seconds"
-       (Clock.monotonic () -. t.started_at)
+       (Front.uptime t.front)
     :: Prom.gauge ~help:"1 while draining, 0 while serving." "hlp_draining"
-         (if Atomic.get t.stop then 1. else 0.)
+         (if Front.stopping t.front then 1. else 0.)
     :: Prom.gauge ~help:"Forwards in flight right now." "hlp_head_inflight"
          (float_of_int (Atomic.get t.inflight))
     :: Prom.gauge ~help:"Live shards in the ring." "hlp_ring_alive_shards"
@@ -335,14 +302,6 @@ let rewrite_reply_session ~shard line =
 
 (* --- request handling --- *)
 
-let send_line writer line =
-  match P.write_framed writer line with
-  | `Ok -> ()
-  | `Error | `Dropped -> Telemetry.count "cluster.head_replies_unwritable" 1
-  | `Poisoned -> Telemetry.count "cluster.head_conns_poisoned" 1
-
-let send_reply writer reply = send_line writer (P.encode_reply reply)
-
 (* The aggregated [cluster_stats]: every live shard's own reply keyed
    by name, next to the head's stats. *)
 let cluster_stats_json t =
@@ -374,34 +333,12 @@ let cluster_stats_json t =
       ("shards", Json.Obj shard_results);
     ]
 
-let handle_request t writer ~raw (req : P.request) =
+let handle_request t conn ~raw (req : P.request) =
   match req.P.op with
-  | P.Stats ->
-      send_reply writer
-        {
-          P.reply_id = req.P.id;
-          payload =
-            P.Result
-              {
-                op = "stats";
-                result = stats_json t;
-                telemetry = [];
-                elapsed_ms = 0.;
-              };
-        }
+  | P.Stats -> Front.send_inline conn ~id:req.P.id ~op:"stats" (stats_json t)
   | P.Cluster_stats ->
-      send_reply writer
-        {
-          P.reply_id = req.P.id;
-          payload =
-            P.Result
-              {
-                op = "cluster_stats";
-                result = cluster_stats_json t;
-                telemetry = [];
-                elapsed_ms = 0.;
-              };
-        }
+      Front.send_inline conn ~id:req.P.id ~op:"cluster_stats"
+        (cluster_stats_json t)
   | P.Session_edit _ | P.Session_close _ -> (
       let sid, rebuild =
         match req.P.op with
@@ -416,7 +353,7 @@ let handle_request t writer ~raw (req : P.request) =
       match split_session sid with
       | None ->
           Telemetry.count "cluster.bad_session_id" 1;
-          send_reply writer
+          Front.send conn
             (bad_session_reply ~id:req.P.id
                "session id %S names no shard (expected shard/id, as issued \
                 by session_open)"
@@ -425,13 +362,13 @@ let handle_request t writer ~raw (req : P.request) =
           match List.assoc_opt shard t.cfg.backends with
           | None ->
               Telemetry.count "cluster.bad_session_id" 1;
-              send_reply writer
+              Front.send conn
                 (bad_session_reply ~id:req.P.id
                    "session id %S names unknown shard %S" sid shard)
           | Some addr ->
               if not (Health.alive t.health shard) then begin
                 Telemetry.count "cluster.session_unavailable" 1;
-                send_reply writer
+                Front.send conn
                   (unavailable_reply ~id:req.P.id
                      "shard %s holding session %s is down; the session is \
                       lost — reopen it"
@@ -455,7 +392,7 @@ let handle_request t writer ~raw (req : P.request) =
                     Health.note_success t.health shard;
                     (* Session ids in the reply (if any) go back out
                        prefixed, like session_open's. *)
-                    send_line writer (rewrite_reply_session ~shard line)
+                    Front.send_line conn (rewrite_reply_session ~shard line)
                 | Error msg ->
                     (* Never transport-retry a session edit: the shard
                        may have applied the delta before dying, and a
@@ -463,7 +400,7 @@ let handle_request t writer ~raw (req : P.request) =
                     Health.note_failure t.health shard;
                     Forwarder.invalidate t.fwd addr;
                     Telemetry.count "cluster.session_unavailable" 1;
-                    send_reply writer
+                    Front.send conn
                       (unavailable_reply ~id:req.P.id
                          "shard %s died mid-session (%s); session %s is \
                           lost — reopen it"
@@ -477,7 +414,7 @@ let handle_request t writer ~raw (req : P.request) =
       match candidates t req.P.op with
       | [] ->
           Telemetry.count "cluster.unroutable" 1;
-          send_reply writer
+          Front.send conn
             (unavailable_reply ~id:req.P.id "no live shards in the ring")
       | shard :: _ -> (
           count_shard t shard;
@@ -487,12 +424,12 @@ let handle_request t writer ~raw (req : P.request) =
           with
           | Ok line ->
               Health.note_success t.health shard;
-              send_line writer (rewrite_reply_session ~shard line)
+              Front.send_line conn (rewrite_reply_session ~shard line)
           | Error msg ->
               Health.note_failure t.health shard;
               Forwarder.invalidate t.fwd (addr_of t shard);
               Telemetry.count "cluster.session_unavailable" 1;
-              send_reply writer
+              Front.send conn
                 (unavailable_reply ~id:req.P.id
                    "shard %s unreachable (%s); retry to open on a \
                     failed-over shard"
@@ -502,108 +439,37 @@ let handle_request t writer ~raw (req : P.request) =
       match candidates t req.P.op with
       | [] ->
           Telemetry.count "cluster.unroutable" 1;
-          send_reply writer
+          Front.send conn
             (unavailable_reply ~id:req.P.id "no live shards in the ring")
       | names -> (
           match
             forward_failover t ~names ~attempts:t.cfg.retry_attempts raw
           with
-          | Ok line -> send_line writer line
+          | Ok line -> Front.send_line conn line
           | Error msg ->
-              send_reply writer
+              Front.send conn
                 (unavailable_reply ~id:req.P.id
                    "request failed on every live replica (last: %s)" msg)))
 
-let serve_conn t entry =
-  let reader = P.reader_of_fd ~max_frame:t.cfg.max_frame entry.cfd in
-  let rec loop () =
-    if P.writer_poisoned entry.writer then ()
-    else
-      match P.read_frame reader with
-      | `Eof -> ()
-      | `Too_large n ->
-          Telemetry.count "cluster.head_frames_too_large" 1;
-          send_reply entry.writer
-            (P.error_reply
-               ~diagnostics:
-                 [
-                   Diagnostic.error "S012" (Diagnostic.Line 1)
-                     "frame of %d bytes exceeds the %d-byte limit and was \
-                      discarded unread"
-                     n t.cfg.max_frame;
-                 ]
-               ~id:Json.Null P.Frame_too_large
-               "frame of %d bytes exceeds the %d-byte limit" n
-               t.cfg.max_frame);
-          loop ()
-      | `Frame line ->
-          Telemetry.count "cluster.head_frames" 1;
-          (match P.decode_request line with
-          | Error { P.err_code; err_id; err_diagnostics } ->
-              Telemetry.count "cluster.head_frames_invalid" 1;
-              send_reply entry.writer
-                (P.error_reply ~diagnostics:err_diagnostics ~id:err_id
-                   err_code "invalid request frame")
-          | Ok req ->
-              if Atomic.get t.stop then
-                send_reply entry.writer
-                  (P.error_reply ~id:req.P.id P.Draining
-                     "head is draining; connect again after restart")
-              else if Atomic.fetch_and_add t.inflight 1 >= t.cfg.max_inflight
-              then begin
-                ignore (Atomic.fetch_and_add t.inflight (-1));
-                Telemetry.count "cluster.head_overloaded" 1;
-                send_reply entry.writer
-                  (P.error_reply ~id:req.P.id P.Overloaded
-                     "head at max in-flight forwards (%d); retry later"
-                     t.cfg.max_inflight)
-              end
-              else
-                Fun.protect
-                  ~finally:(fun () ->
-                    ignore (Atomic.fetch_and_add t.inflight (-1)))
-                  (fun () -> handle_request t entry.writer ~raw:line req));
-          loop ()
-  in
-  (try loop () with Unix.Unix_error _ | Sys_error _ -> ());
-  Mutex.lock t.conn_mu;
-  t.conns <- List.filter (fun e -> e != entry) t.conns;
-  Mutex.unlock t.conn_mu;
-  try Unix.close entry.cfd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.stop then ()
-    else
-      match Unix.select (t.wake_r :: t.listeners) [] [] (-1.) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | readable, _, _ ->
-          if List.mem t.wake_r readable || Atomic.get t.stop then ()
-          else begin
-            List.iter
-              (fun lfd ->
-                if List.mem lfd readable then
-                  match Unix.accept lfd with
-                  | exception Unix.Unix_error _ -> ()
-                  | fd, _ ->
-                      Telemetry.count "cluster.head_connections" 1;
-                      let entry =
-                        { cfd = fd; writer = P.writer_of_fd fd; cth = None }
-                      in
-                      Mutex.lock t.conn_mu;
-                      t.conns <- entry :: t.conns;
-                      Mutex.unlock t.conn_mu;
-                      let th =
-                        Thread.create (fun () -> serve_conn t entry) ()
-                      in
-                      Mutex.lock t.conn_mu;
-                      entry.cth <- Some th;
-                      Mutex.unlock t.conn_mu)
-              t.listeners;
-            loop ()
-          end
-  in
-  loop ()
+(* Admission, per decoded frame: [draining] once shutdown has begun,
+   [overloaded] beyond [max_inflight] concurrent forwards. *)
+let admit t conn ~raw (req : P.request) =
+  if Front.stopping t.front then
+    Front.send conn
+      (P.error_reply ~id:req.P.id P.Draining
+         "head is draining; connect again after restart")
+  else if Atomic.fetch_and_add t.inflight 1 >= t.cfg.max_inflight then begin
+    ignore (Atomic.fetch_and_add t.inflight (-1));
+    Telemetry.count "cluster.head_overloaded" 1;
+    Front.send conn
+      (P.error_reply ~id:req.P.id P.Overloaded
+         "head at max in-flight forwards (%d); retry later"
+         t.cfg.max_inflight)
+  end
+  else
+    Fun.protect
+      ~finally:(fun () -> ignore (Atomic.fetch_and_add t.inflight (-1)))
+      (fun () -> handle_request t conn ~raw req)
 
 let run t =
   Logs.info (fun m ->
@@ -614,60 +480,24 @@ let run t =
         | None -> "")
         (List.length t.cfg.backends)
         t.cfg.vnodes);
-  (match t.cfg.metrics_port with
-  | None -> ()
-  | Some port ->
-      let m = Hlp_server.Metrics.start ~port (metrics_body t) in
-      t.metrics <- Some m;
-      Logs.info (fun l ->
-          l "hlpowerd head: /metrics on 127.0.0.1:%d"
-            (Hlp_server.Metrics.port m)));
   (* Health thread: wall-clock pacing for the loop, Clock.now pacing
      for the ping schedule (so tests can drive it with a fake clock and
      force_health_round). *)
-  t.health_th <-
-    Some
-      (Thread.create
-         (fun () ->
-           while not (Atomic.get t.stop) do
-             (try Health.check_due t.health with _ -> ());
-             Thread.delay 0.05
-           done)
-         ());
-  accept_loop t;
-  Logs.info (fun m -> m "hlpowerd head: draining");
-  (* 1. Stop accepting; new frames on live connections get [draining]
-        replies (checked per frame in serve_conn). *)
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    t.listeners;
-  (try Unix.unlink t.cfg.socket_path
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  (* 2. Unblock idle readers but let in-flight forwards finish: shut
-        only the receive side, so a handler mid-forward still writes
-        its reply before its loop sees EOF. *)
-  Mutex.lock t.conn_mu;
-  let conns = t.conns in
-  Mutex.unlock t.conn_mu;
-  List.iter
-    (fun { cfd; _ } ->
-      try Unix.shutdown cfd Unix.SHUTDOWN_RECEIVE
-      with Unix.Unix_error _ -> ())
-    conns;
-  List.iter
-    (fun { cth; _ } -> match cth with Some th -> Thread.join th | None -> ())
-    conns;
-  (* 3. Stop the auxiliaries. *)
-  (match t.health_th with Some th -> Thread.join th | None -> ());
-  (match t.metrics with
-  | Some m ->
-      Hlp_server.Metrics.stop m;
-      t.metrics <- None
-  | None -> ());
+  let health_th =
+    Thread.create
+      (fun () ->
+        while not (Front.stopping t.front) do
+          (try Health.check_due t.health with _ -> ());
+          Thread.delay 0.05
+        done)
+      ()
+  in
+  (* No drain step of its own: frames read from here on get [draining]
+     replies from [admit], and a forward in flight completes and writes
+     its reply before its connection thread reads EOF. *)
+  Front.run t.front ~name:"hlpowerd head" ~metrics_port:t.cfg.metrics_port
+    ~metrics:(metrics_body t) ~handle:(admit t) ~drain:ignore;
+  Thread.join health_th;
   Forwarder.close_all t.fwd;
   Telemetry.write_if_requested ();
-  (try
-     Unix.close t.wake_r;
-     Unix.close t.wake_w
-   with Unix.Unix_error _ -> ());
   Logs.info (fun m -> m "hlpowerd head: drained, exiting")

@@ -26,7 +26,9 @@
     only session ids are rewritten (by decode/re-encode, which the
     JSON layer keeps byte-stable).  Worker health: periodic pings on
     the injectable {!Hlp_util.Clock} timeline plus immediate demerits
-    from forwarding failures ({!Health}).  SIGTERM stops admission,
+    from forwarding failures ({!Health}).  The connection front end —
+    listeners, per-connection threads, frame cap, decode errors, drain —
+    is the worker's own ({!Hlp_server.Front}).  SIGTERM stops admission,
     lets every in-flight forward complete and its reply flush, then
     returns from {!run} — worker shutdown belongs to whoever spawned
     the workers. *)
@@ -34,7 +36,8 @@
 type config = {
   socket_path : string;
   tcp_port : int option;
-  backends : (string * Forwarder.addr) list;  (** shard name, address *)
+  backends : (string * Hlp_server.Client.addr) list;
+      (** shard name, address *)
   vnodes : int;
   ping_interval_ms : int;
   fail_threshold : int;
@@ -50,7 +53,7 @@ val default_config : config
 
 type t
 
-(** @raise Unix.Unix_error when binding fails.
+(** @raise Unix.Unix_error when binding fails, with nothing left open.
     @raise Invalid_argument on an empty backend list. *)
 val create : ?config:config -> unit -> t
 

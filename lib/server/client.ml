@@ -1,4 +1,19 @@
-type addr = Addr_unix of string | Addr_tcp of string * int
+type addr = Unix_path of string | Tcp of string * int
+
+let addr_of_string s =
+  match String.rindex_opt s ':' with
+  | Some i -> (
+      let host = String.sub s 0 i in
+      let port = String.sub s (i + 1) (String.length s - i - 1) in
+      match int_of_string_opt port with
+      | Some p when host <> "" && not (String.contains host '/') ->
+          Tcp (host, p)
+      | _ -> Unix_path s)
+  | None -> Unix_path s
+
+let addr_to_string = function
+  | Unix_path p -> p
+  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
 
 type t = {
   mutable fd : Unix.file_descr;
@@ -21,29 +36,26 @@ let of_fd ?max_frame fd =
     max_frame;
   }
 
-let connect_fd addr =
-  match addr with
-  | Addr_unix path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      fd
-  | Addr_tcp (host, port) ->
-      let inet =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (inet, port))
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      fd
+let dial addr =
+  let domain, sockaddr =
+    match addr with
+    | Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | Tcp (host, port) ->
+        let inet =
+          try Unix.inet_addr_of_string host
+          with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+        in
+        (Unix.PF_INET, Unix.ADDR_INET (inet, port))
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd sockaddr
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  fd
 
 let of_addr ?max_frame addr =
-  let fd = connect_fd addr in
+  let fd = dial addr in
   {
     fd;
     reader = Protocol.reader_of_fd ?max_frame fd;
@@ -52,10 +64,10 @@ let of_addr ?max_frame addr =
     max_frame;
   }
 
-let connect ?max_frame path = of_addr ?max_frame (Addr_unix path)
+let connect ?max_frame path = of_addr ?max_frame (Unix_path path)
 
 let connect_tcp ?max_frame ~host ~port () =
-  of_addr ?max_frame (Addr_tcp (host, port))
+  of_addr ?max_frame (Tcp (host, port))
 
 let send c req = Protocol.write_frame c.fd (Protocol.encode_request req)
 let send_raw c line = Protocol.write_frame c.fd line
@@ -81,7 +93,7 @@ let reconnect c =
   | None -> false
   | Some addr -> (
       close c;
-      match connect_fd addr with
+      match dial addr with
       | fd ->
           c.fd <- fd;
           c.reader <- Protocol.reader_of_fd ?max_frame:c.max_frame fd;

@@ -1,8 +1,24 @@
 (** Blocking client for the [hlpowerd] protocol — used by the CLI
     [client] subcommand, the bench load generator, and the serving
-    tests. *)
+    tests.  Its address type and {!dial} are also the cluster head's
+    way to its workers. *)
 
 type t
+
+(** A daemon's address: a Unix-domain socket path, or a TCP host and
+    port. *)
+type addr = Unix_path of string | Tcp of string * int
+
+(** [addr_of_string s]: [host:port] (with a numeric port) parses as
+    TCP, anything else is a Unix-domain socket path. *)
+val addr_of_string : string -> addr
+
+val addr_to_string : addr -> string
+
+(** [dial addr] opens a socket connected to [addr] (the socket is
+    closed again when the connect fails).
+    @raise Unix.Unix_error when nobody is listening. *)
+val dial : addr -> Unix.file_descr
 
 (** [connect path] connects to the daemon's Unix-domain socket.
     @raise Unix.Unix_error when nobody is listening. *)

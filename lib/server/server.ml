@@ -27,118 +27,38 @@ let default_config =
 (* Raised by the deadline checkpoint between pipeline phases. *)
 exception Expired
 
-(* Replies from concurrently completing jobs interleave on one socket;
-   the writer serialises frames and poisons the stream on a torn write
-   (see {!Protocol.write_framed}).  The refcount keeps the fd open
-   while anyone may still write to it: the reader thread holds one
-   reference for the connection's lifetime and every scheduled job holds
-   one until its reply is sent, so a client EOF cannot close (and let
-   the kernel recycle) an fd that a queued job will later write to. *)
-type conn = {
-  fd : Unix.file_descr;
-  writer : Protocol.writer;
-  rmu : Mutex.t;  (* guards [refs] *)
-  mutable refs : int;
-}
-
-(* One per accepted connection, registered in [t.conns] before the
-   handler thread starts so drain can see every live connection; [th] is
-   filled in right after [Thread.create] returns. *)
-type conn_entry = { conn : conn; mutable th : Thread.t option }
-
 type t = {
   cfg : config;
+  front : Front.t;
   router : Router.t;
   scheduler : Scheduler.t;
-  listeners : Unix.file_descr list;
-  wake_r : Unix.file_descr;  (* self-pipe: signal handler -> accept loop *)
-  wake_w : Unix.file_descr;
-  stop : bool Atomic.t;
-  started_at : float;
-  conn_mu : Mutex.t;
-  mutable conns : conn_entry list;
-  mutable metrics : Metrics.t option;
 }
 
 let config t = t.cfg
 
-let listen_unix path =
-  (* A stale socket file from a dead daemon would make bind fail; only
-     remove it when nothing is accepting on it. *)
-  (match Unix.stat path with
-  | { Unix.st_kind = Unix.S_SOCK; _ } ->
-      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let alive =
-        try
-          Unix.connect probe (Unix.ADDR_UNIX path);
-          true
-        with Unix.Unix_error _ -> false
-      in
-      Unix.close probe;
-      if alive then
-        raise
-          (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
-      else Unix.unlink path
-  | _ -> ()
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  fd
-
-let listen_tcp port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen fd 64;
-  fd
-
 let create ?(config = default_config) () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listeners =
-    listen_unix config.socket_path
-    ::
-    (match config.tcp_port with
-    | Some port -> [ listen_tcp port ]
-    | None -> [])
+  let front =
+    Front.create ~socket_path:config.socket_path ~tcp_port:config.tcp_port
+      ~max_frame:config.max_frame
   in
-  let wake_r, wake_w = Unix.pipe () in
   {
     cfg = config;
+    front;
     router = Router.create ?sa_cache_dir:config.sa_cache_dir ();
     scheduler =
       Scheduler.create ~workers:config.workers
         ~capacity:config.queue_capacity ();
-    listeners;
-    wake_r;
-    wake_w;
-    stop = Atomic.make false;
-    (* Raw monotonic (not the injectable source): uptime is physical
-       elapsed time even when a test has installed a fake timeline. *)
-    started_at = Clock.monotonic ();
-    conn_mu = Mutex.create ();
-    conns = [];
-    metrics = None;
   }
 
-let shutdown t =
-  if not (Atomic.exchange t.stop true) then
-    (* Wake the accept loop.  A single byte suffices; EAGAIN/EPIPE can
-       only mean shutdown already raced ahead of us. *)
-    try ignore (Unix.write t.wake_w (Bytes.of_string "x") 0 1)
-    with Unix.Unix_error _ -> ()
-
-let install_signal_handlers t =
-  let handle _ = shutdown t in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle handle);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle handle)
+let shutdown t = Front.shutdown t.front
+let install_signal_handlers t = Front.install_signal_handlers t.front
 
 let stats_json t : Json.t =
   let s = Scheduler.stats t.scheduler in
   Json.Obj
     [
-      ("uptime_s", Json.Float (Clock.monotonic () -. t.started_at));
-      ("draining", Json.Bool (Atomic.get t.stop));
+      ("uptime_s", Json.Float (Front.uptime t.front));
+      ("draining", Json.Bool (Front.stopping t.front));
       ( "scheduler",
         Json.Obj
           [
@@ -166,9 +86,9 @@ let metrics_body t () =
   let s = Scheduler.stats t.scheduler in
   Prom.render
     (Prom.gauge ~help:"Seconds since the daemon started." "hlp_uptime_seconds"
-       (Clock.monotonic () -. t.started_at)
+       (Front.uptime t.front)
     :: Prom.gauge ~help:"1 while draining, 0 while serving." "hlp_draining"
-         (if Atomic.get t.stop then 1. else 0.)
+         (if Front.stopping t.front then 1. else 0.)
     :: Prom.gauge ~help:"Worker domains in the scheduler pool."
          "hlp_scheduler_workers"
          (float_of_int s.Scheduler.workers)
@@ -187,36 +107,7 @@ let metrics_body t () =
          (float_of_int s.Scheduler.rejected)
     :: Prom.of_counters (Telemetry.counters ()))
 
-(* --- per-connection handling --- *)
-
-let conn_retain conn =
-  Mutex.lock conn.rmu;
-  conn.refs <- conn.refs + 1;
-  Mutex.unlock conn.rmu
-
-let conn_release conn =
-  Mutex.lock conn.rmu;
-  conn.refs <- conn.refs - 1;
-  let close = conn.refs = 0 in
-  Mutex.unlock conn.rmu;
-  if close then try Unix.close conn.fd with Unix.Unix_error _ -> ()
-
-(* A clean write failure (no bytes left) means the client left — the
-   work's result is simply dropped, which is the only "dropped reply"
-   the drain guarantee permits (there is no one left to read it).  A
-   torn write poisons the connection instead: the writer shuts the
-   stream down at the tear so no later frame can be spliced onto the
-   torn one's tail, and every subsequent reply on that connection is
-   dropped (counted separately — they are collateral of the tear, not
-   independent failures). *)
-let send conn reply =
-  match Protocol.write_framed conn.writer (Protocol.encode_reply reply) with
-  | `Ok -> ()
-  | `Error -> Telemetry.count "server.replies_unwritable" 1
-  | `Poisoned ->
-      Telemetry.count "server.replies_unwritable" 1;
-      Telemetry.count "server.conns_poisoned" 1
-  | `Dropped -> Telemetry.count "server.replies_dropped" 1
+(* --- dispatch --- *)
 
 (* Deadlines live on {!Clock.now}'s timeline: monotonic by default, so
    an NTP step or a sysadmin's [date -s] can neither expire every
@@ -240,7 +131,7 @@ let run_request t conn (req : Protocol.request) ~deadline =
   with
   | Ok result, telemetry ->
       Telemetry.count "server.requests_ok" 1;
-      send conn
+      Front.send conn
         {
           Protocol.reply_id = req.Protocol.id;
           payload =
@@ -254,181 +145,65 @@ let run_request t conn (req : Protocol.request) ~deadline =
         }
   | Error diagnostics, _ ->
       Telemetry.count "server.requests_rejected" 1;
-      send conn
+      Front.send conn
         (Protocol.error_reply ~diagnostics ~id:req.Protocol.id
            Protocol.Bad_request "request failed validation or execution")
   | exception Expired ->
       Telemetry.count "server.requests_expired" 1;
-      send conn
+      Front.send conn
         (Protocol.error_reply ~id:req.Protocol.id Protocol.Deadline_exceeded
            "deadline expired after %.0f ms" ((now () -. t0) *. 1000.))
   | exception e ->
       Telemetry.count "server.requests_failed" 1;
-      send conn
+      Front.send conn
         (Protocol.error_reply ~id:req.Protocol.id Protocol.Internal "%s"
            (Printexc.to_string e))
 
-let dispatch t conn (req : Protocol.request) =
+let dispatch t conn ~raw:_ (req : Protocol.request) =
   match req.Protocol.op with
   | Protocol.Stats ->
       (* Served inline on the connection thread: stats must answer even
          when every worker is busy — that is what makes it a health
          probe. *)
-      send conn
-        {
-          Protocol.reply_id = req.Protocol.id;
-          payload =
-            Protocol.Result
-              {
-                op = "stats";
-                result = stats_json t;
-                telemetry = [];
-                elapsed_ms = 0.;
-              };
-        }
+      Front.send_inline conn ~id:req.Protocol.id ~op:"stats" (stats_json t)
   | Protocol.Cluster_stats ->
       (* Same inline treatment; a standalone worker answers for itself,
          a cluster head intercepts this op and aggregates shards. *)
-      send conn
-        {
-          Protocol.reply_id = req.Protocol.id;
-          payload =
-            Protocol.Result
-              {
-                op = "cluster_stats";
-                result =
-                  Json.Obj
-                    [
-                      ("role", Json.String "worker");
-                      ("stats", stats_json t);
-                    ];
-                telemetry = [];
-                elapsed_ms = 0.;
-              };
-        }
+      Front.send_inline conn ~id:req.Protocol.id ~op:"cluster_stats"
+        (Json.Obj [ ("role", Json.String "worker"); ("stats", stats_json t) ])
   | _ -> (
       let deadline =
-        match
-          ( req.Protocol.deadline_ms,
-            t.cfg.default_deadline_ms )
-        with
+        match (req.Protocol.deadline_ms, t.cfg.default_deadline_ms) with
         | Some ms, _ | None, Some ms ->
             Some (now () +. (float_of_int ms /. 1000.))
         | None, None -> None
       in
-      conn_retain conn;
+      (* The job holds its own reference until its reply is sent. *)
+      Front.retain conn;
       let job () =
         Fun.protect
-          ~finally:(fun () -> conn_release conn)
+          ~finally:(fun () -> Front.release conn)
           (fun () -> run_request t conn req ~deadline)
       in
       match Scheduler.submit t.scheduler job with
       | `Accepted -> ()
       | `Overloaded s ->
-          conn_release conn;
+          Front.release conn;
           Telemetry.count "server.requests_overloaded" 1;
           (* Report the load observed by the rejection itself (the
              snapshot rides on the verdict): re-reading stats here
              could show a queue that has since drained next to an
              "overloaded" verdict — a torn pair. *)
-          send conn
+          Front.send conn
             (Protocol.error_reply ~id:req.Protocol.id Protocol.Overloaded
                "queue full (%d queued, %d running, capacity %d); retry \
                 later"
                s.Scheduler.queued s.Scheduler.running s.Scheduler.capacity)
       | `Draining ->
-          conn_release conn;
-          send conn
+          Front.release conn;
+          Front.send conn
             (Protocol.error_reply ~id:req.Protocol.id Protocol.Draining
                "daemon is draining; connect again after restart"))
-
-let serve_conn t entry =
-  let conn = entry.conn in
-  let reader = Protocol.reader_of_fd ~max_frame:t.cfg.max_frame conn.fd in
-  let rec loop () =
-    (* A poisoned stream can never carry another reply, so reading
-       further requests would only burn workers on answers the client
-       cannot receive; close instead. *)
-    if Protocol.writer_poisoned conn.writer then ()
-    else
-    match Protocol.read_frame reader with
-    | `Eof -> ()
-    | `Too_large n ->
-        Telemetry.count "server.frames_too_large" 1;
-        send conn
-          (Protocol.error_reply
-             ~diagnostics:
-               [
-                 Protocol.Diagnostic.error "S012" (Line 1)
-                   "frame of %d bytes exceeds the %d-byte limit and was \
-                    discarded unread"
-                   n t.cfg.max_frame;
-               ]
-             ~id:Json.Null Protocol.Frame_too_large
-             "frame of %d bytes exceeds the %d-byte limit" n
-             t.cfg.max_frame);
-        loop ()
-    | `Frame line ->
-        Telemetry.count "server.frames" 1;
-        (match Protocol.decode_request line with
-        | Ok req -> dispatch t conn req
-        | Error { Protocol.err_code; err_id; err_diagnostics } ->
-            Telemetry.count "server.frames_invalid" 1;
-            send conn
-              (Protocol.error_reply ~diagnostics:err_diagnostics ~id:err_id
-                 err_code "invalid request frame"));
-        loop ()
-  in
-  (try loop ()
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  (* Deregister before dropping the reader's reference: once released,
-     the fd may close (and its number be recycled) as soon as the last
-     in-flight job replies, and drain must never Unix.shutdown a
-     recycled descriptor it finds in [t.conns]. *)
-  Mutex.lock t.conn_mu;
-  t.conns <- List.filter (fun e -> e != entry) t.conns;
-  Mutex.unlock t.conn_mu;
-  conn_release conn
-
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.stop then ()
-    else
-      match Unix.select (t.wake_r :: t.listeners) [] [] (-1.) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | readable, _, _ ->
-          if List.mem t.wake_r readable || Atomic.get t.stop then ()
-          else begin
-            List.iter
-              (fun lfd ->
-                if List.mem lfd readable then
-                  match Unix.accept lfd with
-                  | exception Unix.Unix_error _ -> ()
-                  | fd, _ ->
-                      Telemetry.count "server.connections" 1;
-                      let conn =
-                        {
-                          fd;
-                          writer = Protocol.writer_of_fd fd;
-                          rmu = Mutex.create ();
-                          refs = 1 (* the reader thread's reference *);
-                        }
-                      in
-                      let entry = { conn; th = None } in
-                      Mutex.lock t.conn_mu;
-                      t.conns <- entry :: t.conns;
-                      Mutex.unlock t.conn_mu;
-                      let th =
-                        Thread.create (fun () -> serve_conn t entry) ()
-                      in
-                      Mutex.lock t.conn_mu;
-                      entry.th <- Some th;
-                      Mutex.unlock t.conn_mu)
-              t.listeners;
-            loop ()
-          end
-  in
-  loop ()
 
 let run t =
   Logs.info (fun m ->
@@ -438,58 +213,20 @@ let run t =
         | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
         | None -> "")
         t.cfg.workers t.cfg.queue_capacity);
-  (match t.cfg.metrics_port with
-  | None -> ()
-  | Some port ->
-      let m = Metrics.start ~port (metrics_body t) in
-      t.metrics <- Some m;
-      Logs.info (fun l ->
-          l "hlpowerd: /metrics on 127.0.0.1:%d" (Metrics.port m)));
-  accept_loop t;
-  Logs.info (fun m -> m "hlpowerd: draining");
-  (* 1. Stop accepting new connections (new requests on existing
-        connections get [draining] replies from the scheduler). *)
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    t.listeners;
-  (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
-  (* 2. Finish every admitted request; each writes its own reply before
-        the scheduler counts it complete, so after [drain] no reply is
-        outstanding. *)
-  Scheduler.drain t.scheduler;
-  (* 3. Release the connections: shutdown unblocks handler threads
-        stuck in read, then join them.  Only live connections are still
-        registered — each handler deregisters itself on exit — and a
-        registered conn's fd is provably open (its reader reference is
-        still held), so no recycled fd number can be shut down here. *)
-  Mutex.lock t.conn_mu;
-  let conns = t.conns in
-  Mutex.unlock t.conn_mu;
-  List.iter
-    (fun { conn; _ } ->
-      try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
-      with Unix.Unix_error _ -> ())
-    conns;
-  List.iter
-    (fun { th; _ } -> match th with Some th -> Thread.join th | None -> ())
-    conns;
-  (* 4. Flush warm state and diagnostics.  Open sessions are
-        discharged first: accepted session work has already completed
-        (step 2), so nothing can race the table reset, and a client
-        that reconnects after restart gets a clean S013 instead of a
-        stale id silently resolving. *)
+  (* The worker's drain step finishes every admitted request; each
+     writes its own reply before the scheduler counts it complete, so
+     after [Scheduler.drain] no reply is outstanding. *)
+  Front.run t.front ~name:"hlpowerd" ~metrics_port:t.cfg.metrics_port
+    ~metrics:(metrics_body t) ~handle:(dispatch t)
+    ~drain:(fun () -> Scheduler.drain t.scheduler);
+  (* Flush warm state and diagnostics.  Open sessions are discharged
+     first: accepted session work has already completed and every
+     connection thread has been joined, so nothing can race the table
+     reset, and a client that reconnects after restart gets a clean
+     S013 instead of a stale id silently resolving. *)
   let dropped = Router.drain_sessions t.router in
   if dropped > 0 then
     Logs.info (fun m -> m "drain: closed %d open session(s)" dropped);
-  (match t.metrics with
-  | Some m ->
-      Metrics.stop m;
-      t.metrics <- None
-  | None -> ());
   Router.persist t.router;
   Telemetry.write_if_requested ();
-  (try
-     Unix.close t.wake_r;
-     Unix.close t.wake_w
-   with Unix.Unix_error _ -> ());
   Logs.info (fun m -> m "hlpowerd: drained, exiting")

@@ -1,20 +1,19 @@
 (** The [hlpowerd] daemon loop.
 
-    One process owns: the listening sockets (a Unix-domain socket,
-    optionally a loopback TCP port), one connection-handler thread per
-    client, a {!Scheduler} whose worker domains execute requests, and a
-    {!Router} holding the warm SA tables.  Lifecycle:
+    One process owns: the connection front end ({!Front}: the
+    listening sockets, one connection thread per client, the drain), a
+    {!Scheduler} whose worker domains execute requests, and a {!Router}
+    holding the warm SA tables.  Lifecycle:
 
-    + {!create} binds and listens (and ignores [SIGPIPE] — a client that
-      disconnects mid-reply must not kill the daemon);
+    + {!create} binds and listens (see {!Front.create});
     + {!run} accepts until {!shutdown} is triggered — by a direct call
       or by [SIGTERM]/[SIGINT] once {!install_signal_handlers} has been
       called;
     + drain: admission stops ([draining] replies), every request
       admitted before the signal runs to completion and its reply is
-      written (zero dropped replies), the SA tables are flushed to their
-      disk cache, telemetry is written ([HLP_TELEMETRY]), and {!run}
-      returns.
+      written (zero dropped replies), open sessions are closed, the SA
+      tables are flushed to their disk cache, telemetry is written
+      ([HLP_TELEMETRY]), and {!run} returns.
 
     Deadlines: a request's [deadline_ms] (or the server's default)
     starts at {e receipt}.  Expiry is checked when a worker picks the
@@ -41,19 +40,9 @@ val default_config : config
 
 type t
 
-(** [listen_unix path] binds and listens on the Unix-domain socket
-    [path].  A socket file already at [path] is reclaimed only when it
-    is stale: if a probe connect succeeds, a live daemon owns it and
-    this raises [Unix_error (EADDRINUSE, ...)]; otherwise the file is
-    unlinked first.  The cluster head shares this rule. *)
-val listen_unix : string -> Unix.file_descr
-
-(** [listen_tcp port] binds and listens on [127.0.0.1:port]
-    ([SO_REUSEADDR] set). *)
-val listen_tcp : int -> Unix.file_descr
-
 (** [create ~config ()] binds the sockets.  @raise Unix.Unix_error when
-    binding fails (e.g. the socket path is taken by a live daemon). *)
+    binding fails (e.g. the socket path is taken by a live daemon),
+    with nothing left open. *)
 val create : ?config:config -> unit -> t
 
 val config : t -> config

@@ -1,5 +1,6 @@
 (* Cluster semantics against an in-process head + worker fleet: relay
-   byte-fidelity, session stickiness through shard-prefixed ids,
+   byte-fidelity, the head's front-end replies byte-equal to a
+   worker's, session stickiness through shard-prefixed ids,
    failover of idempotent requests when a shard dies, the S017/S018
    diagnostics, the aggregated cluster_stats op, the /metrics HTTP
    endpoint, and the client's bounded retry across a daemon restart.
@@ -13,7 +14,6 @@ module Client = Hlp_server.Client
 module Metrics = Hlp_server.Metrics
 module Prometheus = Hlp_util.Prometheus
 module Head = Hlp_cluster.Head
-module Forwarder = Hlp_cluster.Forwarder
 
 let check = Alcotest.(check bool)
 let check_s = Alcotest.(check string)
@@ -34,10 +34,10 @@ type worker = {
   mutable w_down : bool;
 }
 
-let start_worker name =
+let start_worker ?(max_frame = P.default_max_frame) name =
   let socket_path = fresh_socket name in
   let config =
-    { Server.default_config with Server.socket_path; workers = 1 }
+    { Server.default_config with Server.socket_path; workers = 1; max_frame }
   in
   let server = Server.create ~config () in
   let runner = Thread.create (fun () -> Server.run server) () in
@@ -57,33 +57,55 @@ let stop_worker w =
     try Unix.unlink w.w_socket with Unix.Unix_error _ -> ()
   end
 
-(* Start [n] workers and a head over them; run [f]; tear everything
-   down.  fail_threshold 1 so a single forced health round (or one
-   failed forward) marks a dead shard out. *)
-let with_cluster ?(n = 2) ?metrics_port f =
-  let workers = List.init n (fun i -> start_worker (Printf.sprintf "w%d" i)) in
+type cluster = {
+  head_socket : string;
+  head : Head.t;
+  workers : worker list;
+  stop_head : unit -> unit;
+      (** shuts the head down and returns once [Head.run] has *)
+}
+
+(* Start [n] workers and a head over them, all at one [max_frame].
+   fail_threshold 1 so a single forced health round (or one failed
+   forward) marks a dead shard out. *)
+let start_cluster ?(n = 2) ?metrics_port ?(max_frame = P.default_max_frame)
+    () =
+  let workers =
+    List.init n (fun i -> start_worker ~max_frame (Printf.sprintf "w%d" i))
+  in
   let head_socket = fresh_socket "head" in
   let config =
     {
       Head.default_config with
       Head.socket_path = head_socket;
       backends =
-        List.map (fun w -> (w.w_name, Forwarder.Unix_path w.w_socket)) workers;
+        List.map (fun w -> (w.w_name, Client.Unix_path w.w_socket)) workers;
       fail_threshold = 1;
       retry_backoff_ms = 5;
       forward_timeout_s = Some 10.;
       metrics_port;
+      max_frame;
     }
   in
   let head = Head.create ~config () in
   let runner = Thread.create (fun () -> Head.run head) () in
+  let stop_head () =
+    Head.shutdown head;
+    Thread.join runner
+  in
+  { head_socket; head; workers; stop_head }
+
+let stop_cluster c =
+  c.stop_head ();
+  List.iter stop_worker c.workers;
+  try Unix.unlink c.head_socket with Unix.Unix_error _ -> ()
+
+(* Run [f] against a fresh cluster, then tear everything down. *)
+let with_cluster ?n ?metrics_port ?max_frame f =
+  let c = start_cluster ?n ?metrics_port ?max_frame () in
   Fun.protect
-    ~finally:(fun () ->
-      Head.shutdown head;
-      Thread.join runner;
-      List.iter stop_worker workers;
-      try Unix.unlink head_socket with Unix.Unix_error _ -> ())
-    (fun () -> f ~head_socket ~head ~workers)
+    ~finally:(fun () -> stop_cluster c)
+    (fun () -> f ~head_socket:c.head_socket ~head:c.head ~workers:c.workers)
 
 let req ?deadline_ms id op = { P.id = Json.Int id; deadline_ms; op }
 
@@ -102,17 +124,24 @@ let error_of = function
 let bind_op ?(width = 8) () =
   P.Bind { P.default_bind_params with P.bench = "pr"; width; vectors = 20 }
 
-(* One raw exchange over a fresh connection. *)
-let raw_request socket line =
+(* Raw exchanges over one fresh connection: each frame in turn, and
+   its reply line. *)
+let raw_requests socket lines =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_UNIX socket);
-      P.write_frame fd line;
-      match P.read_frame (P.reader_of_fd fd) with
-      | `Frame line -> line
-      | `Too_large _ | `Eof -> Alcotest.fail "no reply frame")
+      let reader = P.reader_of_fd fd in
+      List.map
+        (fun line ->
+          P.write_frame fd line;
+          match P.read_frame reader with
+          | `Frame line -> line
+          | `Too_large _ | `Eof -> Alcotest.fail "no reply frame")
+        lines)
+
+let raw_request socket line = List.hd (raw_requests socket [ line ])
 
 (* --- relay byte-fidelity --- *)
 
@@ -137,6 +166,29 @@ let test_relay_bytes () =
       match P.decode_reply via_head with
       | Ok { P.reply_id = Json.Int 42; _ } -> ()
       | _ -> Alcotest.fail "id not echoed through the head")
+
+(* --- the head's front end is the worker's --- *)
+
+(* Frames rejected before any routing: oversized (S012), not JSON, an
+   unknown op, bad params.  The head and a worker at the same
+   [max_frame] must answer each with the same bytes. *)
+let test_front_end_parity () =
+  let max_frame = 4096 in
+  with_cluster ~n:1 ~max_frame (fun ~head_socket ~head:_ ~workers ->
+      let frames =
+        [
+          String.make (max_frame + 100) 'x';
+          "this is not json";
+          "{\"id\": 7, \"op\": \"frobnicate\", \"params\": {}}";
+          "{\"id\": 8, \"op\": \"bind\", \"params\": {\"bench\": \"pr\", \
+           \"width\": 0, \"binder\": \"greedy\"}}";
+        ]
+      in
+      let worker = raw_requests (List.hd workers).w_socket frames in
+      let via_head = raw_requests head_socket frames in
+      List.iter2 (check_s "head reply == worker reply") worker via_head;
+      check "the oversized frame earned S012" true
+        (snd (error_of (P.decode_reply (List.hd worker))) = [ "S012" ]))
 
 (* --- session stickiness --- *)
 
@@ -442,31 +494,33 @@ let test_client_retry_daemon_down () =
           (* plain request on the reconnected client keeps working *)
           ignore (result_of (Client.request c (req 3 (P.Ping 0))))))
 
+(* The head holds no session state, so a drain never waits on one:
+   with a session open, [Head.run] returns and the socket goes, while
+   the session lives on at its shard. *)
 let test_head_drain_with_open_session () =
-  with_cluster ~n:2 (fun ~head_socket ~head ~workers:_ ->
-      let sid = open_session head_socket ~width:4 in
-      check "session opened" true (String.contains sid '/');
-      (* Shutdown with the session still open: drain must complete (the
-         Fun.protect teardown joins the runner) and new connections be
-         refused.  The assertion is that this returns at all. *)
-      Head.shutdown head;
-      Thread.delay 0.2;
-      check "head socket gone or refusing" true
-        (let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-         let refused =
-           try
-             Unix.connect fd (Unix.ADDR_UNIX head_socket);
-             (* accepted: head may still be mid-drain; either way the
-                listener closes before run returns, so give it a beat *)
-             false
-           with Unix.Unix_error _ -> true
-         in
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         refused || true))
+  let c = start_cluster ~n:2 () in
+  Fun.protect
+    ~finally:(fun () -> stop_cluster c)
+    (fun () ->
+      let sid = open_session c.head_socket ~width:4 in
+      c.stop_head ();
+      check "head socket removed" false (Sys.file_exists c.head_socket);
+      match String.split_on_char '/' sid with
+      | [ shard; inner ] ->
+          let w = List.find (fun w -> w.w_name = shard) c.workers in
+          let reply =
+            raw_request w.w_socket
+              (P.encode_request
+                 (req 2 (P.Session_close { P.sc_session = inner })))
+          in
+          ignore (result_of (P.decode_reply reply))
+      | _ -> Alcotest.failf "session id %S names no shard" sid)
 
 let suite =
   [
     Alcotest.test_case "relay is byte-faithful" `Quick test_relay_bytes;
+    Alcotest.test_case "head front end answers like a worker" `Quick
+      test_front_end_parity;
     Alcotest.test_case "sessions stick to their shard" `Quick
       test_session_stickiness;
     Alcotest.test_case "idempotent requests fail over" `Quick

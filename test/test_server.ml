@@ -1,8 +1,10 @@
 (* Serving semantics, against an in-process daemon: concurrent replies
    bit-identical to sequential runs, backpressure on a full queue,
-   deadline expiry freeing the worker slot, and graceful drain with
-   zero dropped replies.  (The CI smoke job covers the same ground over
-   a real process boundary with a real SIGTERM.) *)
+   deadline expiry freeing the worker slot, graceful drain with zero
+   dropped replies (for a worker and for a cluster head, which share
+   one front end), and a failed start that leaves nothing open.  (The
+   CI smoke job covers the same ground over a real process boundary
+   with a real SIGTERM.) *)
 
 module Json = Hlp_server.Json
 module P = Hlp_server.Protocol
@@ -25,8 +27,9 @@ let fresh_socket () =
   incr socket_counter;
   Printf.sprintf "/tmp/hlp_test_%d_%d.sock" (Unix.getpid ()) !socket_counter
 
-(* Start a server, run [f] against it, then drain — whatever [f] did. *)
-let with_server ?(workers = 2) ?(queue_capacity = 64) f =
+(* Start a server.  [stop ()] shuts it down and returns once
+   [Server.run] has; calling it again is harmless. *)
+let start_server ?(workers = 2) ?(queue_capacity = 64) () =
   let socket_path = fresh_socket () in
   let config =
     { Server.default_config with
@@ -34,12 +37,17 @@ let with_server ?(workers = 2) ?(queue_capacity = 64) f =
   in
   let server = Server.create ~config () in
   let runner = Thread.create (fun () -> Server.run server) () in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.shutdown server;
-      Thread.join runner;
-      try Unix.unlink socket_path with Unix.Unix_error _ -> ())
-    (fun () -> f socket_path server)
+  let stop () =
+    Server.shutdown server;
+    Thread.join runner;
+    try Unix.unlink socket_path with Unix.Unix_error _ -> ()
+  in
+  (socket_path, server, stop)
+
+(* Start a server, run [f] against it, then drain — whatever [f] did. *)
+let with_server ?workers ?queue_capacity f =
+  let socket_path, server, stop = start_server ?workers ?queue_capacity () in
+  Fun.protect ~finally:stop (fun () -> f socket_path server)
 
 let is_ok = function
   | Ok { P.payload = P.Result _; _ } -> true
@@ -425,45 +433,124 @@ let test_inline_flows_keep_timers_bounded () =
 
 (* --- graceful drain: every accepted request gets its reply --- *)
 
+(* Three clients each park a 600 ms ping; [stop] shuts the daemon down
+   while they run and returns once its [run] has.  Every accepted
+   request still gets its reply, and the socket is gone. *)
+let check_drain_completes ~socket ~stop =
+  let clients = Array.init 3 (fun _ -> Client.connect socket) in
+  Fun.protect
+    ~finally:(fun () -> Array.iter Client.close clients)
+    (fun () ->
+      Array.iteri
+        (fun i c ->
+          Client.send c
+            { P.id = Json.Int i; deadline_ms = None; op = P.Ping 600 })
+        clients;
+      Thread.delay 0.2 (* all three accepted and running or queued *);
+      stop ();
+      Array.iteri
+        (fun i c ->
+          check (Printf.sprintf "request %d replied after SIGTERM" i) true
+            (is_ok (Client.recv c)))
+        clients);
+  check "socket file removed" false (Sys.file_exists socket);
+  match Client.connect socket with
+  | c ->
+      Client.close c;
+      Alcotest.fail "connect after drain should fail"
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) -> ()
+
+(* The worker runs the pings on its scheduler; the head (over two
+   workers) has them in flight as forwards. *)
 let test_drain_completes_accepted () =
-  with_server ~workers:2 (fun socket server ->
-      let n = 3 in
-      let results = Array.make n (Error "no reply") in
-      let clients =
-        Array.init n (fun _ -> Client.connect socket)
+  let socket, _server, stop = start_server ~workers:2 () in
+  Fun.protect ~finally:stop (fun () -> check_drain_completes ~socket ~stop);
+  let c = Test_cluster.start_cluster ~n:2 () in
+  Fun.protect
+    ~finally:(fun () -> Test_cluster.stop_cluster c)
+    (fun () ->
+      check_drain_completes ~socket:c.Test_cluster.head_socket
+        ~stop:c.Test_cluster.stop_head)
+
+(* --- a start that fails leaves nothing open --- *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, port) -> port
+      | Unix.ADDR_UNIX _ -> assert false)
+
+(* Both daemons bind through one front end.  [start socket port]
+   creates one, raising when binding fails, and returns a function that
+   runs it through its drain. *)
+let daemons =
+  let worker socket_path tcp_port =
+    let config =
+      { Server.default_config with
+        Server.socket_path; tcp_port = Some tcp_port; workers = 1 }
+    in
+    let s = Server.create ~config () in
+    fun () ->
+      Server.shutdown s;
+      Server.run s
+  in
+  let head socket_path tcp_port =
+    let config =
+      { Hlp_cluster.Head.default_config with
+        Hlp_cluster.Head.socket_path;
+        tcp_port = Some tcp_port;
+        backends = [ ("w0", Client.Unix_path (fresh_socket ())) ] }
+    in
+    let h = Hlp_cluster.Head.create ~config () in
+    fun () ->
+      Hlp_cluster.Head.shutdown h;
+      Hlp_cluster.Head.run h
+  in
+  [ ("worker", worker); ("head", head) ]
+
+let test_failed_start_leaves_nothing_open () =
+  List.iter
+    (fun (name, start) ->
+      let fails what socket port =
+        let before = open_fds () in
+        (match start socket port with
+        | finish ->
+            finish ();
+            Alcotest.failf "%s: start %s should fail" name what
+        | exception Unix.Unix_error _ -> ());
+        Alcotest.(check int)
+          (Printf.sprintf "%s: fds after start %s" name what)
+          before (open_fds ());
+        check
+          (Printf.sprintf "%s: no socket file after start %s" name what)
+          false (Sys.file_exists socket)
       in
+      (* The Unix socket cannot bind; the TCP port could. *)
+      let port = free_port () in
+      fails "in a missing directory" "/nonexistent-hlp-dir/d.sock" port;
+      (* ...and the retry on that port succeeds. *)
+      let socket = fresh_socket () in
+      (start socket port) ();
+      check (name ^ ": drained start removes its socket") false
+        (Sys.file_exists socket);
+      (* The Unix socket binds; the TCP port is taken. *)
+      let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Fun.protect
-        ~finally:(fun () -> Array.iter Client.close clients)
+        ~finally:(fun () -> Unix.close holder)
         (fun () ->
-          Array.iteri
-            (fun i c ->
-              Client.send c
-                { P.id = Json.Int i; deadline_ms = None; op = P.Ping 600 })
-            clients;
-          Thread.delay 0.2 (* all three accepted: 2 running + 1 queued *);
-          Server.shutdown server;
-          (* Despite the shutdown racing the work, every accepted request
-             completes and its reply is delivered. *)
-          let readers =
-            Array.to_list
-              (Array.mapi
-                 (fun i c ->
-                   Thread.create (fun () -> results.(i) <- Client.recv c) ())
-                 clients)
-          in
-          List.iter Thread.join readers;
-          Array.iteri
-            (fun i r ->
-              check (Printf.sprintf "request %d replied after SIGTERM" i) true
-                (is_ok r))
-            results);
-      (* Once drained, the socket is gone: new connections are refused. *)
-      (match Client.connect socket with
-      | c ->
-          Client.close c;
-          Alcotest.fail "connect after drain should fail"
-      | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
-          ()))
+          Unix.bind holder (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+          Unix.listen holder 1;
+          match Unix.getsockname holder with
+          | Unix.ADDR_INET (_, taken) ->
+              fails "on a taken port" (fresh_socket ()) taken
+          | Unix.ADDR_UNIX _ -> assert false))
+    daemons
 
 (* --- incremental sessions over the wire --- *)
 
@@ -714,6 +801,8 @@ let suite =
       test_drain_with_open_sessions;
     Alcotest.test_case "drain completes accepted work" `Quick
       test_drain_completes_accepted;
+    Alcotest.test_case "failed start leaves nothing open" `Quick
+      test_failed_start_leaves_nothing_open;
     Alcotest.test_case "draining refuses new work" `Quick
       test_draining_refuses_new_requests;
     Alcotest.test_case "wall step does not expire deadlines" `Quick
