@@ -37,28 +37,36 @@ let inputs ?(samples = default_samples) (elab : Elaborate.t) =
   let n_steps = Array.length dp.Datapath.ctrl in
   let fsteps = float_of_int n_steps in
   let res = Array.make n_inputs Analysis.default_input in
-  (* Control lines: exact replay. *)
+  (* Control lines: exact replay.  Only their positions are counted;
+     every register bit is filled in by the replay below. *)
+  let ctrl =
+    Array.concat
+      (Array.to_list layout.Elaborate.fu_left_sel
+      @ Array.to_list layout.Elaborate.fu_right_sel
+      @ Array.to_list layout.Elaborate.reg_wsel
+      @ List.map
+          (fun pos -> [| pos |])
+          (List.filter_map Fun.id (Array.to_list layout.Elaborate.fu_sub)))
+  in
   let ones = Array.make n_inputs 0 in
   let trans = Array.make n_inputs 0 in
   let cur = Array.make n_inputs false in
   let prev = Array.make n_inputs false in
   for step = 0 to n_steps - 1 do
     Elaborate.set_controls elab cur ~step;
-    for i = 0 to n_inputs - 1 do
-      if cur.(i) then ones.(i) <- ones.(i) + 1;
-      if cur.(i) <> prev.(i) then trans.(i) <- trans.(i) + 1
-    done;
-    Array.blit cur 0 prev 0 n_inputs
+    Array.iter
+      (fun pos ->
+        if cur.(pos) then ones.(pos) <- ones.(pos) + 1;
+        if cur.(pos) <> prev.(pos) then trans.(pos) <- trans.(pos) + 1;
+        prev.(pos) <- cur.(pos))
+      ctrl
   done;
-  let ctrl_line pos =
-    let prob = float_of_int ones.(pos) /. fsteps in
-    let density = float_of_int trans.(pos) /. fsteps in
-    res.(pos) <- Analysis.input ~prob ~activity:density ~density
-  in
-  Array.iter (Array.iter ctrl_line) layout.Elaborate.fu_left_sel;
-  Array.iter (Array.iter ctrl_line) layout.Elaborate.fu_right_sel;
-  Array.iter (Array.iter ctrl_line) layout.Elaborate.reg_wsel;
-  Array.iter (Option.iter ctrl_line) layout.Elaborate.fu_sub;
+  Array.iter
+    (fun pos ->
+      let prob = float_of_int ones.(pos) /. fsteps in
+      let density = float_of_int trans.(pos) /. fsteps in
+      res.(pos) <- Analysis.input ~prob ~activity:density ~density)
+    ctrl;
   (* Register bits: word-level Monte-Carlo replay of the schedule. *)
   let n_regs = Datapath.num_regs dp in
   let width = dp.Datapath.width in

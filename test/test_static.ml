@@ -357,6 +357,50 @@ let test_static_model_inputs_match_layout () =
     (100 * Array.length dp.Hlp_rtl.Datapath.ctrl)
     (SM.cycles elab ~vectors:100)
 
+(* The analyzer's output, bit for bit, on the Sec. 6 designs
+   [Test_sim_parallel] builds: one digest per design over all six
+   [node_info] fields of every node, floats as their IEEE bits.  A
+   speed-up of the sweep must leave these untouched; a change meant to
+   move the estimates re-records them. *)
+let info_digest an =
+  let buf = Buffer.create 65536 in
+  let bits f = Buffer.add_int64_le buf (Int64.bits_of_float f) in
+  Array.iter
+    (fun (i : A.node_info) ->
+      bits i.A.prob;
+      bits i.A.functional;
+      bits i.A.density;
+      bits i.A.toggles;
+      Buffer.add_int64_le buf (Int64.of_int i.A.min_arrival);
+      Buffer.add_int64_le buf (Int64.of_int i.A.max_arrival))
+    (A.info an);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_info_digests =
+  [
+    ("pr-lopass", "f06283855171c00bb92a3b25e3d5ee68");
+    ("pr-hlp-a1.0", "902daf7985183e12883001e2fcf620c0");
+    ("pr-hlp-a0.5", "44fc96787ef3c5eb90da4b764d94cf2f");
+    ("wang-lopass", "abb019e8644f8eb8c6118c364f79ce66");
+    ("wang-hlp-a1.0", "8c5368c83f6de8b3abc6af4786e3688e");
+    ("wang-hlp-a0.5", "61a500fb1c8522f627f584200a17b642");
+    ("honda-lopass", "9d73a20a5d1bf90fbf57baa182aa73a5");
+    ("honda-hlp-a1.0", "0872ec4f241da98a3c3211894cf9dcc3");
+    ("honda-hlp-a0.5", "84122e3050da8eba60947f61fa1c3a21");
+    ("mcm-lopass", "18b03be2cc72b39e309a8c22be2e54ff");
+    ("mcm-hlp-a1.0", "1c50f8cd9c279de0b0db0a4bbffacdac");
+    ("mcm-hlp-a0.5", "ea892793da4779f5a249b30c99bc947f");
+  ]
+
+let test_info_pinned () =
+  List.iter
+    (fun (tag, elab, network) ->
+      Alcotest.(check string)
+        (tag ^ ": Analysis.info digest")
+        (List.assoc tag pinned_info_digests)
+        (info_digest (SM.analyze elab ~network)))
+    (Lazy.force Test_sim_parallel.sec6_designs)
+
 let suite =
   [
     Alcotest.test_case "reconvergent diamond" `Quick test_reconvergent_diamond;
@@ -378,6 +422,8 @@ let suite =
     Alcotest.test_case "flow estimators" `Slow test_flow_estimators;
     Alcotest.test_case "static-model inputs" `Quick
       test_static_model_inputs_match_layout;
+    Alcotest.test_case "Analysis.info pinned on the Sec. 6 designs" `Slow
+      test_info_pinned;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
