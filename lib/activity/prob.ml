@@ -21,8 +21,9 @@ let of_table_minterms f probs =
   (* Summation drift can push the total marginally outside [0, 1]. *)
   Hlp_util.Stats.clamp ~lo:0. ~hi:1. !total
 
-(* Shannon expansion on the table column, the float twin of
-   [Truth_table.eval_words]: expanding on the top input,
+(* Shannon expansion on the table column, the float twin of the
+   recursion [Truth_table.eval_column_words] uses for 5- and 6-input
+   tables: expanding on the top input,
    P(f) = P(f|x=0) + p_x * (P(f|x=1) - P(f|x=0)).  O(2^n) float
    operations instead of the O(n * 2^n) minterm sum, no allocation, and
    equal halves fold without reading the input probability.  The
@@ -44,7 +45,7 @@ let of_table f probs =
     if n < Tt.max_vars then shannon probs (Int64.to_int (Tt.bits f)) n
     else begin
       (* 2^6 table bits overflow a 63-bit native int: split on the top
-         input by hand, as [eval_words] does. *)
+         input by hand, as [eval_column_words] does. *)
       let bits = Tt.bits f in
       let blo = Int64.to_int (Int64.logand bits 0xFFFFFFFFL)
       and bhi = Int64.to_int (Int64.shift_right_logical bits 32) in

@@ -10,8 +10,8 @@
 (** [of_table f probs] is the probability that [f] evaluates to 1 given
     independent input-1 probabilities [probs] (one per table input).
     Computed by Shannon expansion on the table column ([O(2^n)] float
-    operations, the float twin of [Truth_table.eval_words]); this is the
-    hot path of the static analyzer, called once per node per sweep.
+    operations, the float twin of the recursion
+    [Truth_table.eval_column_words] uses for 5- and 6-input tables).
     @raise Invalid_argument if [Array.length probs <> arity f]. *)
 val of_table : Hlp_netlist.Truth_table.t -> float array -> float
 

@@ -34,78 +34,97 @@ let var i n =
 
 let eval t m = Int64.logand (Int64.shift_right_logical t.bits m) 1L = 1L
 
-(* Shannon expansion on the table column: at each level the column
-   splits into the low half (input n-1 = 0) and high half (input n-1 =
-   1), and the input's word selects between the two lane-wise.  The
-   recursion runs on native ints (a 2^5-entry column fits; arity 6
-   splits on its top input first) so no Int64 boxing happens on the hot
-   path, and equal halves fold to a constant without reading the input
-   word.  <= ~3*2^n word operations, no allocation — the kernel of the
-   bit-parallel simulator. *)
-let rec shannon ws bits n =
-  if n = 0 then (if bits land 1 = 1 then -1 else 0)
+(* Lane-wise evaluation of a column held as native ints: [lo] is bits
+   0-31, [hi] bits 32-63 (only arity 6 has any), and input word [i] is
+   [values.(fanins.(ofs + i))], so callers evaluate straight out of a
+   value table and a flat fanin array.  Arities 0-4 expand the column
+   into one all-ones/all-zeros word per minterm and select among them
+   with a branch-free lane multiplexer per input, ~5*2^k word
+   operations and no calls; arities 5 and 6 take a Shannon recursion,
+   which folds equal halves without reading the input word.  No
+   allocation — the kernel of the simulator. *)
+
+(* Lanes of [w] that are 1 take [b], the others [a]. *)
+let[@inline] mux w a b = a lxor (w land (a lxor b))
+
+(* Minterm [j] of the column, broadcast to every lane. *)
+let[@inline] minterm bits j = -((bits lsr j) land 1)
+
+let rec shannon values fanins ofs bits n =
+  if n = 0 then minterm bits 0
   else begin
-    let half = 1 lsl (n - 1) in
-    let lo = shannon ws bits (n - 1) in
-    let hi = shannon ws (bits lsr half) (n - 1) in
+    let lo = shannon values fanins ofs bits (n - 1) in
+    let hi = shannon values fanins ofs (bits lsr (1 lsl (n - 1))) (n - 1) in
     if lo = hi then lo
-    else
-      let w = Array.unsafe_get ws (n - 1) in
-      (w land hi) lor (lnot w land lo)
+    else mux values.(fanins.(ofs + n - 1)) lo hi
   end
 
-(* Same expansion, but input word [i] is [values.(fanins.(i))] — lets
-   callers evaluate straight out of a simulation value array without
-   copying fanin words into a scratch buffer first. *)
-let rec shannon_at values fanins bits n =
-  if n = 0 then (if bits land 1 = 1 then -1 else 0)
-  else begin
-    let half = 1 lsl (n - 1) in
-    let lo = shannon_at values fanins bits (n - 1) in
-    let hi = shannon_at values fanins (bits lsr half) (n - 1) in
-    if lo = hi then lo
-    else
-      let w =
-        Array.unsafe_get values (Array.unsafe_get fanins (n - 1))
-      in
-      (w land hi) lor (lnot w land lo)
-  end
+(* Input word [i] of the node whose fanins start at [ofs]. *)
+let[@inline] word values fanins ofs i = values.(fanins.(ofs + i))
 
-let split_top t =
-  (* 2^6 table bits do not fit a 63-bit native int: expose the two
-     32-bit Shannon halves for a manual split on the top input. *)
-  ( Int64.to_int (Int64.logand t.bits 0xFFFFFFFFL),
-    Int64.to_int (Int64.shift_right_logical t.bits 32) )
+let eval_column_words ~arity ~lo ~hi values fanins ofs =
+  match arity with
+  | 0 -> minterm lo 0
+  | 1 -> mux (word values fanins ofs 0) (minterm lo 0) (minterm lo 1)
+  | 2 ->
+      let w0 = word values fanins ofs 0 in
+      mux (word values fanins ofs 1)
+        (mux w0 (minterm lo 0) (minterm lo 1))
+        (mux w0 (minterm lo 2) (minterm lo 3))
+  | 3 ->
+      let w0 = word values fanins ofs 0 and w1 = word values fanins ofs 1 in
+      mux (word values fanins ofs 2)
+        (mux w1
+           (mux w0 (minterm lo 0) (minterm lo 1))
+           (mux w0 (minterm lo 2) (minterm lo 3)))
+        (mux w1
+           (mux w0 (minterm lo 4) (minterm lo 5))
+           (mux w0 (minterm lo 6) (minterm lo 7)))
+  | 4 ->
+      let w0 = word values fanins ofs 0 and w1 = word values fanins ofs 1 in
+      let w2 = word values fanins ofs 2 in
+      mux (word values fanins ofs 3)
+        (mux w2
+           (mux w1
+              (mux w0 (minterm lo 0) (minterm lo 1))
+              (mux w0 (minterm lo 2) (minterm lo 3)))
+           (mux w1
+              (mux w0 (minterm lo 4) (minterm lo 5))
+              (mux w0 (minterm lo 6) (minterm lo 7))))
+        (mux w2
+           (mux w1
+              (mux w0 (minterm lo 8) (minterm lo 9))
+              (mux w0 (minterm lo 10) (minterm lo 11)))
+           (mux w1
+              (mux w0 (minterm lo 12) (minterm lo 13))
+              (mux w0 (minterm lo 14) (minterm lo 15))))
+  | 5 -> shannon values fanins ofs lo 5
+  | _ ->
+      let l = shannon values fanins ofs lo 5
+      and h = shannon values fanins ofs hi 5 in
+      if l = h then l else mux (word values fanins ofs 5) l h
 
-let eval_words t ws =
-  if Array.length ws <> t.arity then
-    invalid_arg "Truth_table.eval_words: wrong number of input words";
-  if t.arity < max_vars then shannon ws (Int64.to_int t.bits) t.arity
-  else begin
-    let blo, bhi = split_top t in
-    let lo = shannon ws blo 5 and hi = shannon ws bhi 5 in
-    if lo = hi then lo
-    else
-      let w = Array.unsafe_get ws 5 in
-      (w land hi) lor (lnot w land lo)
-  end
+(* 2^6 table bits do not fit a 63-bit native int: the column travels
+   as its two 32-bit halves. *)
+let[@inline] low_half t = Int64.to_int (Int64.logand t.bits 0xFFFFFFFFL)
+let[@inline] high_half t = Int64.to_int (Int64.shift_right_logical t.bits 32)
+let column_halves t = (low_half t, high_half t)
 
 let eval_words_at t values fanins =
   if Array.length fanins <> t.arity then
     invalid_arg "Truth_table.eval_words_at: wrong number of fanins";
-  if t.arity < max_vars then
-    shannon_at values fanins (Int64.to_int t.bits) t.arity
-  else begin
-    let blo, bhi = split_top t in
-    let lo = shannon_at values fanins blo 5
-    and hi = shannon_at values fanins bhi 5 in
-    if lo = hi then lo
-    else
-      let w =
-        Array.unsafe_get values (Array.unsafe_get fanins 5)
-      in
-      (w land hi) lor (lnot w land lo)
-  end
+  eval_column_words ~arity:t.arity ~lo:(low_half t) ~hi:(high_half t) values
+    fanins 0
+
+(* Input [i] reads [ws.(i)]. *)
+let identity = Array.init max_vars Fun.id
+
+let eval_words t ws =
+  if Array.length ws <> t.arity then
+    invalid_arg "Truth_table.eval_words: wrong number of input words";
+  eval_column_words ~arity:t.arity ~lo:(low_half t) ~hi:(high_half t) ws
+    identity 0
+
 let not_ t = create t.arity (Int64.lognot t.bits)
 
 let binop name f a b =

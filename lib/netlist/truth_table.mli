@@ -42,17 +42,33 @@ val eval : t -> int -> bool
 (** [eval_words t ws] evaluates [f] lane-wise over machine words: bit
     [l] of the result is [f] applied to bit [l] of each input word
     [ws.(i)].  Equivalent to [Sys.int_size] calls of {!eval}, computed
-    by Shannon expansion in ~3*2^n word operations.  A 0-arity table
-    broadcasts its constant to every lane.
+    by {!eval_column_words}.  A 0-arity table broadcasts its constant
+    to every lane.
     @raise Invalid_argument if [Array.length ws <> arity t]. *)
 val eval_words : t -> int array -> int
 
 (** [eval_words_at t values fanins] is
     [eval_words t [|values.(fanins.(0)); ...|]] without materializing
-    the intermediate array — the simulation hot path evaluates a node
-    straight out of its value table.
+    the intermediate array.
     @raise Invalid_argument if [Array.length fanins <> arity t]. *)
 val eval_words_at : t -> int array -> int array -> int
+
+(** [column_halves t] is [t]'s column as two native ints: bits 0-31 and
+    bits 32-63 (zero below arity 6).  A 2^6-bit column does not fit one
+    63-bit int. *)
+val column_halves : t -> int * int
+
+(** [eval_column_words ~arity ~lo ~hi values fanins ofs] evaluates, lane
+    by lane, the [arity]-input table whose {!column_halves} are
+    [(lo, hi)], input word [i] being [values.(fanins.(ofs + i))] — the
+    simulator's kernel, reading a node's fanins out of one flat array.
+    Arities 0-4 select among broadcast minterms with one branch-free
+    lane multiplexer per input (~5*2^k word operations); 5 and 6 use a
+    Shannon recursion; nothing is allocated.  [arity] must be in
+    [0, 6].
+    @raise Invalid_argument if an input index is out of bounds. *)
+val eval_column_words :
+  arity:int -> lo:int -> hi:int -> int array -> int array -> int -> int
 
 (** Pointwise negation. *)
 val not_ : t -> t

@@ -320,134 +320,172 @@ let run_scalar ?(config = default_config) (elab : Elaborate.t) ~network =
    values at the previous time step (the two-phase commit), lane-wise
    word evaluation computes the identical trajectory for every lane at
    once: a diff word's popcount is the number of lanes toggling, and the
-   OR of a cycle's diff words identifies the lanes that toggled at all —
-   [transitions - popcount(or)] is exactly the scalar engine's
-   [max 0 (cycle_toggles - 1)] summed over lanes.
+   OR of a cycle's diff words identifies the lanes that toggled at all,
+   so a cycle's glitches are its transitions minus the popcounts of
+   those ORs — the scalar engine's [max 0 (cycle_toggles - 1)] summed
+   over nodes and lanes.
 
    Inactive lanes (the tail batch) idle at the canonical state: the
    canonical values are a fixpoint of the network, inputs are masked to
-   the active lanes, so inactive lanes never produce a diff. *)
-type word_state = {
-  wnet : Nl.t;
-  wvalues : int array;
-  wcanonical : int array;  (* canonical value broadcast: -1 / 0 per node *)
-  wfanouts : int array array;
-  wtoggles : int array;
-  cyc_trans : int array;  (* transitions this cycle, summed over lanes *)
-  cyc_or : int array;  (* OR of this cycle's diff words *)
-  wtouched : int list ref;
-  wbuckets : int array array;
-  wbucket_fill : int array;
-  wstamped : int array;
-  wchanged : int array;  (* scratch: ids changing in the current bucket *)
-  wnew_vals : int array;  (* scratch: their new words, same index *)
-  wmax_time : int;
+   the active lanes, so inactive lanes never produce a diff.
+
+   The network is flattened once per run: fanins and fanouts in CSR
+   form (node [id]'s fanins are [fi.(fi_ofs.(id)) ..
+   fi.(fi_ofs.(id + 1) - 1)]), LUT columns as native ints.  Events only
+   ever move from step t to t + 1, so two buffers alternate: the
+   changes of step t, committed into the queue of step t + 1, evaluated
+   into the changes of step t + 1.  A node is queued at most once per
+   step, deduplicated by the step's generation number. *)
+type engine = {
+  inputs : int array;  (* network input ids, in assignment order *)
+  arity : int array;
+  lo : int array;  (* column bits 0-31, per node *)
+  hi : int array;  (* column bits 32-63 (arity 6 only) *)
+  fi_ofs : int array;
+  fi : int array;
+  fo_ofs : int array;
+  fo : int array;
+  canonical : int array;  (* settled all-false response, -1 / 0 per node *)
+  values : int array;
+  toggles : int array;
+  cyc_or : int array;  (* OR of this cycle's diff words, per node *)
+  touched : int array;  (* stack: the nodes with a nonzero [cyc_or] *)
+  queued : int array;  (* generation a node was last queued in *)
+  queue : int array;  (* the nodes to evaluate at the next step *)
+  changed : int array;  (* the nodes changing at this step *)
+  new_vals : int array;  (* their new words, same index *)
 }
 
-let create_word net canonical =
+let flatten net =
   let n = Nl.num_nodes net in
-  let max_time = Nl.max_depth net + 1 in
+  let arity = Array.make n 0 and lo = Array.make n 0 and hi = Array.make n 0 in
+  let fi_ofs = Array.make (n + 1) 0 and fo_ofs = Array.make (n + 1) 0 in
+  for id = 0 to n - 1 do
+    let node = Nl.node net id in
+    let k = if Nl.is_input net id then 0 else Array.length node.Nl.fanins in
+    fi_ofs.(id + 1) <- fi_ofs.(id) + k;
+    if k > 0 then begin
+      let l, h = Tt.column_halves node.Nl.func in
+      arity.(id) <- k;
+      lo.(id) <- l;
+      hi.(id) <- h;
+      Array.iter (fun f -> fo_ofs.(f + 1) <- fo_ofs.(f + 1) + 1) node.Nl.fanins
+    end
+  done;
+  for id = 0 to n - 1 do
+    fo_ofs.(id + 1) <- fo_ofs.(id + 1) + fo_ofs.(id)
+  done;
+  let fi = Array.make fi_ofs.(n) 0 and fo = Array.make fo_ofs.(n) 0 in
+  let fill = Array.sub fo_ofs 0 (max n 1) in
+  for id = 0 to n - 1 do
+    if arity.(id) > 0 then
+      Array.iteri
+        (fun i f ->
+          fi.(fi_ofs.(id) + i) <- f;
+          fo.(fill.(f)) <- id;
+          fill.(f) <- fill.(f) + 1)
+        (Nl.node net id).Nl.fanins
+  done;
+  let inputs = Nl.inputs net in
   {
-    wnet = net;
-    wvalues = Array.make n 0;
-    wcanonical = Array.init n (fun id -> if canonical.(id) then -1 else 0);
-    wfanouts = Nl.fanouts net;
-    wtoggles = Array.make n 0;
-    cyc_trans = Array.make n 0;
+    inputs;
+    arity;
+    lo;
+    hi;
+    fi_ofs;
+    fi;
+    fo_ofs;
+    fo;
+    canonical = Nl.eval_words net (Array.make (Array.length inputs) 0);
+    values = Array.make n 0;
+    toggles = Array.make n 0;
     cyc_or = Array.make n 0;
-    wtouched = ref [];
-    wbuckets = Array.init (max_time + 2) (fun _ -> Array.make 16 0);
-    wbucket_fill = Array.make (max_time + 2) 0;
-    wstamped = Array.make n (-1);
-    wchanged = Array.make (max n 1) 0;
-    wnew_vals = Array.make (max n 1) 0;
-    wmax_time = max_time;
+    touched = Array.make n 0;
+    queued = Array.make n (-1);
+    queue = Array.make n 0;
+    changed = Array.make n 0;
+    new_vals = Array.make n 0;
   }
 
-let eval_node_words e id =
-  let node = Nl.node e.wnet id in
-  Tt.eval_words_at node.Nl.func e.wvalues node.Nl.fanins
-
-let record_toggle_words e id diff =
-  let count = Bits.popcount diff in
-  e.wtoggles.(id) <- e.wtoggles.(id) + count;
-  if e.cyc_trans.(id) = 0 then e.wtouched := id :: !(e.wtouched);
-  e.cyc_trans.(id) <- e.cyc_trans.(id) + count;
-  e.cyc_or.(id) <- e.cyc_or.(id) lor diff
-
-let settle_words e ~epoch (assignment : int array) =
-  let inputs = Nl.inputs e.wnet in
-  let stamp_base = epoch * (e.wmax_time + 2) in
-  Array.fill e.wbucket_fill 0 (Array.length e.wbucket_fill) 0;
-  Array.iteri
-    (fun k id ->
-      let nw = assignment.(k) in
-      let diff = nw lxor e.wvalues.(id) in
-      if diff <> 0 then begin
-        e.wvalues.(id) <- nw;
-        record_toggle_words e id diff;
-        Array.iter
-          (fun fo ->
-            if e.wstamped.(fo) <> stamp_base + 1 then begin
-              e.wstamped.(fo) <- stamp_base + 1;
-              enqueue e.wbuckets e.wbucket_fill 1 fo
-            end)
-          e.wfanouts.(id)
-      end)
-    inputs;
-  let t = ref 1 in
-  while !t <= e.wmax_time + 1 do
-    let fill = e.wbucket_fill.(!t) in
-    if fill > 0 then begin
-      let bucket = e.wbuckets.(!t) in
-      let n_changed = ref 0 in
-      for i = 0 to fill - 1 do
-        let id = bucket.(i) in
-        let nv = eval_node_words e id in
-        if nv <> e.wvalues.(id) then begin
-          e.wchanged.(!n_changed) <- id;
-          e.wnew_vals.(!n_changed) <- nv;
-          incr n_changed
-        end
-      done;
-      let next = min (!t + 1) (e.wmax_time + 1) in
-      for i = 0 to !n_changed - 1 do
-        let id = e.wchanged.(i) in
-        let nv = e.wnew_vals.(i) in
-        let diff = nv lxor e.wvalues.(id) in
-        e.wvalues.(id) <- nv;
-        record_toggle_words e id diff;
-        Array.iter
-          (fun fo ->
-            if e.wstamped.(fo) <> stamp_base + next then begin
-              e.wstamped.(fo) <- stamp_base + next;
-              enqueue e.wbuckets e.wbucket_fill next fo
-            end)
-          e.wfanouts.(id)
-      done;
-      e.wbucket_fill.(!t) <- 0
-    end;
-    incr t
+(* Apply the input words at t = 0 and settle the network; returns the
+   glitch transitions of this cycle.  [gen] is the last generation
+   number used (strictly increasing across calls, so [queued] never
+   needs clearing); the new last one is stored back.  The inner loops
+   skip bounds checks: every id comes from the network (< n), and the
+   queue and the change list hold each node at most once per step. *)
+let settle e ~gen (assignment : int array) =
+  let values = e.values and queued = e.queued and queue = e.queue in
+  let changed = e.changed and new_vals = e.new_vals in
+  let toggles = e.toggles and cyc_or = e.cyc_or in
+  let fo_ofs = e.fo_ofs and fo = e.fo in
+  let n_changed = ref 0 in
+  for k = 0 to Array.length e.inputs - 1 do
+    let id = e.inputs.(k) in
+    if assignment.(k) <> values.(id) then begin
+      changed.(!n_changed) <- id;
+      new_vals.(!n_changed) <- assignment.(k);
+      incr n_changed
+    end
   done;
-  let glitches =
-    List.fold_left
-      (fun acc id -> acc + (e.cyc_trans.(id) - Bits.popcount e.cyc_or.(id)))
-      0 !(e.wtouched)
-  in
-  List.iter
-    (fun id ->
-      e.cyc_trans.(id) <- 0;
-      e.cyc_or.(id) <- 0)
-    !(e.wtouched);
-  e.wtouched := [];
-  glitches
+  let trans = ref 0 and n_touched = ref 0 and g = ref !gen in
+  while !n_changed > 0 do
+    (* Phase 2 of step t (the inputs at t = 0): commit all changes,
+       count them, queue the fanouts for step t + 1. *)
+    incr g;
+    let n_queued = ref 0 in
+    for i = 0 to !n_changed - 1 do
+      let id = Array.unsafe_get changed i in
+      let nv = Array.unsafe_get new_vals i in
+      let diff = nv lxor Array.unsafe_get values id in
+      Array.unsafe_set values id nv;
+      let count = Bits.popcount diff in
+      Array.unsafe_set toggles id (Array.unsafe_get toggles id + count);
+      trans := !trans + count;
+      let seen = Array.unsafe_get cyc_or id in
+      if seen = 0 then begin
+        Array.unsafe_set e.touched !n_touched id;
+        incr n_touched
+      end;
+      Array.unsafe_set cyc_or id (seen lor diff);
+      for j = Array.unsafe_get fo_ofs id to Array.unsafe_get fo_ofs (id + 1) - 1 do
+        let f = Array.unsafe_get fo j in
+        if Array.unsafe_get queued f <> !g then begin
+          Array.unsafe_set queued f !g;
+          Array.unsafe_set queue !n_queued f;
+          incr n_queued
+        end
+      done
+    done;
+    (* Phase 1 of step t + 1: evaluate every queued node against the
+       values as they stood when the step opened. *)
+    n_changed := 0;
+    for i = 0 to !n_queued - 1 do
+      let id = Array.unsafe_get queue i in
+      let nv =
+        Tt.eval_column_words ~arity:(Array.unsafe_get e.arity id)
+          ~lo:(Array.unsafe_get e.lo id) ~hi:(Array.unsafe_get e.hi id)
+          values e.fi (Array.unsafe_get e.fi_ofs id)
+      in
+      if nv <> Array.unsafe_get values id then begin
+        Array.unsafe_set changed !n_changed id;
+        Array.unsafe_set new_vals !n_changed nv;
+        incr n_changed
+      end
+    done
+  done;
+  gen := !g;
+  let glitches = ref !trans in
+  for i = 0 to !n_touched - 1 do
+    let id = e.touched.(i) in
+    glitches := !glitches - Bits.popcount cyc_or.(id);
+    cyc_or.(id) <- 0
+  done;
+  !glitches
 
 let run ?(config = default_config) (elab : Elaborate.t) ~network =
   Telemetry.time "sim.run" @@ fun () ->
   let h = make_harness elab ~network ~config ~fill:0 in
-  (* The canonical all-false steady state, shared with the oracle. *)
-  let canonical = (create_scalar network).values in
-  let e = create_word network canonical in
+  let e = flatten network in
   let n = Nl.num_nodes network in
   let lanes = Bits.lanes in
   let regs_w =
@@ -455,7 +493,7 @@ let run ?(config = default_config) (elab : Elaborate.t) ~network =
   in
   let glitches = ref 0 in
   let cycles = ref 0 in
-  let epoch = ref 0 in
+  let gen = ref 0 in
   let batches = (config.vectors + lanes - 1) / lanes in
   for batch = 0 to batches - 1 do
     let base = batch * lanes in
@@ -463,7 +501,7 @@ let run ?(config = default_config) (elab : Elaborate.t) ~network =
     let active_mask = Bits.mask_lanes active in
     (* Per-vector independence, word form: every lane starts from the
        canonical state, registers all zero. *)
-    Array.blit e.wcanonical 0 e.wvalues 0 n;
+    Array.blit e.canonical 0 e.values 0 n;
     Array.iter (fun w -> Array.fill w 0 (Array.length w) 0) regs_w;
     List.iter
       (fun (k, r) ->
@@ -482,8 +520,7 @@ let run ?(config = default_config) (elab : Elaborate.t) ~network =
         Elaborate.set_reg_words elab h.assignment ~reg:r ~words:regs_w.(r)
       done;
       Elaborate.set_controls_words elab h.assignment ~step ~mask:active_mask;
-      glitches := !glitches + settle_words e ~epoch:!epoch h.assignment;
-      incr epoch;
+      glitches := !glitches + settle e ~gen h.assignment;
       cycles := !cycles + active;
       let loads = h.dp.Datapath.ctrl.(step).Datapath.reg_load in
       Array.iteri
@@ -496,7 +533,7 @@ let run ?(config = default_config) (elab : Elaborate.t) ~network =
               else begin
                 let w = regs_w.(r) in
                 for bit = 0 to h.width - 1 do
-                  w.(bit) <- e.wvalues.(ids.(bit)) land active_mask
+                  w.(bit) <- e.values.(ids.(bit)) land active_mask
                 done
               end
           | None -> ())
@@ -518,14 +555,14 @@ let run ?(config = default_config) (elab : Elaborate.t) ~network =
           expect h.dp.Datapath.output_regs
       done
   done;
-  let total_toggles = Array.fold_left ( + ) 0 e.wtoggles in
+  let total_toggles = Array.fold_left ( + ) 0 e.toggles in
   Telemetry.incr c_runs;
   Telemetry.add c_vectors config.vectors;
   Telemetry.add c_cycles !cycles;
   Telemetry.add c_toggles total_toggles;
   Telemetry.add c_glitches !glitches;
   {
-    node_toggles = e.wtoggles;
+    node_toggles = e.toggles;
     total_toggles;
     glitch_toggles = !glitches;
     cycles = !cycles;

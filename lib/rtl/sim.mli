@@ -12,15 +12,21 @@
     {2 Engines}
 
     {!run} is the bit-parallel engine: one machine word per signal,
-    packing [Sys.int_size] vectors into the lanes of each word and
-    evaluating every LUT with bitwise truth-table expansion
-    ({!Hlp_netlist.Truth_table.eval_words}).  Per-node toggle counts
-    are popcounts of the XOR between successive word values; the tail
-    batch masks its unused lanes, which idle at the network's canonical
+    packing [Sys.int_size] vectors into the lanes of each word.  It
+    flattens the network once per run — fanins and fanouts as flat
+    (CSR) arrays, LUT columns as native ints — and evaluates each
+    node lane-wise with {!Hlp_netlist.Truth_table.eval_column_words}
+    (per-arity multiplexer trees; Shannon recursion for 5 and 6
+    inputs).  Events only move from one unit-delay step to the next,
+    so two buffers alternate between the changes of step [t] and the
+    queue of step [t + 1].  Per-node toggle counts are popcounts of
+    the XOR between successive word values; the tail batch masks its
+    unused lanes, which idle at the network's canonical
     (all-false-input) state.
 
     {!run_scalar} is the reference oracle the test suite holds {!run}
-    to: one boolean per signal, one vector at a time.  The two are
+    to: one boolean per signal, one vector at a time, and no other
+    caller.  The two are
     {e bit-identical} — same [node_toggles], [glitch_toggles],
     [total_toggles] and [cycles] for every configuration.  This holds
     because simulation is per-vector independent and each unit-delay

@@ -96,11 +96,13 @@ let prop_sim_differential =
       let cdfg = random_cdfg st ~num_inputs ~num_ops in
       let width = 1 + (seed mod 4) in
       let elab = elab_of ~width cdfg in
-      (* Alternate between the raw gate netlist and the mapped LUT
-         network — both are simulated in production. *)
+      (* Rotate through the raw gate netlist (cells of arity <= 3) and
+         the mapped 4-, 5- and 6-LUT covers, so every word-evaluator
+         arity is simulated. *)
       let network =
-        if seed mod 2 = 0 then elab.Elaborate.netlist
-        else (Mapper.map elab.Elaborate.netlist ~k:4).Mapper.lut_network
+        match seed mod 4 with
+        | 0 -> elab.Elaborate.netlist
+        | r -> (Mapper.map elab.Elaborate.netlist ~k:(r + 3)).Mapper.lut_network
       in
       let config =
         {

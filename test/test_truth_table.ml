@@ -167,9 +167,33 @@ let prop_compose_pointwise =
       done;
       !ok)
 
+(* The word evaluators against [eval], lane by lane: random tables of
+   arity 0-6 over random input words.  [eval_words_at] reads its words
+   through a fanin array out of a larger value table, as the simulator
+   and [Netlist.eval_words] do. *)
+let prop_eval_words_lanes =
+  QCheck.Test.make ~name:"eval_words and eval_words_at = eval per lane"
+    ~count:300
+    QCheck.(pair arb_table (array_of_size (Gen.return 8) int))
+    (fun (t, pool) ->
+      let n = Tt.arity t in
+      let fanins = Array.init n (fun i -> 7 - i) in
+      let ws = Array.map (fun f -> pool.(f)) fanins in
+      let words = Tt.eval_words t ws and at = Tt.eval_words_at t pool fanins in
+      let ok = ref (words = at) in
+      for l = 0 to Hlp_util.Bits.lanes - 1 do
+        let m = ref 0 in
+        for i = 0 to n - 1 do
+          if (ws.(i) lsr l) land 1 = 1 then m := !m lor (1 lsl i)
+        done;
+        if (words lsr l) land 1 = 1 <> Tt.eval t !m then ok := false
+      done;
+      !ok)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_eval_words_lanes;
       prop_double_negation;
       prop_xor_self;
       prop_shannon;
