@@ -60,44 +60,29 @@ let rec shannon values fanins ofs bits n =
   end
 
 (* Input word [i] of the node whose fanins start at [ofs]. *)
-let[@inline] word values fanins ofs i = values.(fanins.(ofs + i))
+let[@inline] word (values : int array) (fanins : int array) ofs i =
+  values.(fanins.(ofs + i))
+
+(* Multiplexer trees over the low 2^k minterms of [b]: input k - 1
+   selects between the trees of the two halves. *)
+let[@inline] tree1 w0 b = mux w0 (minterm b 0) (minterm b 1)
+let[@inline] tree2 w0 w1 b = mux w1 (tree1 w0 b) (tree1 w0 (b lsr 2))
+let[@inline] tree3 w0 w1 w2 b = mux w2 (tree2 w0 w1 b) (tree2 w0 w1 (b lsr 4))
+
+let[@inline] tree4 w0 w1 w2 w3 b =
+  mux w3 (tree3 w0 w1 w2 b) (tree3 w0 w1 w2 (b lsr 8))
 
 let eval_column_words ~arity ~lo ~hi values fanins ofs =
   match arity with
   | 0 -> minterm lo 0
-  | 1 -> mux (word values fanins ofs 0) (minterm lo 0) (minterm lo 1)
-  | 2 ->
-      let w0 = word values fanins ofs 0 in
-      mux (word values fanins ofs 1)
-        (mux w0 (minterm lo 0) (minterm lo 1))
-        (mux w0 (minterm lo 2) (minterm lo 3))
+  | 1 -> tree1 (word values fanins ofs 0) lo
+  | 2 -> tree2 (word values fanins ofs 0) (word values fanins ofs 1) lo
   | 3 ->
-      let w0 = word values fanins ofs 0 and w1 = word values fanins ofs 1 in
-      mux (word values fanins ofs 2)
-        (mux w1
-           (mux w0 (minterm lo 0) (minterm lo 1))
-           (mux w0 (minterm lo 2) (minterm lo 3)))
-        (mux w1
-           (mux w0 (minterm lo 4) (minterm lo 5))
-           (mux w0 (minterm lo 6) (minterm lo 7)))
+      tree3 (word values fanins ofs 0) (word values fanins ofs 1)
+        (word values fanins ofs 2) lo
   | 4 ->
-      let w0 = word values fanins ofs 0 and w1 = word values fanins ofs 1 in
-      let w2 = word values fanins ofs 2 in
-      mux (word values fanins ofs 3)
-        (mux w2
-           (mux w1
-              (mux w0 (minterm lo 0) (minterm lo 1))
-              (mux w0 (minterm lo 2) (minterm lo 3)))
-           (mux w1
-              (mux w0 (minterm lo 4) (minterm lo 5))
-              (mux w0 (minterm lo 6) (minterm lo 7))))
-        (mux w2
-           (mux w1
-              (mux w0 (minterm lo 8) (minterm lo 9))
-              (mux w0 (minterm lo 10) (minterm lo 11)))
-           (mux w1
-              (mux w0 (minterm lo 12) (minterm lo 13))
-              (mux w0 (minterm lo 14) (minterm lo 15))))
+      tree4 (word values fanins ofs 0) (word values fanins ofs 1)
+        (word values fanins ofs 2) (word values fanins ofs 3) lo
   | 5 -> shannon values fanins ofs lo 5
   | _ ->
       let l = shannon values fanins ofs lo 5

@@ -447,7 +447,8 @@ let settle e ~gen (assignment : int array) =
         incr n_touched
       end;
       Array.unsafe_set cyc_or id (seen lor diff);
-      for j = Array.unsafe_get fo_ofs id to Array.unsafe_get fo_ofs (id + 1) - 1 do
+      let last_fo = Array.unsafe_get fo_ofs (id + 1) - 1 in
+      for j = Array.unsafe_get fo_ofs id to last_fo do
         let f = Array.unsafe_get fo j in
         if Array.unsafe_get queued f <> !g then begin
           Array.unsafe_set queued f !g;

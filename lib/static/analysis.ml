@@ -87,7 +87,8 @@ let default_glitch_gain = 0.945
    NaN here. *)
 let[@inline] fmin (a : float) (b : float) = if a <= b then a else b
 let[@inline] fmax (a : float) (b : float) = if a >= b then a else b
-let[@inline] clamp01 (x : float) = if x <= 0. then 0. else if x >= 1. then 1. else x
+let[@inline] clamp01 (x : float) =
+  if x <= 0. then 0. else if x >= 1. then 1. else x
 
 (* The Chou-Roy joint term at one time step, [Switching.of_table] with
    the ones of the function precomputed: P(y(t)=1, y(t+T)=1) summed
@@ -299,7 +300,9 @@ let analyze ?(glitch_gain = default_glitch_gain) net ~input =
   (* Tables of arity <= 3 (most of a 4-LUT cover) index a direct-mapped
      cache by their 8 content bits and arity; wider ones take a hash
      table keyed by the raw column. *)
-  let no_entry = { f_ones = [||]; bd_ones = [||]; pair_diag = [||]; pair_off = [||] } in
+  let no_entry =
+    { f_ones = [||]; bd_ones = [||]; pair_diag = [||]; pair_off = [||] }
+  in
   let small_cache = Array.make 1024 no_entry in
   let wide_cache = Hashtbl.create 16 in
   let func_info func =

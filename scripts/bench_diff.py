@@ -12,11 +12,15 @@ the deterministic sections:
   - designs:  per-(bench, binder) power/clock/LUT/mux/toggle metrics
   - bind:     per-bench binder iteration counts (not wall clock)
   - summary:  the Table 3 / Figure 3 averages
+  - static_estimator.rows:  per-bench cycles, sim_toggles,
+              static_toggles and rel_error — the 1000-vector Sim.run
+              and the static analyzer on the same mapped network
 
-Wall-clock fields (hlp_seconds, phases[].seconds, total_seconds), the
-SA-table hit counters (cache-temperature dependent) and meta.jobs are
-informational and never compared.  A meta-knob mismatch is an error:
-the comparison would be meaningless.
+Wall-clock fields (hlp_seconds, phases[].seconds, total_seconds, the
+static rows' sim_seconds / static_seconds / speedup and the sweep
+speedup), the SA-table hit counters (cache-temperature dependent) and
+meta.jobs are informational and never compared.  A meta-knob mismatch
+is an error: the comparison would be meaningless.
 """
 
 import json
@@ -32,6 +36,7 @@ DESIGN_METRICS = (
     "mux_length",
     "toggle_mhz",
 )
+STATIC_METRICS = ("cycles", "sim_toggles", "static_toggles", "rel_error")
 
 
 def die(msg):
@@ -101,6 +106,19 @@ def main():
         if b != c:
             failures.append(f"summary.{key}: {b!r} != {c!r}")
 
+    b_static = {row["bench"]: row for row in base["static_estimator"]["rows"]}
+    c_static = {row["bench"]: row for row in cur["static_estimator"]["rows"]}
+    for bench in sorted(set(b_static) | set(c_static)):
+        if bench not in b_static or bench not in c_static:
+            failures.append(
+                f"static_estimator.rows[{bench}]: present in only one report")
+            continue
+        for metric in STATIC_METRICS:
+            b, c = b_static[bench][metric], c_static[bench][metric]
+            if b != c:
+                failures.append(
+                    f"static_estimator.rows[{bench}].{metric}: {b!r} != {c!r}")
+
     if failures:
         print(f"bench_diff: {cur_path} drifted from {base_path}:",
               file=sys.stderr)
@@ -109,8 +127,9 @@ def main():
         sys.exit(1)
 
     n = len(set(b_designs))
-    print(f"bench_diff: OK — {n} designs, {len(b_bind)} bind rows and "
-          f"{len(base['summary'])} summary metrics bit-identical")
+    print(f"bench_diff: OK — {n} designs, {len(b_bind)} bind rows, "
+          f"{len(base['summary'])} summary metrics and {len(b_static)} "
+          f"static rows bit-identical")
 
 
 if __name__ == "__main__":
