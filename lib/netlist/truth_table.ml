@@ -39,8 +39,9 @@ let eval t m = Int64.logand (Int64.shift_right_logical t.bits m) 1L = 1L
    [values.(fanins.(ofs + i))], so callers evaluate straight out of a
    value table and a flat fanin array.  Arities 0-4 expand the column
    into one all-ones/all-zeros word per minterm and select among them
-   with a branch-free lane multiplexer per input, ~5*2^k word
-   operations and no calls; arities 5 and 6 take a Shannon recursion,
+   with a tree of 2^k - 1 branch-free lane multiplexers (input i picks
+   between the halves at level i), ~5*2^k word operations and no
+   calls; arities 5 and 6 take a Shannon recursion,
    which folds equal halves without reading the input word.  No
    allocation — the kernel of the simulator. *)
 

@@ -62,9 +62,9 @@ val column_halves : t -> int * int
     by lane, the [arity]-input table whose {!column_halves} are
     [(lo, hi)], input word [i] being [values.(fanins.(ofs + i))] — the
     simulator's kernel, reading a node's fanins out of one flat array.
-    Arities 0-4 select among broadcast minterms with one branch-free
-    lane multiplexer per input (~5*2^k word operations); 5 and 6 use a
-    Shannon recursion; nothing is allocated.  [arity] must be in
+    Arities 0-4 select among broadcast minterms with a tree of
+    2^k - 1 branch-free lane multiplexers (~5*2^k word operations); 5
+    and 6 use a Shannon recursion; nothing is allocated.  [arity] must be in
     [0, 6].
     @raise Invalid_argument if an input index is out of bounds. *)
 val eval_column_words :
