@@ -45,10 +45,8 @@ let of_table f probs =
     if n < Tt.max_vars then shannon probs (Int64.to_int (Tt.bits f)) n
     else begin
       (* 2^6 table bits overflow a 63-bit native int: split on the top
-         input by hand, as [eval_column_words] does. *)
-      let bits = Tt.bits f in
-      let blo = Int64.to_int (Int64.logand bits 0xFFFFFFFFL)
-      and bhi = Int64.to_int (Int64.shift_right_logical bits 32) in
+         input, as [eval_column_words] does. *)
+      let blo, bhi = Tt.column_halves f in
       let lo = shannon probs blo 5 and hi = shannon probs bhi 5 in
       if lo = hi then lo else lo +. (probs.(5) *. (hi -. lo))
     end

@@ -83,7 +83,9 @@ val analyze :
 val net : t -> Hlp_netlist.Netlist.t
 val glitch_gain : t -> float
 
-(** [info t] is the per-node-id analysis result. *)
+(** [info t] is the per-node-id analysis result.  The sweep keeps its
+    results in flat arrays, so each call boxes a fresh array of
+    [num_nodes] records: call it once per analysis, not per node. *)
 val info : t -> node_info array
 
 (** [node_toggles t] is the per-node-id toggle estimate per cycle —

@@ -87,7 +87,7 @@ let vector_choices = [| 0; 1; 2; Bits.lanes; Bits.lanes + 1; 64; 100; 130 |]
 let prop_sim_differential =
   QCheck.Test.make
     ~name:"glitch sim: scalar oracle = bit-parallel (random CDFGs)"
-    ~count:20
+    ~count:40
     QCheck.(
       quad (int_range 0 10_000) (int_range 1 4) (int_range 1 10)
         (int_range 0 (Array.length vector_choices - 1)))
@@ -98,9 +98,10 @@ let prop_sim_differential =
       let elab = elab_of ~width cdfg in
       (* Rotate through the raw gate netlist (cells of arity <= 3) and
          the mapped 4-, 5- and 6-LUT covers, so every word-evaluator
-         arity is simulated. *)
+         arity is simulated.  [seed / 4] picks the network independently
+         of [seed mod 4], the width, so each network meets every width. *)
       let network =
-        match seed mod 4 with
+        match (seed / 4) mod 4 with
         | 0 -> elab.Elaborate.netlist
         | r -> (Mapper.map elab.Elaborate.netlist ~k:(r + 3)).Mapper.lut_network
       in
