@@ -1,10 +1,15 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (§6), plus the ablations called out in DESIGN.md.
+   evaluation section (§6), plus the ablations called out in DESIGN.md,
+   and gates the static estimator: the run exits 1 if a static row's
+   toggle error leaves its bound or the static sweep is under its
+   speedup floor over the simulated one.
 
    Environment knobs:
      HLP_VECTORS  random simulation vectors per design (default 150;
                   the paper uses 1000 — set HLP_VECTORS=1000 to match)
      HLP_WIDTH    datapath word width in bits (default 16)
+     HLP_VARIANTS generated instances per benchmark profile, averaged
+                  in Table 3 and Figure 3 (default 2)
      HLP_FAST     if set, restrict the flow tables to the four smaller
                   benchmarks (pr, wang, honda, mcm)
      HLP_JOBS     worker domains for the per-design loops (default:
@@ -22,18 +27,10 @@
                   report (per-design Sec. 6 metrics, bind times,
                   SA-table hit rates, phase timings) on exit
      HLP_TELEMETRY=path.json  dump counters/timers on exit
-     HLP_LOADGEN=socket  skip the tables and instead drive a running
-                  hlpowerd at the given Unix-socket path with concurrent
-                  clients; reports throughput and latency percentiles.
-                  Tuned by HLP_LOADGEN_CLIENTS (default 4),
-                  HLP_LOADGEN_REQUESTS per client (default 25),
-                  HLP_LOADGEN_OP (ping|bind|flow|stats, default bind) and
-                  HLP_LOADGEN_BENCH (default pr)
-     HLP_LOADGEN_EDITS=n  with HLP_LOADGEN: each client instead runs an
-                  incremental-session edit stream (5 full binds for a
-                  baseline, then session_open -> n one-op edits ->
-                  session_close) and the run reports full-bind vs
-                  incremental p50/p99; any protocol error exits 1 *)
+
+   Load on a running daemon comes from elsewhere: perf/ is the measured
+   benchmark, `hlpower_cli client` sends binds and session edit streams,
+   and fuzz/hlp_fuzz.exe is the fault soak. *)
 
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
@@ -767,444 +764,6 @@ let bench_json_if_requested ~total_seconds =
         Printf.eprintf "[bench] wrote %s\n%!" path
       with Sys_error msg ->
         Printf.eprintf "[bench] cannot write %s: %s\n%!" path msg)
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Concurrent load generator (HLP_LOADGEN=socket): each client thread
-   holds its own connection and issues requests back to back; the
-   aggregate exercises the daemon's queue, worker pool and warm SA
-   tables under real contention. *)
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
-
-(* Edit-stream mode (HLP_LOADGEN_EDITS=n): each client measures full
-   [bind] round trips for a baseline, then opens a session and streams n
-   one-op edits through it before closing.  Reports full-bind vs
-   incremental p50/p99 and the daemon-side reply-cache hit count; any
-   protocol error fails the run. *)
-let edits_loadgen socket ~clients ~edits ~bench =
-  let module P = Hlp_server.Protocol in
-  let module C = Hlp_server.Client in
-  let module J = Hlp_server.Json in
-  let full_reps = 5 in
-  Printf.printf
-    "loadgen-edits: %d clients x (%d binds + open + %d edits + close) on %s \
-     against %s\n\
-     %!"
-    clients full_reps edits bench socket;
-  let errors = Atomic.make 0 in
-  let reply_hits = Atomic.make 0 in
-  let full_lat = Array.make (clients * full_reps) 0. in
-  let edit_lat = Array.make (clients * edits) 0. in
-  (* The daemon's generator is pure, so the id the first add_op receives
-     is knowable client-side: ops are appended at [num_ops]. *)
-  let added_id = Hlp_cdfg.Cdfg.num_ops (B.generate (B.find bench)) in
-  let client_body c_idx =
-    let c = C.connect socket in
-    Fun.protect
-      ~finally:(fun () -> C.close c)
-      (fun () ->
-        let rid = ref 0 in
-        let request op =
-          incr rid;
-          C.request c
-            { P.id = J.Int ((c_idx * 1_000_000) + !rid); deadline_ms = None; op }
-        in
-        for r = 0 to full_reps - 1 do
-          let t0 = now () in
-          match request (P.Bind { P.default_bind_params with P.bench; width })
-          with
-          | Ok { P.payload = P.Result _; _ } ->
-              full_lat.((c_idx * full_reps) + r) <- now () -. t0
-          | Ok { P.payload = P.Error _; _ } | Error _ -> Atomic.incr errors
-        done;
-        match
-          request
-            (P.Session_open
-               {
-                 P.default_session_open_params with
-                 P.so_bench = bench;
-                 so_width = width;
-               })
-        with
-        | Ok { P.payload = P.Result { result = j; _ }; _ } -> (
-            let sid =
-              match J.member "session" j with
-              | Some (J.String s) -> s
-              | _ -> ""
-            in
-            if sid = "" then Atomic.incr errors
-            else begin
-              for i = 0 to edits - 1 do
-                let delta =
-                  if i land 1 = 0 then
-                    P.D_add_op
-                      {
-                        d_kind = Hlp_cdfg.Cdfg.Add;
-                        d_left = Hlp_cdfg.Cdfg.Input 0;
-                        d_right = Hlp_cdfg.Cdfg.Input 0;
-                        d_output = true;
-                      }
-                  else P.D_remove_op added_id
-                in
-                let t0 = now () in
-                match
-                  request
-                    (P.Session_edit { P.se_session = sid; se_delta = delta })
-                with
-                | Ok { P.payload = P.Result _; _ } ->
-                    edit_lat.((c_idx * edits) + i) <- now () -. t0
-                | Ok { P.payload = P.Error _; _ } | Error _ ->
-                    Atomic.incr errors
-              done;
-              match request (P.Session_close { P.sc_session = sid }) with
-              | Ok { P.payload = P.Result { result = j; _ }; _ } ->
-                  (match J.member "reply_cache_hits" j with
-                  | Some (J.Int n) -> ignore (Atomic.fetch_and_add reply_hits n)
-                  | _ -> ())
-              | Ok { P.payload = P.Error _; _ } | Error _ ->
-                  Atomic.incr errors
-            end)
-        | Ok { P.payload = P.Error _; _ } | Error _ -> Atomic.incr errors)
-  in
-  let threads = List.init clients (fun i -> Thread.create client_body i) in
-  List.iter Thread.join threads;
-  Array.sort compare full_lat;
-  Array.sort compare edit_lat;
-  let full_p50 = percentile full_lat 0.50 in
-  let edit_p50 = percentile edit_lat 0.50 in
-  Printf.printf
-    "loadgen-edits: full bind p50 %.2f ms, p99 %.2f ms | incremental edit \
-     p50 %.1f us, p99 %.1f us\n"
-    (1000. *. full_p50)
-    (1000. *. percentile full_lat 0.99)
-    (1e6 *. edit_p50)
-    (1e6 *. percentile edit_lat 0.99);
-  Printf.printf "loadgen-edits: speedup %.1fx, reply cache hits %d, errors %d\n"
-    (if edit_p50 > 0. then full_p50 /. edit_p50 else 0.)
-    (Atomic.get reply_hits) (Atomic.get errors);
-  if Atomic.get errors > 0 then exit 1
-
-let loadgen socket =
-  let module P = Hlp_server.Protocol in
-  let module C = Hlp_server.Client in
-  let module J = Hlp_server.Json in
-  let env name default =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
-  in
-  let clients = max 1 (env "HLP_LOADGEN_CLIENTS" 4) in
-  let requests = max 1 (env "HLP_LOADGEN_REQUESTS" 25) in
-  let op_name =
-    Option.value ~default:"bind" (Sys.getenv_opt "HLP_LOADGEN_OP")
-  in
-  let bench =
-    Option.value ~default:"pr" (Sys.getenv_opt "HLP_LOADGEN_BENCH")
-  in
-  let op =
-    match op_name with
-    | "ping" -> P.Ping 0
-    | "bind" -> P.Bind { P.default_bind_params with P.bench; width }
-    | "flow" ->
-        P.Flow
-          { P.default_bind_params with P.bench; width; vectors = min vectors 50 }
-    | "stats" -> P.Stats
-    | other -> failwith ("HLP_LOADGEN_OP: unknown op " ^ other)
-  in
-  Printf.printf
-    "loadgen: %d clients x %d %s requests (bench %s) against %s\n%!" clients
-    requests op_name bench socket;
-  let ok = Atomic.make 0 and errors = Atomic.make 0 in
-  let latencies = Array.make (clients * requests) 0. in
-  let client_body c_idx =
-    let c = C.connect socket in
-    Fun.protect
-      ~finally:(fun () -> C.close c)
-      (fun () ->
-        for r = 0 to requests - 1 do
-          let t0 = now () in
-          (* Bounded retry: every loadgen op is idempotent, so the run
-             survives a worker restart (or, pointed at a head, a
-             failover) instead of aborting on the first stale
-             connection. *)
-          match
-            C.request_retry c
-              { P.id = J.Int ((c_idx * requests) + r); deadline_ms = None; op }
-          with
-          | Ok { P.payload = P.Result _; _ } ->
-              latencies.((c_idx * requests) + r) <- now () -. t0;
-              Atomic.incr ok
-          | Ok { P.payload = P.Error _; _ } | Error _ ->
-              latencies.((c_idx * requests) + r) <- now () -. t0;
-              Atomic.incr errors
-        done)
-  in
-  let t0 = now () in
-  let threads =
-    List.init clients (fun i -> Thread.create client_body i)
-  in
-  List.iter Thread.join threads;
-  let wall = now () -. t0 in
-  let sorted = Array.copy latencies in
-  Array.sort compare sorted;
-  let total = Atomic.get ok + Atomic.get errors in
-  Printf.printf "loadgen: %d ok, %d errors in %.2f s (%.1f req/s)\n"
-    (Atomic.get ok) (Atomic.get errors) wall
-    (float_of_int total /. wall);
-  Printf.printf
-    "loadgen: latency p50 %.1f ms, p90 %.1f ms, p99 %.1f ms, max %.1f ms\n"
-    (1000. *. percentile sorted 0.50)
-    (1000. *. percentile sorted 0.90)
-    (1000. *. percentile sorted 0.99)
-    (1000. *. sorted.(Array.length sorted - 1));
-  if Atomic.get errors > 0 then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Chaos loadgen (HLP_LOADGEN_CHAOS=1): a time-bounded soak that mixes
-   real work with adversity — random mid-request disconnects, torn
-   request frames, tiny deadlines, hostile frames, and sustained
-   queue-capacity pressure.  The daemon must answer every readable
-   frame with a decodable reply, never say [internal], and (when
-   HLP_LOADGEN_SERVER_PID points at it) end the run with exactly its
-   quiescent fd set and a flat RSS. *)
-
-let chaos_loadgen socket =
-  let module P = Hlp_server.Protocol in
-  let module J = Hlp_server.Json in
-  let env name default =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
-  in
-  let clients = max 1 (env "HLP_LOADGEN_CLIENTS" 4) in
-  let seconds = float_of_int (max 1 (env "HLP_LOADGEN_SECONDS" 30)) in
-  let server_pid = Sys.getenv_opt "HLP_LOADGEN_SERVER_PID" in
-  let fd_count pid =
-    try Array.length (Sys.readdir (Printf.sprintf "/proc/%s/fd" pid))
-    with Sys_error _ -> -1
-  in
-  let rss_bytes pid =
-    try
-      let ic = open_in (Printf.sprintf "/proc/%s/statm" pid) in
-      let line = input_line ic in
-      close_in ic;
-      match String.split_on_char ' ' line with
-      | _ :: resident :: _ -> int_of_string resident * 4096
-      | _ -> 0
-    with Sys_error _ | Failure _ | End_of_file -> 0
-  in
-  let seed = env "HLP_LOADGEN_SEED" 4242 in
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  Printf.printf
-    "chaos: %d clients for %.0f s against %s (seed %d)\n%!" clients seconds
-    socket seed;
-  let ok = Atomic.make 0 in
-  let rejected = Atomic.make 0 in
-  let disconnects = Atomic.make 0 in
-  let failures = Atomic.make 0 in
-  let codes_mu = Mutex.create () in
-  let codes : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let count_code c =
-    Mutex.lock codes_mu;
-    Hashtbl.replace codes c
-      (1 + Option.value ~default:0 (Hashtbl.find_opt codes c));
-    Mutex.unlock codes_mu
-  in
-  let fail_loud what =
-    Atomic.incr failures;
-    Printf.eprintf "chaos FAILURE: %s\n%!" what
-  in
-  let hostile_frames =
-    [|
-      "{\"op\": \"ping\", ";
-      "[1, 2, 3]";
-      "{\"id\": 1, \"op\": \"frobnicate\"}";
-      "{\"id\": 1, \"op\": \"bind\", \"params\": {\"bench\": \"pr\", \
-       \"alpha\": 1e999}}";
-      "{\"id\": 1, \"op\": \"flow\", \"params\": {\"bench\": \"pr\", \
-       \"model\": {\"vdd\": 5e-324}}}";
-      "{\"id\": 1, \"op\": \"stats\", \"op\": \"stats\"}";
-      "{\"id\": 1, \"op\": \"bind\", \"params\": {\"graph\": {\"inputs\": 1, \
-       \"ops\": [{\"kind\": \"add\", \"left\": {\"op\": 0}, \"right\": \
-       {\"input\": 0}}], \"outputs\": [{\"op\": 0}]}}}";
-    |]
-  in
-  (* Warm round, then quiesce and capture the daemon's baseline fd set:
-     after every client is gone, the fd table of a healthy daemon is
-     exactly its listeners + self-pipe, so any end-of-run excess is a
-     leak. *)
-  let baseline_fds, baseline_rss =
-    match server_pid with
-    | None -> (-1, 0)
-    | Some pid ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX socket);
-        P.write_frame fd
-          (P.encode_request
-             { P.id = J.Int 0; deadline_ms = None; op = P.Ping 0 });
-        ignore (P.read_frame (P.reader_of_fd fd));
-        Unix.close fd;
-        Thread.delay 0.3;
-        (fd_count pid, rss_bytes pid)
-  in
-  let stop_at = Unix.gettimeofday () +. seconds in
-  let client_body c_idx =
-    let rand = Random.State.make [| seed; c_idx |] in
-    let ri n = Random.State.int rand n in
-    let conn = ref None in
-    let get_conn () =
-      match !conn with
-      | Some c -> c
-      | None ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_UNIX socket);
-          let c = (fd, P.reader_of_fd fd) in
-          conn := Some c;
-          c
-    in
-    let drop_conn () =
-      (match !conn with
-      | Some (fd, _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ());
-      conn := None
-    in
-    let encode_random_request () =
-      let op =
-        match ri 6 with
-        | 0 | 1 -> P.Ping (ri 30)
-        | 2 ->
-            P.Bind
-              { P.default_bind_params with P.bench = "pr"; width = 4;
-                vectors = 20 }
-        | 3 -> P.Stats
-        | 4 ->
-            P.Lint
-              { P.lint_bench = Some "pr"; lint_binder = "hlpower";
-                lint_width = 4 }
-        | _ -> P.Ping 0
-      in
-      let deadline_ms = if ri 4 = 0 then Some (1 + ri 25) else None in
-      P.encode_request { P.id = J.Int (ri 1_000_000); deadline_ms; op }
-    in
-    let read_reply ~frame =
-      let _, reader = get_conn () in
-      match P.read_frame reader with
-      | exception (Unix.Unix_error _ | Sys_error _) -> drop_conn ()
-      | `Eof | `Too_large _ -> drop_conn ()
-      | `Frame reply -> (
-          match P.decode_reply reply with
-          | Error msg ->
-              fail_loud
-                (Printf.sprintf "undecodable reply for %s: %s"
-                   (String.sub frame 0 (min 80 (String.length frame)))
-                   msg)
-          | Ok { P.payload = P.Result _; _ } -> Atomic.incr ok
-          | Ok { P.payload = P.Error { code; _ }; _ } ->
-              count_code (P.error_code_to_string code);
-              if code = P.Internal then
-                fail_loud ("internal error for frame " ^ frame)
-              else Atomic.incr rejected)
-    in
-    while Unix.gettimeofday () < stop_at do
-      match ri 10 with
-      | 0 ->
-          (* mid-request disconnect: send, never read, vanish *)
-          let fd, _ = get_conn () in
-          (try P.write_frame fd (encode_random_request ())
-           with Unix.Unix_error _ | Sys_error _ -> ());
-          drop_conn ();
-          Atomic.incr disconnects
-      | 1 ->
-          (* torn request frame: a prefix with no newline, then EOF *)
-          let fd, _ = get_conn () in
-          let line = encode_random_request () in
-          let n = 1 + ri (String.length line - 1) in
-          (try
-             ignore (Unix.write_substring fd line 0 n)
-           with Unix.Unix_error _ | Sys_error _ -> ());
-          drop_conn ();
-          Atomic.incr disconnects
-      | 2 ->
-          (* hostile frame; the reply must still be structured *)
-          let frame = hostile_frames.(ri (Array.length hostile_frames)) in
-          let fd, _ = get_conn () in
-          (try
-             P.write_frame fd frame;
-             read_reply ~frame
-           with Unix.Unix_error _ | Sys_error _ -> drop_conn ())
-      | 3 ->
-          (* burst: sustained queue pressure in one write, then read
-             every reply back *)
-          let burst = 4 + ri 8 in
-          let frames = List.init burst (fun _ -> encode_random_request ()) in
-          let fd, _ = get_conn () in
-          (try
-             List.iter (fun f -> P.write_frame fd f) frames;
-             List.iter (fun f -> read_reply ~frame:f) frames
-           with Unix.Unix_error _ | Sys_error _ -> drop_conn ())
-      | _ -> (
-          let frame = encode_random_request () in
-          let fd, _ = get_conn () in
-          try
-            P.write_frame fd frame;
-            read_reply ~frame
-          with Unix.Unix_error _ | Sys_error _ -> drop_conn ())
-    done;
-    drop_conn ()
-  in
-  let threads = List.init clients (fun i -> Thread.create client_body i) in
-  List.iter Thread.join threads;
-  (* Quiesce, then hold the daemon to its baseline: zero leaked fds,
-     flat RSS. *)
-  (match server_pid with
-  | None -> ()
-  | Some pid ->
-      Thread.delay 0.5;
-      let end_fds = fd_count pid and end_rss = rss_bytes pid in
-      Printf.printf "chaos: daemon fds %d -> %d, rss %.1f MiB -> %.1f MiB\n%!"
-        baseline_fds end_fds
-        (float_of_int baseline_rss /. 1048576.)
-        (float_of_int end_rss /. 1048576.);
-      if baseline_fds >= 0 && end_fds > baseline_fds then
-        fail_loud
-          (Printf.sprintf "fd leak: %d fds at baseline, %d after soak"
-             baseline_fds end_fds);
-      if end_rss - baseline_rss > 64 * 1024 * 1024 then
-        fail_loud
-          (Printf.sprintf "RSS grew %d MiB over the soak"
-             ((end_rss - baseline_rss) / 1048576)));
-  Printf.printf "chaos: %d ok, %d rejected, %d disconnects injected\n"
-    (Atomic.get ok) (Atomic.get rejected) (Atomic.get disconnects);
-  Mutex.lock codes_mu;
-  Hashtbl.iter (fun c n -> Printf.printf "chaos:   %-18s %d\n" c n) codes;
-  Mutex.unlock codes_mu;
-  if Atomic.get failures > 0 then begin
-    Printf.eprintf "chaos: %d failures\n%!" (Atomic.get failures);
-    exit 1
-  end;
-  Printf.printf "chaos: clean soak\n%!"
-
-let () =
-  match Sys.getenv_opt "HLP_LOADGEN" with
-  | Some socket when String.trim socket <> "" ->
-      (match Sys.getenv_opt "HLP_LOADGEN_CHAOS" with
-      | Some ("1" | "true" | "yes") -> chaos_loadgen socket
-      | _ -> (
-          match Sys.getenv_opt "HLP_LOADGEN_EDITS" with
-          | Some s when String.trim s <> "" ->
-              let env name default =
-                match Sys.getenv_opt name with
-                | Some v -> int_of_string v
-                | None -> default
-              in
-              edits_loadgen socket
-                ~clients:(max 1 (env "HLP_LOADGEN_CLIENTS" 4))
-                ~edits:(max 1 (int_of_string s))
-                ~bench:
-                  (Option.value ~default:"pr"
-                     (Sys.getenv_opt "HLP_LOADGEN_BENCH"))
-          | _ -> loadgen socket));
-      exit 0
   | _ -> ()
 
 let () =

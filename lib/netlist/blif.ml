@@ -1,6 +1,10 @@
 (* Net naming: inputs keep their declared names (sanitized), logic nodes get
    "n<id>", and declared outputs are emitted as single-input buffer covers so
-   their user-facing names survive a round trip. *)
+   their user-facing names survive a round trip.  A node whose "n<id>" is
+   already an input's or an output's name becomes "n<id>_<k>" for the
+   least k that no input or output uses.  No other node can have that
+   name: "n<id>" names have no underscore, and the digits before the
+   underscore are the node's own id. *)
 
 let sanitize s =
   let ok c =
@@ -10,16 +14,32 @@ let sanitize s =
   let s = String.map (fun c -> if ok c then c else '_') s in
   if s = "" then "_" else s
 
-let net_name t id =
-  if Netlist.is_input t id then sanitize (Netlist.node t id).Netlist.name
-  else Printf.sprintf "n%d" id
+let net_names t =
+  let input_name id = sanitize (Netlist.node t id).Netlist.name in
+  let taken = Hashtbl.create 64 in
+  Array.iter
+    (fun id -> Hashtbl.replace taken (input_name id) ())
+    (Netlist.inputs t);
+  List.iter
+    (fun (name, _) -> Hashtbl.replace taken (sanitize name) ())
+    (Netlist.outputs t);
+  Array.init (Netlist.num_nodes t) (fun id ->
+      if Netlist.is_input t id then input_name id
+      else
+        let base = Printf.sprintf "n%d" id in
+        let rec free k =
+          let name = Printf.sprintf "%s_%d" base k in
+          if Hashtbl.mem taken name then free (k + 1) else name
+        in
+        if Hashtbl.mem taken base then free 1 else base)
 
 let to_string t =
+  let names = net_names t in
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr ".model %s\n" (sanitize (Netlist.name t));
   let input_names =
-    Array.to_list (Array.map (net_name t) (Netlist.inputs t))
+    Array.to_list (Array.map (Array.get names) (Netlist.inputs t))
   in
   pr ".inputs %s\n" (String.concat " " input_names);
   pr ".outputs %s\n"
@@ -29,10 +49,10 @@ let to_string t =
       let n = Netlist.node t id in
       if not (Netlist.is_input t id) then begin
         let fanin_names =
-          Array.to_list (Array.map (net_name t) n.Netlist.fanins)
+          Array.to_list (Array.map (Array.get names) n.Netlist.fanins)
         in
         pr ".names %s\n"
-          (String.concat " " (fanin_names @ [ net_name t id ]));
+          (String.concat " " (fanin_names @ [ names.(id) ]));
         let arity = Truth_table.arity n.Netlist.func in
         if arity = 0 then begin
           (* Constant: const1 gets the single cover line "1"; const0 gets an
@@ -53,7 +73,7 @@ let to_string t =
     (Netlist.topo_order t);
   List.iter
     (fun (name, id) ->
-      pr ".names %s %s\n1 1\n" (net_name t id) (sanitize name))
+      pr ".names %s %s\n1 1\n" names.(id) (sanitize name))
     (Netlist.outputs t);
   pr ".end\n";
   Buffer.contents buf

@@ -131,22 +131,40 @@ let test_roundtrip_adder () =
   check_codes "round trip equivalent" []
     (D.codes (Rules.check_blif_roundtrip t))
 
-(* BLIF names logic node 3 "n3", the name of the first input, and the
-   parser resolves that name to the input: the round trip computes
-   y1 = n3 and y2 = not n3 instead of y1 = n3 & b and y2 = not y1.  At
-   n3 = 1, b = 0 the two outputs swap values, so a comparison of each
-   vector's sorted output values misses it; N009 compares by position. *)
-let test_roundtrip_swapped_outputs () =
+(* Logic node 3 would be "n3" in BLIF, the name of the first input; the
+   writer renames the node, so the round trip keeps y1 = n3 & b and
+   y2 = not y1. *)
+let clash_netlist ~swapped =
   let b = Nl.create_builder ~name:"clash" in
   let n3 = Nl.add_input b "n3" and bb = Nl.add_input b "b" in
   let _node2 = Cl.not_ b bb in
   let node3 = Cl.and2 b n3 bb in
   check_bool "node 3" true (node3 = 3);
   let node4 = Cl.not_ b node3 in
-  Nl.mark_output b "y1" node3;
-  Nl.mark_output b "y2" node4;
-  check_codes "round trip swaps two outputs" [ "N009" ]
+  let y1, y2 = if swapped then (node4, node3) else (node3, node4) in
+  Nl.mark_output b "y1" y1;
+  Nl.mark_output b "y2" y2;
+  Nl.freeze b
+
+let test_roundtrip_name_clash () =
+  check_codes "round trip equivalent" []
+    (D.codes (Rules.check_blif_roundtrip (clash_netlist ~swapped:false)));
+  (* Node 2 would be "n2", the net of the output's buffer. *)
+  let b = Nl.create_builder ~name:"clash_out" in
+  let x = Nl.add_input b "x" and y = Nl.add_input b "y" in
+  let node2 = Cl.and2 b x y in
+  check_bool "node 2" true (node2 = 2);
+  Nl.mark_output b "n2" (Cl.not_ b node2);
+  check_codes "output named like a node" []
     (D.codes (Rules.check_blif_roundtrip (Nl.freeze b)))
+
+(* Swapping y1 and y2 keeps each vector's set of output values, so only
+   a comparison by position tells the two netlists apart. *)
+let test_equivalence_by_position () =
+  check_bool "swapped outputs differ" false
+    (Rules.equivalent_on_random_vectors ~seed:"lint-blif-roundtrip"
+       (clash_netlist ~swapped:false)
+       (clash_netlist ~swapped:true))
 
 let suite =
   [
@@ -164,6 +182,8 @@ let suite =
     Alcotest.test_case "N010 cycle line no" `Quick test_blif_cycle_line;
     Alcotest.test_case "round trip clean" `Quick test_roundtrip_clean;
     Alcotest.test_case "round trip 4-bit adder" `Quick test_roundtrip_adder;
+    Alcotest.test_case "round trip with node names taken" `Quick
+      test_roundtrip_name_clash;
     Alcotest.test_case "N009 compares outputs by position" `Quick
-      test_roundtrip_swapped_outputs;
+      test_equivalence_by_position;
   ]

@@ -1,6 +1,5 @@
 module Nl = Hlp_netlist.Netlist
 module Cl = Hlp_netlist.Cell_library
-module Verilog = Hlp_netlist.Verilog
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
 module Lifetime = Hlp_cdfg.Lifetime
@@ -99,50 +98,6 @@ let test_add_sub_impl_subtracts () =
     done
   done
 
-(* --- verilog --- *)
-
-let test_verilog_emission () =
-  let _, t = make_csa 4 2 in
-  let text = Verilog.to_string t in
-  Verilog.lint text;
-  check_bool "module header" true
-    (String.length text > 0 && String.sub text 0 2 = "//")
-
-let test_verilog_roundtrip_semantics () =
-  (* No Verilog parser here; instead assert the emitted SOP for a known
-     gate is the expected expression. *)
-  let b = Nl.create_builder ~name:"g" in
-  let x = Nl.add_input b "x" in
-  let y = Nl.add_input b "y" in
-  let g = Cl.xor2 b x y in
-  Nl.mark_output b "z" g;
-  let t = Nl.freeze b in
-  let text = Verilog.to_string t in
-  Verilog.lint text;
-  let contains sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length text
-      && (String.sub text i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  check_bool "xor sop" true
-    (contains "(x & ~y) | (~x & y)" || contains "(~x & y) | (x & ~y)")
-
-let test_verilog_file () =
-  let _, t = make_csa 3 2 in
-  let path = Filename.temp_file "hlp" ".v" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Verilog.output_file t path;
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      close_in ic;
-      Verilog.lint text)
-
 (* --- module selection --- *)
 
 let bind_bench name =
@@ -215,10 +170,6 @@ let suite =
       test_carry_select_shallower;
     Alcotest.test_case "carry-select subtractor" `Quick
       test_add_sub_impl_subtracts;
-    Alcotest.test_case "verilog emission lints" `Quick test_verilog_emission;
-    Alcotest.test_case "verilog xor sop" `Quick
-      test_verilog_roundtrip_semantics;
-    Alcotest.test_case "verilog file output" `Quick test_verilog_file;
     Alcotest.test_case "module select shapes" `Quick test_module_select_shapes;
     Alcotest.test_case "min-sa prefers ripple" `Quick
       test_module_select_min_sa_prefers_ripple;

@@ -552,6 +552,44 @@ let test_failed_start_leaves_nothing_open () =
           | Unix.ADDR_UNIX _ -> assert false))
     daemons
 
+(* --- clients that vanish mid-request leave no fd open --- *)
+
+(* Half the clients park a slow ping, half send a torn frame; all close
+   without reading.  The server holds each parked ping's fd until its
+   (unwritable) reply, so the count returns only once the jobs finish:
+   a ping queued behind them on the one worker says when. *)
+let test_abrupt_disconnects_release_fds () =
+  with_server ~workers:1 (fun socket _server ->
+      let before = open_fds () in
+      for i = 1 to 6 do
+        let frame =
+          P.encode_request
+            { P.id = Json.Int i; deadline_ms = None; op = P.Ping 100 }
+        in
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        if i mod 2 = 0 then P.write_frame fd frame
+        else ignore (Unix.write_substring fd frame 0 (String.length frame / 2));
+        Unix.close fd
+      done;
+      let c = Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          check "a ping behind the parked ones" true
+            (is_ok
+               (Client.request c
+                  { P.id = Json.Int 0; deadline_ms = None; op = P.Ping 0 })));
+      let rec settle tries =
+        let n = open_fds () in
+        if n = before || tries = 0 then n
+        else begin
+          Thread.delay 0.02;
+          settle (tries - 1)
+        end
+      in
+      Alcotest.(check int) "fds after the jobs finish" before (settle 100))
+
 (* --- incremental sessions over the wire --- *)
 
 let result_of = function
@@ -801,6 +839,8 @@ let suite =
       test_drain_with_open_sessions;
     Alcotest.test_case "drain completes accepted work" `Quick
       test_drain_completes_accepted;
+    Alcotest.test_case "abrupt disconnects release their fds" `Quick
+      test_abrupt_disconnects_release_fds;
     Alcotest.test_case "failed start leaves nothing open" `Quick
       test_failed_start_leaves_nothing_open;
     Alcotest.test_case "draining refuses new work" `Quick
