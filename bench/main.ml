@@ -45,6 +45,7 @@ module Flow = Hlp_rtl.Flow
 module Stats = Hlp_util.Stats
 module Pool = Hlp_util.Pool
 module Telemetry = Hlp_util.Telemetry
+module Json = Hlp_util.Json
 
 let vectors =
   match Sys.getenv_opt "HLP_VECTORS" with
@@ -628,139 +629,122 @@ let static_estimator () =
   if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable benchmark report (HLP_BENCH_JSON=path).  Metric
-   floats are printed with %.17g so a warm-cache run is textually equal
-   to a cold one iff its Sec. 6 metrics are bit-identical; wall-clock
-   fields go through shown_seconds, so HLP_STABLE zeroes them. *)
+(* Machine-readable benchmark report (HLP_BENCH_JSON=path).  Json prints
+   floats with %.17g, so a warm-cache run prints equal to a cold one iff
+   its Sec. 6 metrics are bit-identical; wall-clock fields go through
+   shown_seconds, so HLP_STABLE zeroes them. *)
 
-let jf x = Printf.sprintf "%.17g" x
-let jt x = Telemetry.json_float (shown_seconds x)
-
-let bench_json ~total_seconds path =
-  let buf = Buffer.create 16384 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add (Printf.sprintf "  \"schema\": \"hlp-bench-v1\",\n");
-  add
-    (Printf.sprintf
-       "  \"meta\": {\"width\": %d, \"vectors\": %d, \"variants\": %d, \
-        \"fast\": %b, \"stable\": %b, \"jobs\": %d, \"sa_cache\": %s, \
-        \"lib_fingerprint\": \"%s\"},\n"
-       width vectors variants fast stable (Pool.jobs ())
-       (match ST.cache_file sa_table with
-       | Some p -> Printf.sprintf "\"%s\"" (Telemetry.json_escape p)
-       | None -> "null")
-       (ST.fingerprint ()));
-  (* Sec. 6 metrics: one entry per (benchmark, binder), averaged over
-     the generated variants exactly as Tables 3 / Figure 3 print them. *)
-  add "  \"designs\": [";
-  let sep = ref "" in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (binder, (a : avg_report)) ->
-          add
-            (Printf.sprintf
-               "%s\n    {\"bench\": \"%s\", \"binder\": \"%s\", \
-                \"power_mw\": %s, \"clock_ns\": %s, \"luts\": %s, \
-                \"largest_mux\": %s, \"mux_length\": %s, \"toggle_mhz\": \
-                %s}"
-               !sep r.bench binder (jf a.power_mw) (jf a.clk_ns) (jf a.luts)
-               (jf a.largest) (jf a.mux_len) (jf a.toggle));
-          sep := ",")
-        [ ("lopass", r.lop); ("hlp-a1.0", r.a1); ("hlp-a0.5", r.a05) ])
-    (Lazy.force flow_rows);
-  add "\n  ],\n";
-  (* Binder work per benchmark: wall clock (zeroed under HLP_STABLE) and
-     the deterministic iteration count. *)
-  add "  \"bind\": [";
-  sep := "";
-  List.iter
-    (fun pr ->
-      add
-        (Printf.sprintf
-           "%s\n    {\"bench\": \"%s\", \"hlp_seconds\": %s, \
-            \"iterations\": %d}"
-           !sep pr.profile.B.bench_name (jt pr.hlp_seconds) pr.iterations);
-      sep := ",")
-    (Lazy.force prepared);
-  add "\n  ],\n";
-  (* Paper Sec. 6 averages (the Table 3 / Figure 3 bottom lines). *)
+let bench_json ~total_seconds : Json.t =
+  let f x = Json.Float x and i n = Json.Int n and s x = Json.String x in
+  let t x = Json.Float (shown_seconds x) in
+  let list g l = Json.List (List.map g l) in
   let rows = Lazy.force flow_rows in
-  let mean f = Stats.mean (List.map f rows) in
-  add
-    (Printf.sprintf
-       "  \"summary\": {\"avg_power_change_pct\": %s, \
-        \"avg_clock_change_pct\": %s, \"avg_lut_change_pct\": %s, \
-        \"avg_largest_mux_delta\": %s, \"avg_mux_length_change_pct\": %s, \
-        \"avg_toggle_change_a1_pct\": %s, \"avg_toggle_change_a05_pct\": \
-        %s},\n"
-       (jf (mean (fun r -> pc r.lop.power_mw r.a05.power_mw)))
-       (jf (mean (fun r -> pc r.lop.clk_ns r.a05.clk_ns)))
-       (jf (mean (fun r -> pc r.lop.luts r.a05.luts)))
-       (jf (mean (fun r -> r.a05.largest -. r.lop.largest)))
-       (jf (mean (fun r -> pc r.lop.mux_len r.a05.mux_len)))
-       (jf (mean (fun r -> pc r.lop.toggle r.a1.toggle)))
-       (jf (mean (fun r -> pc r.lop.toggle r.a05.toggle))));
-  (* Hit rates of the shared SA table only: the table-vs-dynamic
-     ablation deliberately runs a cold private table, which must not
-     pollute the "warm run recomputed nothing" check. *)
-  add
-    (Printf.sprintf
-       "  \"sa_table\": {\"entries\": %d, \"hits\": %d, \"misses\": %d, \
-        \"disk_hits\": %d, \"disk_entries\": %d},\n"
-       (List.length (ST.entries sa_table))
-       (ST.hits sa_table) (ST.misses sa_table) (ST.disk_hits sa_table)
-       (ST.disk_entries sa_table));
-  (* Static estimator differential: relative errors are deterministic
-     (both estimators are seeded) and stay real under HLP_STABLE; only
-     the timing-derived fields are zeroed. *)
-  add
-    (Printf.sprintf
-       "  \"static_estimator\": {\"glitch_gain\": %s, \"error_bound\": %s, \
-        \"speedup_floor\": %s, \"sweep_speedup\": %s, \"rows\": ["
-       (jf Hlp_static.Analysis.default_glitch_gain)
-       (jf static_error_bound) (jf static_speedup_floor)
-       (jt (static_sweep_speedup (Lazy.force static_estimator_rows))));
-  sep := "";
-  List.iter
-    (fun r ->
-      add
-        (Printf.sprintf
-           "%s\n    {\"bench\": \"%s\", \"cycles\": %d, \"sim_toggles\": \
-            %d, \"static_toggles\": %s, \"rel_error\": %s, \
-            \"sim_seconds\": %s, \"static_seconds\": %s, \"speedup\": %s}"
-           !sep r.st_bench r.st_cycles r.st_sim_toggles
-           (jf r.st_static_toggles) (jf r.st_rel_error) (jt r.st_sim_s)
-           (jt r.st_static_s)
-           (jf (static_speedup r)));
-      sep := ",")
-    (Lazy.force static_estimator_rows);
-  add "\n  ]},\n";
-  (* Phase wall clock (elaborate / map / sim / power / bind).  Call
-     counts stay real in stable mode; only the seconds are zeroed. *)
-  add "  \"phases\": [";
-  sep := "";
-  List.iter
-    (fun (name, calls, seconds) ->
-      add
-        (Printf.sprintf
-           "%s\n    {\"name\": \"%s\", \"calls\": %d, \"seconds\": %s}" !sep
-           (Telemetry.json_escape name) calls (jt seconds));
-      sep := ",")
-    (Telemetry.timers ());
-  add "\n  ],\n";
-  add (Printf.sprintf "  \"total_seconds\": %s\n}\n" (jt total_seconds));
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf))
+  let mean g = f (Stats.mean (List.map g rows)) in
+  let static_rows = Lazy.force static_estimator_rows in
+  (* The first fingerprint maps two netlists: take it before the phase
+     timers, which then count those map calls too. *)
+  let fingerprint = ST.fingerprint () in
+  let phases = Telemetry.timers () in
+  Json.Obj
+    [
+      ("schema", s "hlp-bench-v1");
+      ( "meta",
+        Json.Obj
+          [ ("width", i width); ("vectors", i vectors);
+            ("variants", i variants); ("fast", Json.Bool fast);
+            ("stable", Json.Bool stable); ("jobs", i (Pool.jobs ()));
+            ( "sa_cache",
+              Option.fold ~none:Json.Null ~some:s (ST.cache_file sa_table) );
+            ("lib_fingerprint", s fingerprint) ] );
+      (* Sec. 6 metrics: one entry per (benchmark, binder), averaged
+         over the generated variants exactly as Tables 3 / Figure 3
+         print them. *)
+      ( "designs",
+        Json.List
+          (List.concat_map
+             (fun r ->
+               List.map
+                 (fun (binder, (a : avg_report)) ->
+                   Json.Obj
+                     [ ("bench", s r.bench); ("binder", s binder);
+                       ("power_mw", f a.power_mw); ("clock_ns", f a.clk_ns);
+                       ("luts", f a.luts); ("largest_mux", f a.largest);
+                       ("mux_length", f a.mux_len);
+                       ("toggle_mhz", f a.toggle) ])
+                 [ ("lopass", r.lop); ("hlp-a1.0", r.a1); ("hlp-a0.5", r.a05) ])
+             rows) );
+      (* Binder work per benchmark: wall clock (zeroed under
+         HLP_STABLE) and the deterministic iteration count. *)
+      ( "bind",
+        list
+          (fun pr ->
+            Json.Obj
+              [ ("bench", s pr.profile.B.bench_name);
+                ("hlp_seconds", t pr.hlp_seconds);
+                ("iterations", i pr.iterations) ])
+          (Lazy.force prepared) );
+      (* Paper Sec. 6 averages (the Table 3 / Figure 3 bottom lines). *)
+      ( "summary",
+        Json.Obj
+          [ ("avg_power_change_pct",
+             mean (fun r -> pc r.lop.power_mw r.a05.power_mw));
+            ("avg_clock_change_pct",
+             mean (fun r -> pc r.lop.clk_ns r.a05.clk_ns));
+            ("avg_lut_change_pct", mean (fun r -> pc r.lop.luts r.a05.luts));
+            ("avg_largest_mux_delta",
+             mean (fun r -> r.a05.largest -. r.lop.largest));
+            ("avg_mux_length_change_pct",
+             mean (fun r -> pc r.lop.mux_len r.a05.mux_len));
+            ("avg_toggle_change_a1_pct",
+             mean (fun r -> pc r.lop.toggle r.a1.toggle));
+            ("avg_toggle_change_a05_pct",
+             mean (fun r -> pc r.lop.toggle r.a05.toggle)) ] );
+      (* Hit rates of the shared SA table only: the table-vs-dynamic
+         ablation deliberately runs a cold private table, which must not
+         pollute the "warm run recomputed nothing" check. *)
+      ( "sa_table",
+        Json.Obj
+          [ ("entries", i (List.length (ST.entries sa_table)));
+            ("hits", i (ST.hits sa_table)); ("misses", i (ST.misses sa_table));
+            ("disk_hits", i (ST.disk_hits sa_table));
+            ("disk_entries", i (ST.disk_entries sa_table)) ] );
+      (* Static estimator differential: relative errors are
+         deterministic (both estimators are seeded) and stay real under
+         HLP_STABLE; only the timing-derived fields are zeroed. *)
+      ( "static_estimator",
+        Json.Obj
+          [ ("glitch_gain", f Hlp_static.Analysis.default_glitch_gain);
+            ("error_bound", f static_error_bound);
+            ("speedup_floor", f static_speedup_floor);
+            ("sweep_speedup", t (static_sweep_speedup static_rows));
+            ( "rows",
+              list
+                (fun r ->
+                  Json.Obj
+                    [ ("bench", s r.st_bench); ("cycles", i r.st_cycles);
+                      ("sim_toggles", i r.st_sim_toggles);
+                      ("static_toggles", f r.st_static_toggles);
+                      ("rel_error", f r.st_rel_error);
+                      ("sim_seconds", t r.st_sim_s);
+                      ("static_seconds", t r.st_static_s);
+                      ("speedup", f (static_speedup r)) ])
+                static_rows ) ] );
+      (* Phase wall clock (elaborate / map / sim / power / bind).  Call
+         counts stay real in stable mode; only the seconds are zeroed. *)
+      ( "phases",
+        list
+          (fun (name, calls, seconds) ->
+            Json.Obj
+              [ ("name", s name); ("calls", i calls); ("seconds", t seconds) ])
+          phases );
+      ("total_seconds", t total_seconds);
+    ]
 
 let bench_json_if_requested ~total_seconds =
   match Sys.getenv_opt "HLP_BENCH_JSON" with
   | Some path when String.trim path <> "" -> (
       try
-        bench_json ~total_seconds path;
+        Json.to_file path (bench_json ~total_seconds);
         Printf.eprintf "[bench] wrote %s\n%!" path
       with Sys_error msg ->
         Printf.eprintf "[bench] cannot write %s: %s\n%!" path msg)

@@ -15,6 +15,7 @@ module Vhdl = Hlp_rtl.Vhdl
 module Flow = Hlp_rtl.Flow
 module Power = Hlp_rtl.Power
 module Blif = Hlp_netlist.Blif
+module Json = Hlp_util.Json
 open Cmdliner
 
 let setup_logs verbose =
@@ -108,46 +109,11 @@ let prepare bench =
   let regs = Reg_binding.bind (Lifetime.analyze schedule) in
   (p, schedule, regs)
 
-(* HLP_BENCH_JSON=path: dump the flow reports of this invocation plus
-   the SA-table hit rates as one JSON document (same per-design fields
-   as the bench harness's "designs" section). *)
-let write_bench_json_if_requested ?sa_table reports =
-  match Sys.getenv_opt "HLP_BENCH_JSON" with
-  | Some path when String.trim path <> "" -> (
-      let sa =
-        match sa_table with
-        | None -> "null"
-        | Some t ->
-            Printf.sprintf
-              "{\"entries\": %d, \"hits\": %d, \"misses\": %d, \
-               \"disk_hits\": %d, \"disk_entries\": %d}"
-              (List.length (Sa_table.entries t))
-              (Sa_table.hits t) (Sa_table.misses t) (Sa_table.disk_hits t)
-              (Sa_table.disk_entries t)
-      in
-      let body =
-        Printf.sprintf
-          "{\n  \"schema\": \"hlp-bench-v1\",\n  \"designs\": [\n    %s\n  \
-           ],\n  \"sa_table\": %s\n}\n"
-          (String.concat ",\n    " (List.map Flow.json_of_report reports))
-          sa
-      in
-      try
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc body);
-        Format.printf "wrote bench JSON to %s@." path
-      with Sys_error msg ->
-        Format.eprintf "[bench] cannot write %s: %s@." path msg)
-  | _ -> ()
-
 let run_bind bench binder alpha width vectors estimator vhdl_out blif_out
     sa_path port_assign testbench_out verbose =
   setup_logs verbose;
   try
     let p, schedule, regs = prepare bench in
-    let sa_table_used = ref None in
     let binding =
       match binder with
       | "lopass" ->
@@ -161,7 +127,6 @@ let run_bind bench binder alpha width vectors estimator vhdl_out blif_out
             | Some path when Sys.file_exists path -> Sa_table.load path
             | _ -> Sa_table.create_default ~width ~k:4 ()
           in
-          sa_table_used := Some sa_table;
           let params = Hlpower.calibrate ~alpha sa_table in
           let r =
             Hlpower.bind ~params ~sa_table ~regs
@@ -194,7 +159,6 @@ let run_bind bench binder alpha width vectors estimator vhdl_out blif_out
       Flow.run ~config ~design:(bench ^ "-" ^ binder) binding
     in
     Format.printf "%a@." Flow.pp_report report;
-    write_bench_json_if_requested ?sa_table:!sa_table_used [ report ];
     (match vhdl_out with
     | Some path ->
         let dp = Datapath.build ~width binding in
@@ -281,9 +245,7 @@ let run_lint bench binder width json_out catalog verbose =
     List.iter (fun r -> Format.printf "%a" Hlp_lint.Lint.pp_report r) results;
     (match json_out with
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Hlp_lint.Lint.json_report results);
-        close_out oc;
+        Json.to_file path (Hlp_lint.Lint.json_report results);
         Format.printf "wrote JSON to %s@." path
     | None -> ());
     let count sel =
@@ -343,7 +305,6 @@ let run_compare bench width vectors estimator verbose =
     let rl = report (bench ^ "-lopass") lop in
     let r1 = report (bench ^ "-hlpower-a1.0") (hlp 1.0) in
     let r5 = report (bench ^ "-hlpower-a0.5") (hlp 0.5) in
-    write_bench_json_if_requested ~sa_table [ rl; r1; r5 ];
     let pc a b = Hlp_util.Stats.percent_change ~from:a ~to_:b in
     Format.printf
       "change vs LOPASS: alpha=1.0 power %+.1f%%, alpha=0.5 power %+.1f%%, \
@@ -384,14 +345,17 @@ let run_explore bench width vectors sa_cache alphas verbose =
     | _ -> ());
     let config =
       { Hlp_hls.Explore.default_config with
-        Hlp_hls.Explore.width;
-        vectors;
-        sa_cache_dir = sa_cache;
+        Hlp_hls.Explore.vectors;
         alphas =
           Option.value ~default:Hlp_hls.Explore.default_config.alphas alphas
       }
     in
-    let points = Hlp_hls.Explore.sweep ~config cdfg in
+    let sa_table =
+      match sa_cache with
+      | Some dir -> Sa_table.create_persistent ~width ~k:4 ~dir ()
+      | None -> Sa_table.create_default ~width ~k:4 ()
+    in
+    let points = Hlp_hls.Explore.sweep ~config ~sa_table cdfg in
     let front = Hlp_hls.Explore.pareto points in
     Format.printf "%d design points, %d on the Pareto frontier:@."
       (List.length points) (List.length front);
@@ -430,7 +394,6 @@ let compare_cmd =
 module Server = Hlp_server.Server
 module Protocol = Hlp_server.Protocol
 module Client = Hlp_server.Client
-module Sjson = Hlp_server.Json
 
 let socket_arg =
   let doc = "Unix-domain socket path of the daemon." in
@@ -462,16 +425,9 @@ let max_frame_arg =
   Arg.(value & opt int Protocol.default_max_frame
        & info [ "max-frame" ] ~docv:"BYTES" ~doc)
 
-let metrics_port_default =
-  match Sys.getenv_opt "HLP_METRICS_PORT" with
-  | Some s -> int_of_string_opt s
-  | None -> None
-
 let metrics_port_arg =
-  let doc = "Serve a Prometheus-text /metrics endpoint on \
-             127.0.0.1:$(docv) (default: $(b,HLP_METRICS_PORT) if set)." in
-  Arg.(value & opt (some int) metrics_port_default
-       & info [ "metrics-port" ] ~docv:"PORT" ~doc)
+  let doc = "Serve a Prometheus-text /metrics endpoint on 127.0.0.1:$(docv)." in
+  Arg.(value & opt (some int) None & info [ "metrics-port" ] ~docv:"PORT" ~doc)
 
 (* --- cluster head options --- *)
 
@@ -489,17 +445,10 @@ let backends_arg =
   Arg.(value & opt (some string) None
        & info [ "backends" ] ~docv:"SPEC" ~doc)
 
-let spawn_workers_default =
-  match Sys.getenv_opt "HLP_CLUSTER_WORKERS" with
-  | Some s -> int_of_string_opt s
-  | None -> None
-
 let spawn_workers_arg =
   let doc = "Head mode: spawn $(docv) local workers itself (sockets \
-             under a private temp dir), SIGTERM-drain them on exit \
-             (default: $(b,HLP_CLUSTER_WORKERS) if set)." in
-  Arg.(value & opt (some int) spawn_workers_default
-       & info [ "spawn-workers" ] ~docv:"N" ~doc)
+             under a private temp dir), SIGTERM-drain them on exit." in
+  Arg.(value & opt (some int) None & info [ "spawn-workers" ] ~docv:"N" ~doc)
 
 let ping_interval_arg =
   let doc = "Head mode: health-check ping interval in milliseconds." in
@@ -520,23 +469,11 @@ let parse_backends spec =
        (String.split_on_char ',' (String.trim spec)))
 
 (* Spawn [n] worker daemons under [dir]; wait for each socket to
-   accept.  Returns (name, addr) pairs plus the child pids.
-
-   HLP_METRICS_PORT is scrubbed from the children's environment — the
-   head already claimed it, and inheriting it would have every worker
-   race for the same TCP port.  When the head serves /metrics on port
-   P, worker [i] gets an explicit [--metrics-port (P + 1 + i)] so the
-   whole fleet stays scrapeable. *)
+   accept.  Returns (name, addr) pairs plus the child pids.  When the
+   head serves /metrics on port P, worker [i] gets [--metrics-port
+   (P + 1 + i)] so the whole fleet stays scrapeable. *)
 let spawn_workers ~dir ~n ~workers ~queue ~sa_cache ~metrics_port =
   let children = ref [] in
-  let child_env =
-    Array.of_list
-      (List.filter
-         (fun kv ->
-           not (String.length kv >= 17
-                && String.sub kv 0 17 = "HLP_METRICS_PORT="))
-         (Array.to_list (Unix.environment ())))
-  in
   let backends =
     List.init n (fun i ->
         let name = Printf.sprintf "w%d" i in
@@ -556,8 +493,8 @@ let spawn_workers ~dir ~n ~workers ~queue ~sa_cache ~metrics_port =
           | None -> []
         in
         let pid =
-          Unix.create_process_env Sys.executable_name (Array.of_list args)
-            child_env Unix.stdin Unix.stdout Unix.stderr
+          Unix.create_process Sys.executable_name (Array.of_list args)
+            Unix.stdin Unix.stdout Unix.stderr
         in
         children := pid :: !children;
         (name, Client.Unix_path sock))
@@ -600,8 +537,7 @@ let run_head ~socket ~tcp ~backends ~spawn ~workers ~queue ~sa_cache
         tmpdir := Some dir;
         spawn_workers ~dir ~n ~workers ~queue ~sa_cache ~metrics_port
     | None, _ ->
-        failwith "--head needs --backends or --spawn-workers (or \
-                  HLP_CLUSTER_WORKERS)"
+        failwith "--head needs --backends or --spawn-workers"
   in
   let config =
     {
@@ -731,7 +667,7 @@ let run_session_demo c ~bench ~binder ~alpha ~width ~edits ~deadline_ms =
   let rid = ref 0 in
   let request op =
     incr rid;
-    match Client.request c { Protocol.id = Sjson.Int !rid; deadline_ms; op } with
+    match Client.request c { Protocol.id = Json.Int !rid; deadline_ms; op } with
     | Ok { Protocol.payload = Protocol.Result { result; _ }; _ } -> Ok result
     | Ok { Protocol.payload = Protocol.Error { message; _ }; _ } ->
         Error message
@@ -752,8 +688,8 @@ let run_session_demo c ~bench ~binder ~alpha ~width ~edits ~deadline_ms =
       1
   | Ok j -> (
       let open_ms = 1000. *. (now () -. t0) in
-      match Sjson.member "session" j with
-      | Some (Sjson.String sid) -> (
+      match Json.member "session" j with
+      | Some (Json.String sid) -> (
           Printf.printf "session %s opened in %.2f ms\n" sid open_ms;
           let added_id =
             Cdfg.num_ops (Benchmarks.generate (Benchmarks.find bench))
@@ -806,8 +742,8 @@ let run_session_demo c ~bench ~binder ~alpha ~width ~edits ~deadline_ms =
               with
               | Ok j ->
                   let int_of name =
-                    match Sjson.member name j with
-                    | Some (Sjson.Int n) -> n
+                    match Json.member name j with
+                    | Some (Json.Int n) -> n
                     | _ -> 0
                   in
                   Printf.printf
@@ -883,7 +819,7 @@ let run_client socket tcp op bench binder alpha width vectors port_assign
                  client survives a daemon restart mid-conversation;
                  the session demo above sticks to plain [request]. *)
               Client.request_retry c
-                { Protocol.id = Sjson.Int 1; deadline_ms; op }
+                { Protocol.id = Json.Int 1; deadline_ms; op }
         in
         match reply with
         | Ok r ->

@@ -43,7 +43,7 @@
      HLP_FUZZ_CORPUS  directory for failing frames (default
                       _fuzz_corpus) *)
 
-module Json = Hlp_server.Json
+module Json = Hlp_util.Json
 module P = Hlp_server.Protocol
 module Server = Hlp_server.Server
 

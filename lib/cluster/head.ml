@@ -1,5 +1,5 @@
 module P = Hlp_server.Protocol
-module Json = Hlp_server.Json
+module Json = Hlp_util.Json
 module Client = Hlp_server.Client
 module Front = Hlp_server.Front
 module Telemetry = Hlp_util.Telemetry

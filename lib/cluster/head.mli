@@ -67,7 +67,7 @@ val shutdown : t -> unit
 val install_signal_handlers : t -> unit
 
 (** The [stats] reply body (also served to protocol clients). *)
-val stats_json : t -> Hlp_server.Json.t
+val stats_json : t -> Hlp_util.Json.t
 
 (** Exposed for tests: one liveness round right now. *)
 val force_health_round : t -> unit

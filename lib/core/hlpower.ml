@@ -152,39 +152,13 @@ type class_value = {
   cv_first_fit : bool;
 }
 
-type memo_stats = {
-  weight_hits : int;
-  weight_misses : int;
-  class_hits : int;
-  class_misses : int;
-}
-
 type state = {
   weight_memo : (weight_key, float) Hashtbl.t;
   class_memo : (class_key, class_value) Hashtbl.t;
-  mutable st_weight_hits : int;
-  mutable st_weight_misses : int;
-  mutable st_class_hits : int;
-  mutable st_class_misses : int;
 }
 
 let create_state () =
-  {
-    weight_memo = Hashtbl.create 256;
-    class_memo = Hashtbl.create 64;
-    st_weight_hits = 0;
-    st_weight_misses = 0;
-    st_class_hits = 0;
-    st_class_misses = 0;
-  }
-
-let memo_stats st =
-  {
-    weight_hits = st.st_weight_hits;
-    weight_misses = st.st_weight_misses;
-    class_hits = st.st_class_hits;
-    class_misses = st.st_class_misses;
-  }
+  { weight_memo = Hashtbl.create 256; class_memo = Hashtbl.create 64 }
 
 let merged_weight ?state ~params ~sa_table u v =
   let compute () =
@@ -208,13 +182,11 @@ let merged_weight ?state ~params ~sa_table u v =
       in
       match Hashtbl.find_opt st.weight_memo key with
       | Some w ->
-          st.st_weight_hits <- st.st_weight_hits + 1;
           Telemetry.incr c_weight_hits;
           w
       | None ->
           let w = compute () in
           Hashtbl.replace st.weight_memo key w;
-          st.st_weight_misses <- st.st_weight_misses + 1;
           Telemetry.incr c_weight_misses;
           w)
 
@@ -478,13 +450,11 @@ let bind ?state ?(params = default_params) ~sa_table ~regs ~resources
               in
               match Hashtbl.find_opt st.class_memo key with
               | Some cv ->
-                  st.st_class_hits <- st.st_class_hits + 1;
                   Telemetry.incr c_class_hits;
                   if cv.cv_first_fit then Telemetry.incr c_first_fit;
                   (cv.cv_groups, cv.cv_iterations, cv.cv_promoted,
                    cv.cv_first_fit)
               | None ->
-                  st.st_class_misses <- st.st_class_misses + 1;
                   Telemetry.incr c_class_misses;
                   let groups, its, promos, ff = fresh () in
                   Hashtbl.replace st.class_memo key

@@ -76,21 +76,14 @@ type result = {
 
 (** Persistent binder state: memoized Eq. 4 evaluations keyed by
     (class, merged left-source set, merged right-source set, alpha, beta,
-    SA-table identity) plus memoized whole per-class results.  Not
-    thread-safe — guard with a mutex when shared (the router holds one
-    per session). *)
+    SA-table identity) plus memoized whole per-class results.  Hits and
+    misses of both memos are counted process-wide, in the
+    [hlpower.memo_weight_hits], [_weight_misses], [_class_hits] and
+    [_class_misses] telemetry counters.  Not thread-safe — guard with a
+    mutex when shared (the router holds one per session). *)
 type state
 
 val create_state : unit -> state
-
-type memo_stats = {
-  weight_hits : int;  (** Eq. 4 evaluations served from the memo *)
-  weight_misses : int;  (** Eq. 4 evaluations computed and stored *)
-  class_hits : int;  (** whole class runs replayed from the memo *)
-  class_misses : int;  (** class runs executed and stored *)
-}
-
-val memo_stats : state -> memo_stats
 
 (** [bind ?state ~params ~sa_table ~regs ~resources schedule] runs
     Algorithm 1.  With [?state], Eq. 4 evaluations and whole per-class

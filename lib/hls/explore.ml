@@ -29,33 +29,21 @@ let pp_point fmt p =
     p.power_mw p.toggle_mhz
 
 type config = {
-  width : int;
   vectors : int;
   add_range : int list;
   mult_range : int list;
   alphas : float list;
-  sa_cache_dir : string option;
 }
 
 let default_config =
   {
-    width = 16;
     vectors = 60;
     add_range = [ 1; 2; 4 ];
     mult_range = [ 1; 2; 4 ];
     alphas = [ 1.0; 0.5 ];
-    sa_cache_dir = None;
   }
 
-let sweep ?(config = default_config) cdfg =
-  (* SA entries are pure functions of (width, k, key): reuse the
-     persistent cache across sweeps so only the first one pays the
-     table-fill mapper invocations. *)
-  let sa_table =
-    match config.sa_cache_dir with
-    | Some dir -> Sa_table.create_persistent ~width:config.width ~k:4 ~dir ()
-    | None -> Sa_table.create_default ~width:config.width ~k:4 ()
-  in
+let sweep ?(config = default_config) ~sa_table cdfg =
   (* One task per (add, mult) allocation: each schedules once and walks the
      alpha list, so the grid parallelizes across Pool workers while every
      point is still produced from its own deterministic seed.  The result
@@ -88,7 +76,8 @@ let sweep ?(config = default_config) cdfg =
                 let flow_config =
                   {
                     Flow.default_config with
-                    Flow.width = config.width;
+                    Flow.width = Sa_table.width sa_table;
+                    k = Sa_table.k sa_table;
                     vectors = config.vectors;
                   }
                 in

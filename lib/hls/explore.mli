@@ -28,27 +28,27 @@ val pp_point : Format.formatter -> point -> unit
 
 (** Sweep configuration. *)
 type config = {
-  width : int;  (** datapath bits (default 16) *)
   vectors : int;  (** simulation vectors per point (default 60) *)
   add_range : int list;  (** adder-class allocations to try *)
   mult_range : int list;  (** multiplier allocations to try *)
   alphas : float list;  (** Eq. 4 weightings to try *)
-  sa_cache_dir : string option;
-      (** persistent SA-table cache directory; [None] (the default)
-          defers to the [HLP_SA_CACHE] environment variable via
-          {!Hlp_core.Sa_table.create_default} *)
 }
 
 (** Allocations 1/2/4 on both classes, alpha in {1.0, 0.5}. *)
 val default_config : config
 
-(** [sweep ?config cdfg] evaluates every combination (infeasible points —
-    e.g. an allocation below a forced density — are skipped).  Grid cells
-    are evaluated in parallel across the {!Hlp_util.Pool} worker count
-    ([HLP_JOBS]); every point derives from its own per-design RNG seed,
-    so the returned list is bit-identical whatever the worker count, in
-    the (add, mult, alpha) order of the sequential loops. *)
-val sweep : ?config:config -> Cdfg.t -> point list
+(** [sweep ?config ~sa_table cdfg] evaluates every combination
+    (infeasible points — e.g. an allocation below a forced density — are
+    skipped) at the datapath width and LUT size of [sa_table].  Every
+    HLPower bind reads [sa_table], so a caller that keeps one warm table
+    per width (the daemon's router does) pays its fill once, not once
+    per sweep.  Grid cells are evaluated in parallel
+    across the {!Hlp_util.Pool} worker count ([HLP_JOBS]); every point
+    derives from its own per-design RNG seed, so the returned list is
+    bit-identical whatever the worker count, in the (add, mult, alpha)
+    order of the sequential loops. *)
+val sweep :
+  ?config:config -> sa_table:Hlp_core.Sa_table.t -> Cdfg.t -> point list
 
 (** [pareto points] keeps the points not dominated on
     (latency_ns, power_mw, luts) — all minimized.  Order follows the

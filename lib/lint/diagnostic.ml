@@ -62,23 +62,53 @@ let pp fmt d =
 
 let to_string d = Format.asprintf "%a" pp d
 
-(* Hand-rolled JSON, matching Telemetry's no-yojson policy. *)
-let json_loc = function
-  | Op i -> Printf.sprintf {|{"kind": "op", "index": %d}|} i
-  | Fu i -> Printf.sprintf {|{"kind": "fu", "index": %d}|} i
-  | Reg i -> Printf.sprintf {|{"kind": "reg", "index": %d}|} i
-  | Step i -> Printf.sprintf {|{"kind": "step", "index": %d}|} i
-  | Node i -> Printf.sprintf {|{"kind": "node", "index": %d}|} i
-  | Net s ->
-      Printf.sprintf {|{"kind": "net", "name": "%s"}|}
-        (Hlp_util.Telemetry.json_escape s)
-  | Line i -> Printf.sprintf {|{"kind": "line", "index": %d}|} i
-  | Design -> {|{"kind": "design"}|}
+module Json = Hlp_util.Json
 
-let json_of d =
-  Printf.sprintf
-    {|{"code": "%s", "severity": "%s", "loc": %s, "message": "%s"}|}
-    (Hlp_util.Telemetry.json_escape d.code)
-    (match d.severity with Error -> "error" | Warning -> "warning")
-    (json_loc d.loc)
-    (Hlp_util.Telemetry.json_escape d.message)
+let loc_to_json : loc -> Json.t = function
+  | Op i -> Obj [ ("kind", String "op"); ("index", Int i) ]
+  | Fu i -> Obj [ ("kind", String "fu"); ("index", Int i) ]
+  | Reg i -> Obj [ ("kind", String "reg"); ("index", Int i) ]
+  | Step i -> Obj [ ("kind", String "step"); ("index", Int i) ]
+  | Node i -> Obj [ ("kind", String "node"); ("index", Int i) ]
+  | Net s -> Obj [ ("kind", String "net"); ("name", String s) ]
+  | Line i -> Obj [ ("kind", String "line"); ("index", Int i) ]
+  | Design -> Obj [ ("kind", String "design") ]
+
+let to_json d : Json.t =
+  Obj
+    [
+      ("code", String d.code);
+      ( "severity",
+        String (match d.severity with Error -> "error" | Warning -> "warning")
+      );
+      ("loc", loc_to_json d.loc);
+      ("message", String d.message);
+    ]
+
+let loc_of_json v =
+  let index () = Option.bind (Json.member "index" v) Json.to_int in
+  match Option.bind (Json.member "kind" v) Json.to_string_opt with
+  | Some "op" -> Option.map (fun i -> Op i) (index ())
+  | Some "fu" -> Option.map (fun i -> Fu i) (index ())
+  | Some "reg" -> Option.map (fun i -> Reg i) (index ())
+  | Some "step" -> Option.map (fun i -> Step i) (index ())
+  | Some "node" -> Option.map (fun i -> Node i) (index ())
+  | Some "line" -> Option.map (fun i -> Line i) (index ())
+  | Some "net" ->
+      Option.map
+        (fun n -> Net n)
+        (Option.bind (Json.member "name" v) Json.to_string_opt)
+  | Some "design" -> Some Design
+  | _ -> None
+
+let of_json v =
+  let str name = Option.bind (Json.member name v) Json.to_string_opt in
+  match (str "code", str "severity", str "message") with
+  | Some code, Some sev, Some message ->
+      let severity = if sev = "warning" then Warning else Error in
+      let loc =
+        Option.value ~default:Design
+          (Option.bind (Json.member "loc" v) loc_of_json)
+      in
+      Some { code; severity; loc; message }
+  | _ -> None

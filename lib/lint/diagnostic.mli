@@ -58,6 +58,12 @@ val pp : Format.formatter -> t -> unit
 (** [to_string t] is [pp] rendered to a string. *)
 val to_string : t -> string
 
-(** [json_of t] renders one diagnostic as a JSON object (same hand-rolled
-    style as [Hlp_util.Telemetry]). *)
-val json_of : t -> string
+(** [to_json t] is one diagnostic as the JSON object lint reports and
+    the daemon's error replies carry:
+    [{"code", "severity", "loc": {"kind", "index" | "name"}, "message"}]. *)
+val to_json : t -> Hlp_util.Json.t
+
+(** [of_json v] inverts {!to_json}.  [None] when [code], [severity] or
+    [message] is missing; an unreadable [loc] reads as [Design] and any
+    severity but ["warning"] as [Error]. *)
+val of_json : Hlp_util.Json.t -> t option

@@ -8,6 +8,7 @@ module Mapper = Hlp_mapper.Mapper
 module Benchmarks = Hlp_cdfg.Benchmarks
 module Schedule = Hlp_cdfg.Schedule
 module Hlpower = Hlp_core.Hlpower
+module Json = Hlp_util.Json
 
 type rule = {
   r_code : string;
@@ -229,31 +230,17 @@ let pp_report ppf (design, ds) =
   Format.fprintf ppf "%s: %s@." design (summary ds)
 
 let json_report results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"lint\": [";
-  let sep = ref "" in
-  List.iter
-    (fun (design, ds) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\n    {\"design\": \"%s\", \"errors\": %d, \
-                         \"warnings\": %d, \"diagnostics\": ["
-           !sep
-           (Hlp_util.Telemetry.json_escape design)
-           (List.length (D.errors ds))
-           (List.length ds - List.length (D.errors ds)));
-      sep := ",";
-      let dsep = ref "" in
-      List.iter
-        (fun d ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s\n      %s" !dsep (D.json_of d));
-          dsep := ",")
-        ds;
-      if ds <> [] then Buffer.add_string buf "\n    ";
-      Buffer.add_string buf "]}")
-    results;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  let design (name, ds) =
+    let errors = List.length (D.errors ds) in
+    Json.Obj
+      [
+        ("design", Json.String name);
+        ("errors", Json.Int errors);
+        ("warnings", Json.Int (List.length ds - errors));
+        ("diagnostics", Json.List (List.map D.to_json ds));
+      ]
+  in
+  Json.Obj [ ("lint", Json.List (List.map design results)) ]
 
 (* --- hook installation ------------------------------------------------ *)
 

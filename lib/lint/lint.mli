@@ -80,6 +80,9 @@ val summary : Diagnostic.t list -> string
     by a summary line. *)
 val pp_report : Format.formatter -> string * Diagnostic.t list -> unit
 
-(** [json_report results] renders [(design, diagnostics)] pairs as one
-    JSON document (hand-rolled, same style as [Hlp_util.Telemetry]). *)
-val json_report : (string * Diagnostic.t list) list -> string
+(** [json_report results] is [(design, diagnostics)] pairs as one JSON
+    document: [{"lint": [{"design", "errors", "warnings",
+    "diagnostics"}, ...]}], each diagnostic as {!Diagnostic.to_json}.
+    [hlpower lint --json] writes it, and the daemon's [lint] reply
+    carries it as [report]. *)
+val json_report : (string * Diagnostic.t list) list -> Hlp_util.Json.t

@@ -1,10 +1,12 @@
 (* Net naming: inputs keep their declared names (sanitized), logic nodes get
    "n<id>", and declared outputs are emitted as single-input buffer covers so
-   their user-facing names survive a round trip.  A node whose "n<id>" is
-   already an input's or an output's name becomes "n<id>_<k>" for the
-   least k that no input or output uses.  No other node can have that
-   name: "n<id>" names have no underscore, and the digits before the
-   underscore are the node's own id. *)
+   their user-facing names survive a round trip.  An output whose name is
+   already an input's would redefine that input, so it becomes
+   "<name>_<k>" for the least k that no input, output or earlier renamed
+   output uses.  A node whose "n<id>" is taken becomes "n<id>_<k>" in the
+   same way.  No other node can have that name: "n<id>" names have no
+   underscore, and the digits before the underscore are the node's own
+   id. *)
 
 let sanitize s =
   let ok c =
@@ -14,27 +16,43 @@ let sanitize s =
   let s = String.map (fun c -> if ok c then c else '_') s in
   if s = "" then "_" else s
 
+(* Node names by id, and the outputs as (BLIF name, driver id). *)
 let net_names t =
   let input_name id = sanitize (Netlist.node t id).Netlist.name in
   let taken = Hashtbl.create 64 in
-  Array.iter
-    (fun id -> Hashtbl.replace taken (input_name id) ())
-    (Netlist.inputs t);
-  List.iter
-    (fun (name, _) -> Hashtbl.replace taken (sanitize name) ())
-    (Netlist.outputs t);
-  Array.init (Netlist.num_nodes t) (fun id ->
-      if Netlist.is_input t id then input_name id
-      else
-        let base = Printf.sprintf "n%d" id in
-        let rec free k =
-          let name = Printf.sprintf "%s_%d" base k in
-          if Hashtbl.mem taken name then free (k + 1) else name
-        in
-        if Hashtbl.mem taken base then free 1 else base)
+  let take name = Hashtbl.replace taken name () in
+  let free base =
+    let rec go k =
+      let name = Printf.sprintf "%s_%d" base k in
+      if Hashtbl.mem taken name then go (k + 1) else name
+    in
+    go 1
+  in
+  Array.iter (fun id -> take (input_name id)) (Netlist.inputs t);
+  let inputs = Hashtbl.copy taken in
+  List.iter (fun (name, _) -> take (sanitize name)) (Netlist.outputs t);
+  let outputs =
+    List.map
+      (fun (name, id) ->
+        let name = sanitize name in
+        if Hashtbl.mem inputs name then (
+          let name = free name in
+          take name;
+          (name, id))
+        else (name, id))
+      (Netlist.outputs t)
+  in
+  let nodes =
+    Array.init (Netlist.num_nodes t) (fun id ->
+        if Netlist.is_input t id then input_name id
+        else
+          let base = Printf.sprintf "n%d" id in
+          if Hashtbl.mem taken base then free base else base)
+  in
+  (nodes, outputs)
 
 let to_string t =
-  let names = net_names t in
+  let names, outputs = net_names t in
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr ".model %s\n" (sanitize (Netlist.name t));
@@ -42,8 +60,7 @@ let to_string t =
     Array.to_list (Array.map (Array.get names) (Netlist.inputs t))
   in
   pr ".inputs %s\n" (String.concat " " input_names);
-  pr ".outputs %s\n"
-    (String.concat " " (List.map (fun (n, _) -> sanitize n) (Netlist.outputs t)));
+  pr ".outputs %s\n" (String.concat " " (List.map fst outputs));
   Array.iter
     (fun id ->
       let n = Netlist.node t id in
@@ -72,9 +89,8 @@ let to_string t =
       end)
     (Netlist.topo_order t);
   List.iter
-    (fun (name, id) ->
-      pr ".names %s %s\n1 1\n" names.(id) (sanitize name))
-    (Netlist.outputs t);
+    (fun (name, id) -> pr ".names %s %s\n1 1\n" names.(id) name)
+    outputs;
   pr ".end\n";
   Buffer.contents buf
 

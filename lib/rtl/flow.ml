@@ -1,6 +1,7 @@
 module Binding = Hlp_core.Binding
 module Mapper = Hlp_mapper.Mapper
 module Telemetry = Hlp_util.Telemetry
+module Json = Hlp_util.Json
 
 type config = {
   width : int;
@@ -156,48 +157,36 @@ let run ?(checkpoint = fun _ -> ()) ?(config = default_config) ~design binding
         static_power;
   }
 
-(* Machine-readable form of a report, as one JSON object.  Floats are
-   printed with %.17g so two reports are textually equal iff the metrics
-   are bit-identical — this is what lets the bench CI diff a warm-cache
-   run against a cold one. *)
-let json_float x = Printf.sprintf "%.17g" x
-
+(* Machine-readable form of a report.  Json prints floats with %.17g,
+   so two reports print equal iff the metrics are bit-identical — this
+   is what lets the bench CI diff a warm-cache run against a cold one. *)
 let json_of_report r =
-  let s = Telemetry.json_escape in
-  String.concat ""
-    [
-      "{";
-      Printf.sprintf "\"design\": \"%s\", " (s r.design);
-      Printf.sprintf "\"dynamic_power_mw\": %s, " (json_float r.dynamic_power_mw);
-      Printf.sprintf "\"clock_period_ns\": %s, " (json_float r.clock_period_ns);
-      Printf.sprintf "\"luts\": %d, " r.luts;
-      Printf.sprintf "\"largest_mux\": %d, " r.largest_mux;
-      Printf.sprintf "\"mux_length\": %d, " r.mux_length;
-      Printf.sprintf "\"toggle_rate_mhz\": %s, " (json_float r.toggle_rate_mhz);
-      Printf.sprintf "\"est_total_sa\": %s, " (json_float r.est_total_sa);
-      Printf.sprintf "\"est_glitch_sa\": %s, " (json_float r.est_glitch_sa);
-      Printf.sprintf "\"sim_glitch_fraction\": %s, "
-        (json_float r.sim_glitch_fraction);
-      Printf.sprintf "\"cycles\": %d, " r.cycles;
-      Printf.sprintf "\"depth\": %d" r.depth;
-      (* Static fields render only when an estimate was computed, so a
-         [`Sim] report stays byte-identical to the historical format. *)
-      (match r.static with
-      | None -> ""
-      | Some st ->
-          String.concat ""
-            [
-              Printf.sprintf ", \"static_power_mw\": %s"
-                (json_float st.static_power_mw);
-              Printf.sprintf ", \"static_toggle_rate_mhz\": %s"
-                (json_float st.static_toggle_rate_mhz);
-              Printf.sprintf ", \"static_total_toggles\": %d"
-                st.static_total_toggles;
-              Printf.sprintf ", \"static_glitch_fraction\": %s"
-                (json_float st.static_glitch_fraction);
-            ]);
-      "}";
-    ]
+  let f x = Json.Float x and i n = Json.Int n in
+  Json.Obj
+    ([
+       ("design", Json.String r.design);
+       ("dynamic_power_mw", f r.dynamic_power_mw);
+       ("clock_period_ns", f r.clock_period_ns);
+       ("luts", i r.luts);
+       ("largest_mux", i r.largest_mux);
+       ("mux_length", i r.mux_length);
+       ("toggle_rate_mhz", f r.toggle_rate_mhz);
+       ("est_total_sa", f r.est_total_sa);
+       ("est_glitch_sa", f r.est_glitch_sa);
+       ("sim_glitch_fraction", f r.sim_glitch_fraction);
+       ("cycles", i r.cycles);
+       ("depth", i r.depth);
+     ]
+    @
+    match r.static with
+    | None -> []
+    | Some st ->
+        [
+          ("static_power_mw", f st.static_power_mw);
+          ("static_toggle_rate_mhz", f st.static_toggle_rate_mhz);
+          ("static_total_toggles", i st.static_total_toggles);
+          ("static_glitch_fraction", f st.static_glitch_fraction);
+        ])
 
 let pp_report fmt r =
   Format.fprintf fmt

@@ -96,10 +96,9 @@ val run :
 (** [pp_report] prints a compact human-readable report. *)
 val pp_report : Format.formatter -> report -> unit
 
-(** [json_of_report r] renders [r] as one JSON object.  Floats use
-    [%.17g], so two rendered reports are textually equal iff their
-    metrics are bit-identical (the property the bench harness's
-    warm-vs-cold cache diff checks).  The [static_*] fields are
-    rendered only when [r.static] is present, so [`Sim]-mode output is
-    byte-identical to the historical format. *)
-val json_of_report : report -> string
+(** [json_of_report r] is [r] as one JSON object.  Its floats print
+    with [%.17g] ({!Hlp_util.Json}), so two printed reports are equal
+    iff their metrics are bit-identical (the property the bench
+    harness's warm-vs-cold cache diff checks).  The [static_*] fields
+    are present only when [r.static] is. *)
+val json_of_report : report -> Hlp_util.Json.t

@@ -77,7 +77,8 @@ val send_line : conn -> string -> unit
 
 (** [send_inline conn ~id ~op result] answers [op] on the connection
     thread itself: no telemetry, [elapsed_ms] 0. *)
-val send_inline : conn -> id:Json.t -> op:string -> Json.t -> unit
+val send_inline :
+  conn -> id:Hlp_util.Json.t -> op:string -> Hlp_util.Json.t -> unit
 
 (** [retain conn] keeps [conn]'s descriptor open until the matching
     {!release}, for a reply written after [handle] has returned.  The

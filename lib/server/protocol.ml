@@ -1,3 +1,4 @@
+module Json = Hlp_util.Json
 module Diagnostic = Hlp_lint.Diagnostic
 module Cdfg = Hlp_cdfg.Cdfg
 module Power = Hlp_rtl.Power
@@ -183,27 +184,6 @@ let error_reply ?(diagnostics = []) ~id code fmt =
 
 (* --- encoding --- *)
 
-let json_of_loc : Diagnostic.loc -> Json.t = function
-  | Op i -> Obj [ ("kind", String "op"); ("index", Int i) ]
-  | Fu i -> Obj [ ("kind", String "fu"); ("index", Int i) ]
-  | Reg i -> Obj [ ("kind", String "reg"); ("index", Int i) ]
-  | Step i -> Obj [ ("kind", String "step"); ("index", Int i) ]
-  | Node i -> Obj [ ("kind", String "node"); ("index", Int i) ]
-  | Net s -> Obj [ ("kind", String "net"); ("name", String s) ]
-  | Line i -> Obj [ ("kind", String "line"); ("index", Int i) ]
-  | Design -> Obj [ ("kind", String "design") ]
-
-let json_of_diagnostic (d : Diagnostic.t) : Json.t =
-  Obj
-    [
-      ("code", String d.code);
-      ( "severity",
-        String
-          (match d.severity with Error -> "error" | Warning -> "warning") );
-      ("loc", json_of_loc d.loc);
-      ("message", String d.message);
-    ]
-
 let json_of_operand : Cdfg.operand -> Json.t = function
   | Cdfg.Input k -> Obj [ ("input", Int k) ]
   | Cdfg.Op j -> Obj [ ("op", Int j) ]
@@ -269,7 +249,7 @@ let encode_reply r =
                 ("code", Json.String (error_code_to_string code));
                 ("message", Json.String message);
                 ( "diagnostics",
-                  Json.List (List.map json_of_diagnostic diagnostics) );
+                  Json.List (List.map Diagnostic.to_json diagnostics) );
               ] );
         ]
   in
@@ -969,10 +949,6 @@ let decode_request line =
          reader. *)
       let code = if Json.is_depth_error msg then "S012" else "S001" in
       reject code "malformed frame (byte %d: %s): %s" pos msg (excerpt line)
-  | Ok ((Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-        | Json.String _ | Json.List _ | Json.Raw _) as json) ->
-      reject "S001" "frame is not a JSON object: %s"
-        (excerpt (Json.to_string json))
   | Ok (Json.Obj _ as json) -> (
       let problems = ref [] in
       let add diag = problems := diag :: !problems in
@@ -1005,6 +981,9 @@ let decode_request line =
       | op, err_diagnostics ->
           let err_code = if op = None then Unknown_op else Bad_request in
           Stdlib.Error { err_code; err_id = id; err_diagnostics })
+  | Ok json ->
+      reject "S001" "frame is not a JSON object: %s"
+        (excerpt (Json.to_string json))
 
 let encode_request r =
   let params (Op s) =
@@ -1128,36 +1107,6 @@ let params_table () =
       @ lines specs)
   ^ "\n"
 
-let loc_of_json (v : Json.t) : Diagnostic.loc option =
-  let index () = Option.bind (Json.member "index" v) Json.to_int in
-  match Option.bind (Json.member "kind" v) Json.to_string_opt with
-  | Some "op" -> Option.map (fun i -> Diagnostic.Op i) (index ())
-  | Some "fu" -> Option.map (fun i -> Diagnostic.Fu i) (index ())
-  | Some "reg" -> Option.map (fun i -> Diagnostic.Reg i) (index ())
-  | Some "step" -> Option.map (fun i -> Diagnostic.Step i) (index ())
-  | Some "node" -> Option.map (fun i -> Diagnostic.Node i) (index ())
-  | Some "line" -> Option.map (fun i -> Diagnostic.Line i) (index ())
-  | Some "net" ->
-      Option.map
-        (fun n -> Diagnostic.Net n)
-        (Option.bind (Json.member "name" v) Json.to_string_opt)
-  | Some "design" -> Some Diagnostic.Design
-  | _ -> None
-
-let diagnostic_of_json (v : Json.t) : Diagnostic.t option =
-  let str name = Option.bind (Json.member name v) Json.to_string_opt in
-  match (str "code", str "severity", str "message") with
-  | Some code, Some sev, Some message ->
-      let severity =
-        if sev = "warning" then Diagnostic.Warning else Diagnostic.Error
-      in
-      let loc =
-        Option.value ~default:Diagnostic.Design
-          (Option.bind (Json.member "loc" v) loc_of_json)
-      in
-      Some { Diagnostic.code; severity; loc; message }
-  | _ -> None
-
 let decode_reply line =
   match Json.parse line with
   | Error (pos, msg) -> Stdlib.Error (Printf.sprintf "byte %d: %s" pos msg)
@@ -1200,7 +1149,7 @@ let decode_reply line =
                   let diagnostics =
                     match Json.member "diagnostics" err with
                     | Some (Json.List ds) ->
-                        List.filter_map diagnostic_of_json ds
+                        List.filter_map Diagnostic.of_json ds
                     | _ -> []
                   in
                   Ok

@@ -240,7 +240,8 @@ type op =
 val op_name : op -> string
 
 type request = {
-  id : Json.t;  (** echoed verbatim in the reply; [Null] when absent *)
+  id : Hlp_util.Json.t;
+      (** echoed verbatim in the reply; [Null] when absent *)
   deadline_ms : int option;  (** per-request deadline, from receipt *)
   op : op;
 }
@@ -268,7 +269,7 @@ val error_code_of_string : string -> error_code option
 type payload =
   | Result of {
       op : string;  (** the request's operation name *)
-      result : Json.t;
+      result : Hlp_util.Json.t;
       telemetry : (string * int) list;
           (** counters this request moved ({!Hlp_util.Telemetry.with_scope}) *)
       elapsed_ms : float;
@@ -279,13 +280,13 @@ type payload =
       diagnostics : Diagnostic.t list;
     }
 
-type reply = { reply_id : Json.t; payload : payload }
+type reply = { reply_id : Hlp_util.Json.t; payload : payload }
 
 (** [error_reply ?diagnostics ~id code fmt ...] builds an error reply
     with a formatted message. *)
 val error_reply :
   ?diagnostics:Diagnostic.t list ->
-  id:Json.t ->
+  id:Hlp_util.Json.t ->
   error_code ->
   ('a, unit, string, reply) format4 ->
   'a
@@ -300,7 +301,7 @@ val encode_request : request -> string
     per offense. *)
 type decode_error = {
   err_code : error_code;
-  err_id : Json.t;
+  err_id : Hlp_util.Json.t;
   err_diagnostics : Diagnostic.t list;
 }
 
@@ -335,12 +336,9 @@ val encode_reply : reply -> string
 
 (** [decode_reply line] is the client-side inverse of {!encode_reply}.
     Round-trip law: [decode_reply (encode_reply r) = Ok r] for every
-    reply whose [result] contains no [Json.Raw] fragments (raw
+    reply whose [result] contains no [Hlp_util.Json.Raw] fragments (raw
     fragments come back as parsed values). *)
 val decode_reply : string -> (reply, string) result
-
-(** [json_of_diagnostic d] is {!Diagnostic.json_of} as a {!Json.t}. *)
-val json_of_diagnostic : Diagnostic.t -> Json.t
 
 (** {2 Framing} *)
 

@@ -1,3 +1,4 @@
+module Json = Hlp_util.Json
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
 module Lifetime = Hlp_cdfg.Lifetime
@@ -278,14 +279,9 @@ let handle_flow t ~checkpoint (p : Protocol.bind_params) =
         Option.value ~default:Flow.default_config.Flow.model p.model;
     }
   in
-  let report =
-    Flow.run ~checkpoint ~config ~design:(design_base ^ "-" ^ p.binder)
-      binding
-  in
-  (* Raw keeps the report byte-identical to the CLI's HLP_BENCH_JSON
-     rendering — the "concurrent daemon equals sequential CLI"
-     acceptance check literally compares these strings. *)
-  Json.Raw (Flow.json_of_report report)
+  Flow.json_of_report
+    (Flow.run ~checkpoint ~config ~design:(design_base ^ "-" ^ p.binder)
+       binding)
 
 let handle_explore t ~checkpoint (p : Protocol.explore_params) =
   checkpoint "explore";
@@ -293,15 +289,14 @@ let handle_explore t ~checkpoint (p : Protocol.explore_params) =
   let cdfg = Benchmarks.generate profile in
   let config =
     {
-      Explore.width = p.ex_width;
-      vectors = p.ex_vectors;
+      Explore.vectors = p.ex_vectors;
       add_range = p.ex_adds;
       mult_range = p.ex_mults;
       alphas = p.ex_alphas;
-      sa_cache_dir = t.sa_cache_dir;
     }
   in
-  let points = Explore.sweep ~config cdfg in
+  let sa_table = sa_table t ~width:p.ex_width ~k:4 in
+  let points = Explore.sweep ~config ~sa_table cdfg in
   let front = Explore.pareto points in
   let point_json (pt : Explore.point) =
     Json.Obj
@@ -343,19 +338,11 @@ let handle_lint t ~checkpoint (p : Protocol.lint_params) =
       (fun n (_, ds) -> n + List.length (Diagnostic.errors ds))
       0 results
   in
-  (* Lint.json_report pretty-prints across lines; a raw splice of it
-     would smuggle newlines into the newline-delimited frame and
-     truncate the reply mid-object. *)
-  let report_one_line =
-    String.map
-      (fun c -> if c = '\n' then ' ' else c)
-      (Hlp_lint.Lint.json_report results)
-  in
   Json.Obj
     [
       ("designs", Json.Int (List.length results));
       ("errors", Json.Int errors);
-      ("report", Json.Raw report_one_line);
+      ("report", Hlp_lint.Lint.json_report results);
     ]
 
 let handle_ping ~checkpoint ms =

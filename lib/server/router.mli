@@ -42,15 +42,15 @@ val handle :
   t ->
   checkpoint:(string -> unit) ->
   Protocol.op ->
-  (Json.t, Protocol.Diagnostic.t list) result
+  (Hlp_util.Json.t, Protocol.Diagnostic.t list) result
 
 (** [sa_stats_json t] describes every warm table: width, k, entries,
     hits, misses, disk hits. *)
-val sa_stats_json : t -> Json.t
+val sa_stats_json : t -> Hlp_util.Json.t
 
 (** [session_stats_json t] — open/opened/closed/evicted session counts
     plus the TTL and capacity, for the daemon's [stats] reply. *)
-val session_stats_json : t -> Json.t
+val session_stats_json : t -> Hlp_util.Json.t
 
 (** Number of currently open sessions. *)
 val open_sessions : t -> int

@@ -1,3 +1,4 @@
+module Json = Hlp_util.Json
 module Telemetry = Hlp_util.Telemetry
 module Clock = Hlp_util.Clock
 

@@ -61,4 +61,4 @@ val install_signal_handlers : t -> unit
 
 (** [stats_json t] is the [stats] reply body: uptime, request counters,
     scheduler occupancy, warm SA tables, telemetry counters. *)
-val stats_json : t -> Json.t
+val stats_json : t -> Hlp_util.Json.t

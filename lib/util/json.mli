@@ -1,26 +1,31 @@
-(** Minimal JSON for the wire protocol.
+(** The tree's one JSON codec.
 
-    The tree has always emitted JSON by hand ([Hlp_util.Telemetry],
-    [Hlp_rtl.Flow], [Hlp_lint]); the serving daemon is the first thing
-    that must also {e read} it, and the environment carries no JSON
-    package, so this module completes the loop: a small recursive-descent
-    parser plus a printer, covering the full RFC 8259 grammar: [\uXXXX]
-    escapes decode to UTF-8 (surrogate pairs combine into one
-    supplementary-plane code point; a lone surrogate becomes U+FFFD),
-    and the printer passes non-ASCII bytes through verbatim, so
-    non-ASCII string values — request ids included — round-trip.
+    Every JSON document the program writes — wire replies, the flow and
+    lint reports, [HLP_BENCH_JSON], [HLP_TELEMETRY], [lint --json] — is
+    built as a {!t} and printed by {!to_string}; the serving daemon also
+    reads requests with {!parse}.  The environment carries no JSON
+    package, so this is a small recursive-descent parser plus a printer,
+    covering the full RFC 8259 grammar: [\uXXXX] escapes decode to UTF-8
+    (surrogate pairs combine into one supplementary-plane code point; a
+    lone surrogate becomes U+FFFD), and the printer passes non-ASCII
+    bytes through verbatim, so non-ASCII string values — request ids
+    included — round-trip.
 
-    Two deliberate choices:
+    Three deliberate choices:
 
     - Numbers without [.], [e] or [E] parse as [Int]; everything else as
-      [Float].  [Float] prints with [%.17g], so a double that entered the
-      protocol survives a round trip bit-exactly — the property the
-      "concurrent clients equal sequential CLI" acceptance check rests
-      on.
-    - [Raw] injects a pre-rendered JSON fragment verbatim into the
-      output.  The pipeline's own emitters ([Flow.json_of_report],
-      [Lint.json_report]) keep authority over their float formatting;
-      the parser never produces [Raw]. *)
+      [Float].  A finite [Float] prints with [%.17g], so a double
+      survives a round trip bit-exactly — two reports print equal iff
+      their metrics are bit-identical, the property the "concurrent
+      clients equal sequential CLI" check and [bench_diff] rest on.  A
+      non-finite [Float] prints [null].
+    - Output is one line: [", "] between members and elements, [": "]
+      after keys, no other whitespace.  A printed value is always a
+      valid protocol frame body, and {!to_file} writes it plus a
+      newline.
+    - [Raw] injects pre-rendered bytes verbatim.  Its one user is the
+      daemon's session reply cache, which re-sends the bind object it
+      rendered before; the parser never produces [Raw]. *)
 
 type t =
   | Null
@@ -30,7 +35,7 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
-  | Raw of string  (** print-only: splice a pre-rendered fragment *)
+  | Raw of string  (** print-only: splice pre-rendered bytes *)
 
 (** [parse s] parses one JSON value occupying all of [s] (surrounding
     whitespace allowed).  [Error (pos, msg)] carries the 0-based byte
@@ -54,6 +59,10 @@ val is_depth_error : string -> bool
 (** [to_string v] prints [v] on one line (no newlines — a printed value
     is always a valid protocol frame body). *)
 val to_string : t -> string
+
+(** [to_file path v] writes [to_string v] and a newline to [path].
+    @raise Sys_error if [path] cannot be written. *)
+val to_file : string -> t -> unit
 
 (** {2 Accessors} — total, returning [None]/defaults on shape
     mismatches, so request validation can collect every problem instead

@@ -94,59 +94,25 @@ let reset () =
       Hashtbl.reset counters_tbl;
       Hashtbl.reset timers_tbl)
 
-(* --- hand-rolled JSON (no yojson in this environment) --- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float x =
-  (* %.6f keeps durations readable and is always valid JSON (no nan/inf
-     can arise from gettimeofday differences). *)
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.1f" x
-  else Printf.sprintf "%.6f" x
-
 let to_json () =
-  let buf = Buffer.create 4096 in
-  let sep = ref "" in
-  Buffer.add_string buf "{\n  \"counters\": {";
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\n    \"%s\": %d" !sep (json_escape k) v);
-      sep := ",")
-    (counters ());
-  Buffer.add_string buf "\n  },\n  \"timers\": [";
-  sep := "";
-  List.iter
-    (fun (k, calls, seconds) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%s\n    {\"name\": \"%s\", \"calls\": %d, \"seconds\": %s}" !sep
-           (json_escape k) calls (json_float seconds));
-      sep := ",")
-    (timers ());
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  Json.Obj
+    [
+      ( "counters",
+        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters ())) );
+      ( "timers",
+        Json.List
+          (List.map
+             (fun (k, calls, seconds) ->
+               Json.Obj
+                 [
+                   ("name", Json.String k);
+                   ("calls", Json.Int calls);
+                   ("seconds", Json.Float seconds);
+                 ])
+             (timers ())) );
+    ]
 
-let write path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ()))
+let write path = Json.to_file path (to_json ())
 
 let write_if_requested () =
   match Sys.getenv_opt "HLP_TELEMETRY" with

@@ -61,21 +61,12 @@ val timers : unit -> (string * int * float) list
 (** [reset ()] clears all counters and timers (tests). *)
 val reset : unit -> unit
 
-(** [to_json ()] renders the snapshot as a JSON object with fields
+(** [to_json ()] is the snapshot as a JSON object with fields
     ["counters"] (object of integers) and ["timers"] (array of
     [{name, calls, seconds}]). *)
-val to_json : unit -> string
+val to_json : unit -> Json.t
 
-(** [json_escape s] escapes [s] for embedding in a JSON string literal
-    (shared by every hand-rolled JSON emitter in the tree). *)
-val json_escape : string -> string
-
-(** [json_float x] renders a finite float as a JSON number (readable
-    [%.6f]-style precision — suited to durations, not to values that
-    must round-trip bit-exactly). *)
-val json_float : float -> string
-
-(** [write path] writes [to_json ()] to [path]. *)
+(** [write path] writes [to_json ()] to [path] as one line. *)
 val write : string -> unit
 
 (** [write_if_requested ()] writes to [$HLP_TELEMETRY] when that variable

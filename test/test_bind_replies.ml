@@ -9,7 +9,7 @@
    LUT or SA estimate, fails here, not only in the benchmark's smoke
    run. *)
 
-module Json = Hlp_server.Json
+module Json = Hlp_util.Json
 module P = Hlp_server.Protocol
 module Router = Hlp_server.Router
 module Benchmarks = Hlp_cdfg.Benchmarks

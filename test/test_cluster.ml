@@ -7,7 +7,7 @@
    (CI's cluster-smoke job covers the same ground across real process
    boundaries with a real SIGKILL.) *)
 
-module Json = Hlp_server.Json
+module Json = Hlp_util.Json
 module P = Hlp_server.Protocol
 module Server = Hlp_server.Server
 module Client = Hlp_server.Client

@@ -1,22 +1,30 @@
 module Cdfg = Hlp_cdfg.Cdfg
 module Benchmarks = Hlp_cdfg.Benchmarks
 module Explore = Hlp_hls.Explore
+module Sa_table = Hlp_core.Sa_table
+module Telemetry = Hlp_util.Telemetry
+module Json = Hlp_util.Json
+module P = Hlp_server.Protocol
+module Router = Hlp_server.Router
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let small_config =
   {
-    Explore.width = 4;
-    vectors = 5;
+    Explore.vectors = 5;
     add_range = [ 1; 2 ];
     mult_range = [ 1; 2 ];
     alphas = [ 0.5 ];
-    sa_cache_dir = None;
   }
 
+let sweep cdfg =
+  Explore.sweep ~config:small_config
+    ~sa_table:(Sa_table.create ~width:4 ~k:4 ())
+    cdfg
+
 let test_sweep_covers_grid () =
-  let points = Explore.sweep ~config:small_config (Benchmarks.fir ~taps:4) in
+  let points = sweep (Benchmarks.fir ~taps:4) in
   check_int "2x2x1 grid" 4 (List.length points);
   List.iter
     (fun p ->
@@ -27,7 +35,7 @@ let test_sweep_covers_grid () =
     points
 
 let test_more_units_shorter_schedule () =
-  let points = Explore.sweep ~config:small_config (Benchmarks.fir ~taps:6) in
+  let points = sweep (Benchmarks.fir ~taps:6) in
   let find a m =
     List.find
       (fun p -> p.Explore.add_units = a && p.Explore.mult_units = m)
@@ -70,8 +78,41 @@ let test_pareto_keeps_equal_points () =
     (List.length (Explore.pareto [ a; b ]))
 
 let test_sweep_deterministic () =
-  let run () = Explore.sweep ~config:small_config (Benchmarks.fir ~taps:3) in
+  let run () = sweep (Benchmarks.fir ~taps:3) in
   check_bool "same points" true (run () = run ())
+
+(* The daemon's explore binds on the router's warm table for its
+   width, so a repeated sweep fills nothing.  The counter is the
+   process-wide one: the sweep's grid cells run on pool domains, which
+   a reply's scoped telemetry does not see. *)
+let test_router_explore_reuses_sa_table () =
+  let router = Router.create () in
+  let handle op =
+    match Router.handle router ~checkpoint:ignore op with
+    | Ok v -> Json.to_string v
+    | Error _ -> Alcotest.failf "%s failed" (P.op_name op)
+  in
+  ignore
+    (handle (P.Bind { P.default_bind_params with P.bench = "pr"; width = 4 }));
+  let explore () =
+    handle
+      (P.Explore
+         {
+           P.ex_bench = "pr";
+           ex_width = 4;
+           ex_vectors = 8;
+           ex_adds = [ 2 ];
+           ex_mults = [ 2 ];
+           ex_alphas = [ 0.5 ];
+         })
+  in
+  let misses = Telemetry.counter "sa_table.misses" in
+  let first = explore () in
+  let before = Telemetry.value misses in
+  let second = explore () in
+  check_int "SA misses of the second explore" 0
+    (Telemetry.value misses - before);
+  Alcotest.(check string) "same reply" first second
 
 let suite =
   [
@@ -83,4 +124,6 @@ let suite =
     Alcotest.test_case "pareto keeps ties" `Quick
       test_pareto_keeps_equal_points;
     Alcotest.test_case "sweep deterministic" `Slow test_sweep_deterministic;
+    Alcotest.test_case "router explore reuses the warm SA table" `Quick
+      test_router_explore_reuses_sa_table;
   ]

@@ -87,8 +87,20 @@ let test_reports_render () =
   in
   check_bool "text mentions the code" true (contains "B001" text);
   check_bool "summary counts" true (contains "1 error, 1 warning" text);
-  let json = Lint.json_report [ ("demo", ds) ] in
-  check_bool "json mentions the code" true (contains "\"B001\"" json)
+  let module Json = Hlp_util.Json in
+  match Json.member "lint" (Lint.json_report [ ("demo", ds) ]) with
+  | Some (Json.List [ design ]) ->
+      check_bool "json counts" true
+        (Json.member "design" design = Some (Json.String "demo")
+        && Json.member "errors" design = Some (Json.Int 1)
+        && Json.member "warnings" design = Some (Json.Int 1));
+      let diagnostics =
+        Option.value ~default:[]
+          (Option.bind (Json.member "diagnostics" design) Json.to_list)
+      in
+      check_bool "json diagnostics decode back" true
+        (List.filter_map D.of_json diagnostics = ds)
+  | _ -> Alcotest.fail "json report has no one-design lint list"
 
 let prop_hlpower_lints_clean =
   QCheck.Test.make ~name:"hlpower bindings lint clean through the flow"

@@ -158,6 +158,21 @@ let test_roundtrip_name_clash () =
   check_codes "output named like a node" []
     (D.codes (Rules.check_blif_roundtrip (Nl.freeze b)))
 
+(* A buffer cover for output "a" would redefine input "a", so the
+   writer renames the output; the round trip compares outputs by
+   position, not by name. *)
+let test_roundtrip_output_named_like_input () =
+  let b = Nl.create_builder ~name:"out_in" in
+  let a = Nl.add_input b "a" and bb = Nl.add_input b "b" in
+  Nl.mark_output b "a" (Cl.and2 b a bb);
+  check_codes "output a = a & b" []
+    (D.codes (Rules.check_blif_roundtrip (Nl.freeze b)));
+  let b = Nl.create_builder ~name:"passthrough" in
+  let a = Nl.add_input b "a" in
+  Nl.mark_output b "a" a;
+  check_codes "output a driven by input a" []
+    (D.codes (Rules.check_blif_roundtrip (Nl.freeze b)))
+
 (* Swapping y1 and y2 keeps each vector's set of output values, so only
    a comparison by position tells the two netlists apart. *)
 let test_equivalence_by_position () =
@@ -184,6 +199,8 @@ let suite =
     Alcotest.test_case "round trip 4-bit adder" `Quick test_roundtrip_adder;
     Alcotest.test_case "round trip with node names taken" `Quick
       test_roundtrip_name_clash;
+    Alcotest.test_case "round trip with an output named like an input"
+      `Quick test_roundtrip_output_named_like_input;
     Alcotest.test_case "N009 compares outputs by position" `Quick
       test_equivalence_by_position;
   ]

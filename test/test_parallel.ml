@@ -26,17 +26,17 @@ let with_jobs n f =
 let test_sweep_jobs_invariant () =
   let config =
     {
-      Explore.width = 4;
-      vectors = 5;
+      Explore.vectors = 5;
       add_range = [ 1; 2 ];
       mult_range = [ 1; 2 ];
       alphas = [ 1.0; 0.5 ];
-      sa_cache_dir = None;
     }
   in
   let run jobs =
     with_jobs jobs (fun () ->
-        Explore.sweep ~config (B.generate (B.find "pr")))
+        Explore.sweep ~config
+          ~sa_table:(Hlp_core.Sa_table.create ~width:4 ~k:4 ())
+          (B.generate (B.find "pr")))
   in
   let seq = run 1 and par = run 4 in
   check_bool "some points" true (List.length seq > 0);

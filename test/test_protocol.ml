@@ -2,7 +2,7 @@
    over every variant, malformed-frame diagnostics, and frame-size
    enforcement. *)
 
-module Json = Hlp_server.Json
+module Json = Hlp_util.Json
 module P = Hlp_server.Protocol
 module Diagnostic = Hlp_lint.Diagnostic
 

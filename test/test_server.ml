@@ -6,7 +6,7 @@
    CI smoke job covers the same ground over a real process boundary
    with a real SIGTERM.) *)
 
-module Json = Hlp_server.Json
+module Json = Hlp_util.Json
 module P = Hlp_server.Protocol
 module Server = Hlp_server.Server
 module Client = Hlp_server.Client
@@ -162,7 +162,9 @@ let test_concurrent_matches_sequential () =
       List.iter Thread.join threads;
       List.iteri
         (fun i bench ->
-          let expected = Flow.json_of_report (sequential_flow_report bench) in
+          let expected =
+            Json.to_string (Flow.json_of_report (sequential_flow_report bench))
+          in
           check_s
             (Printf.sprintf "%s concurrent == sequential (bit-identical)"
                bench)
@@ -170,8 +172,8 @@ let test_concurrent_matches_sequential () =
             (raw_result_of_frame frames.(i)))
         benches)
 
-(* --- lint over the wire: its pretty-printed report must survive the
-   newline-delimited framing --- *)
+(* --- lint over the wire: the report object must arrive in one
+   newline-delimited frame --- *)
 
 let test_lint_reply_single_frame () =
   with_server ~workers:1 (fun socket _server ->

@@ -7,7 +7,7 @@
    regressions (first-fit tie-break, fallback pair tie-break,
    structured calibration failure). *)
 
-module Json = Hlp_server.Json
+module Json = Hlp_util.Json
 module P = Hlp_server.Protocol
 module Router = Hlp_server.Router
 module Diagnostic = Hlp_lint.Diagnostic

@@ -52,31 +52,30 @@ let contains ~needle haystack =
   go 0
 
 let test_json_shape () =
+  let module Json = Hlp_util.Json in
   T.count "test.json \"quoted\"" 3;
   ignore (T.time "test.json.timer" (fun () -> ()));
   let json = T.to_json () in
-  check_bool "counters key" true (contains ~needle:"\"counters\"" json);
-  check_bool "timers key" true (contains ~needle:"\"timers\"" json);
+  let counter =
+    Option.bind (Json.member "counters" json)
+      (Json.member "test.json \"quoted\"")
+  in
+  check_bool "counters key" true
+    (match counter with Some (Json.Int n) -> n >= 3 | _ -> false);
+  let timers =
+    Option.value ~default:[]
+      (Option.bind (Json.member "timers" json) Json.to_list)
+  in
+  check_bool "timers key" true
+    (List.exists
+       (fun t -> Json.member "name" t = Some (Json.String "test.json.timer"))
+       timers);
+  (* The printed document escapes the quotes and parses back. *)
+  let text = Json.to_string json in
   check_bool "escaped quotes" true
-    (contains ~needle:"test.json \\\"quoted\\\"" json);
-  (* Minimal structural validation: balanced braces/brackets outside
-     strings, since no JSON parser is available in this environment. *)
-  let depth = ref 0 and ok = ref true and in_str = ref false in
-  String.iteri
-    (fun i c ->
-      if !in_str then begin
-        if c = '"' && json.[i - 1] <> '\\' then in_str := false
-      end
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-            decr depth;
-            if !depth < 0 then ok := false
-        | _ -> ())
-    json;
-  check_bool "balanced structure" true (!ok && !depth = 0 && not !in_str)
+    (contains ~needle:"test.json \\\"quoted\\\"" text);
+  check_bool "parses back" true
+    (match Json.parse text with Ok v -> Json.equal v json | Error _ -> false)
 
 let test_write_and_env_knob () =
   let path = Filename.temp_file "hlp_telemetry" ".json" in
