@@ -34,12 +34,11 @@
 
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
-module Lifetime = Hlp_cdfg.Lifetime
 module B = Hlp_cdfg.Benchmarks
 module RB = Hlp_core.Reg_binding
 module Bind = Hlp_core.Binding
 module H = Hlp_core.Hlpower
-module L = Hlp_core.Lopass
+module Binder = Hlp_core.Binder
 module ST = Hlp_core.Sa_table
 module Flow = Hlp_rtl.Flow
 module Stats = Hlp_util.Stats
@@ -74,8 +73,7 @@ let section title =
 (* Shared per-benchmark preparation, with wall-clock binding times. *)
 type prepared = {
   profile : B.profile;
-  schedule : Schedule.t;
-  regs : RB.t;
+  prep : Binder.prepared;
   lopass : Bind.t;
   hlp_a1 : Bind.t;
   hlp_a05 : Bind.t;
@@ -94,30 +92,27 @@ let now () = Unix.gettimeofday ()
    byte-stable output (e.g. the CI determinism diff). *)
 let shown_seconds s = if stable then 0. else s
 
+let hlpower alpha = Binder.Hlpower { alpha }
+
+let bind ?(table = sa_table) ?resources binder prep =
+  Binder.run ?resources ~sa_table:(Lazy.from_val table) binder prep
+
 let prepare ?(variant = 0) profile =
-  let cdfg = B.generate ~variant profile in
-  let resources = B.resources profile in
-  let schedule = Schedule.list_schedule cdfg ~resources in
-  let regs = RB.bind (Lifetime.analyze schedule) in
-  let min_res cls = max 1 (Schedule.max_density schedule cls) in
-  let lopass = L.bind ~regs ~resources schedule in
-  let run_hlp alpha =
-    let params = H.calibrate ~alpha sa_table in
-    H.bind ~params ~sa_table ~regs ~resources:min_res schedule
-  in
+  let prep = Binder.prepare (Binder.Bench (profile, variant)) in
+  let lopass = (bind Binder.Lopass prep).binding in
   let t0 = now () in
-  let r05 = run_hlp 0.5 in
+  let r05 = bind (hlpower 0.5) prep in
   let hlp_seconds = now () -. t0 in
-  let r1 = run_hlp 1.0 in
+  let r1 = bind (hlpower 1.0) prep in
   {
     profile;
-    schedule;
-    regs;
+    prep;
     lopass;
-    hlp_a1 = r1.H.binding;
-    hlp_a05 = r05.H.binding;
+    hlp_a1 = r1.binding;
+    hlp_a05 = r05.binding;
     hlp_seconds;
-    iterations = r05.H.iterations;
+    iterations =
+      Option.fold ~none:0 ~some:(fun r -> r.H.iterations) r05.hlpower;
   }
 
 let prepared = lazy (Pool.parallel_map_list prepare B.all)
@@ -152,8 +147,8 @@ let table2 () =
       let p = pr.profile in
       Printf.printf "%-8s %4d %5d | %11d %12d | %10d %11d | %12.3f %6d\n"
         p.B.bench_name p.B.add_units p.B.mult_units
-        pr.schedule.Schedule.num_csteps p.B.paper_cycles
-        (RB.num_regs pr.regs) p.B.paper_regs
+        pr.prep.schedule.Schedule.num_csteps p.B.paper_cycles
+        (RB.num_regs pr.prep.regs) p.B.paper_regs
         (shown_seconds pr.hlp_seconds)
         pr.iterations)
     (Lazy.force prepared)
@@ -324,17 +319,11 @@ let figure3 () =
 let alpha_sweep () =
   section "Alpha sweep (sec. 6.2 discussion): wang, alpha in {1 .. 0}";
   let pr = find_prepared "wang" in
-  let min_res cls = max 1 (Schedule.max_density pr.schedule cls) in
   Printf.printf "%-6s %12s %10s %8s %10s %12s\n" "alpha" "muxDiff" "muxLen"
     "LUTs" "toggleM/s" "power(mW)";
   List.iter
     (fun alpha ->
-      let params = H.calibrate ~alpha sa_table in
-      let b =
-        (H.bind ~params ~sa_table ~regs:pr.regs ~resources:min_res
-           pr.schedule)
-          .H.binding
-      in
+      let b = (bind (hlpower alpha) pr.prep).binding in
       let s = Bind.mux_stats b in
       let config =
         { Flow.default_config with Flow.vectors = min vectors 100; width }
@@ -375,13 +364,7 @@ let ablation_table_vs_dynamic () =
      memoization, so "dynamic" = a fresh, cold table; bindings must
      coincide and the warm run must be faster. *)
   let pr = find_prepared "pr" in
-  let min_res cls = max 1 (Schedule.max_density pr.schedule cls) in
-  let bind_with table =
-    let params = H.calibrate ~alpha:0.5 table in
-    (H.bind ~params ~sa_table:table ~regs:pr.regs ~resources:min_res
-       pr.schedule)
-      .H.binding
-  in
+  let bind_with table = (bind ~table (hlpower 0.5) pr.prep).binding in
   let fresh = ST.create ~width ~k:4 () in
   let t0 = now () in
   let b_dynamic = bind_with fresh in
@@ -424,26 +407,19 @@ let ablation_multicycle () =
     "Ablation: multi-cycle multiplier (sec 5.2.1, no Theorem-1 guarantee)";
   let latency = function Cdfg.Mult -> 2 | Cdfg.Add | Cdfg.Sub -> 1 in
   let p = B.find "pr" in
-  let g = B.generate p in
-  let resources = B.resources p in
-  let schedule = Schedule.list_schedule ~latency g ~resources in
-  let regs = RB.bind (Lifetime.analyze schedule) in
-  match
-    H.bind
-      ~params:(H.calibrate ~alpha:0.5 sa_table)
-      ~sa_table ~regs ~resources schedule
-  with
+  let prep = Binder.prepare ~latency (Binder.Bench (p, 0)) in
+  match bind ~resources:(B.resources p) (hlpower 0.5) prep with
   | r ->
       Printf.printf
         "pr with 2-cycle multiplier: schedule %d steps (vs %d \
          single-cycle), %d add-FU + %d mult-FU, %d promotions, valid: %b\n"
-        schedule.Schedule.num_csteps
-        (find_prepared "pr").schedule.Schedule.num_csteps
-        (Bind.num_fus r.H.binding Cdfg.Add_sub)
-        (Bind.num_fus r.H.binding Cdfg.Multiplier)
-        r.H.promoted
+        prep.schedule.Schedule.num_csteps
+        (find_prepared "pr").prep.schedule.Schedule.num_csteps
+        (Bind.num_fus r.binding Cdfg.Add_sub)
+        (Bind.num_fus r.binding Cdfg.Multiplier)
+        (Option.fold ~none:0 ~some:(fun h -> h.H.promoted) r.hlpower)
         (try
-           Bind.validate r.H.binding;
+           Bind.validate r.binding;
            true
          with Failure _ -> false)
   | exception Failure msg ->

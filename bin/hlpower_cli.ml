@@ -2,14 +2,11 @@
    full evaluation flow, and dump the artifacts (VHDL, BLIF, SA table). *)
 
 module Cdfg = Hlp_cdfg.Cdfg
-module Schedule = Hlp_cdfg.Schedule
-module Lifetime = Hlp_cdfg.Lifetime
 module Benchmarks = Hlp_cdfg.Benchmarks
-module Reg_binding = Hlp_core.Reg_binding
 module Binding = Hlp_core.Binding
 module Sa_table = Hlp_core.Sa_table
 module Hlpower = Hlp_core.Hlpower
-module Lopass = Hlp_core.Lopass
+module Binder = Hlp_core.Binder
 module Datapath = Hlp_rtl.Datapath
 module Vhdl = Hlp_rtl.Vhdl
 module Flow = Hlp_rtl.Flow
@@ -101,53 +98,52 @@ let port_assign_arg =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose logging.")
 
-let prepare bench =
-  let p = Benchmarks.find bench in
-  let cdfg = Benchmarks.generate p in
-  let resources = Benchmarks.resources p in
-  let schedule = Schedule.list_schedule cdfg ~resources in
-  let regs = Reg_binding.bind (Lifetime.analyze schedule) in
-  (p, schedule, regs)
+let prepare bench = Binder.prepare (Binder.Bench (Benchmarks.find bench, 0))
+
+(* An SA table file holds one (width, K) library; binding with another
+   would price every merge at the wrong width. *)
+let load_sa_table path ~width ~k =
+  let table = Sa_table.load path in
+  if Sa_table.width table <> width || Sa_table.k table <> k then
+    failwith
+      (Printf.sprintf "SA table %s: header says width=%d k=%d, expected \
+                       width=%d k=%d"
+         path (Sa_table.width table) (Sa_table.k table) width k);
+  table
 
 let run_bind bench binder alpha width vectors estimator vhdl_out blif_out
     sa_path port_assign testbench_out verbose =
   setup_logs verbose;
   try
-    let p, schedule, regs = prepare bench in
-    let binding =
-      match binder with
-      | "lopass" ->
-          Lopass.bind ~regs ~resources:(Benchmarks.resources p) schedule
-      | "hlpower" ->
-          (* --sa-table names one explicit file (the paper's workflow);
-             otherwise HLP_SA_CACHE selects the versioned cache
-             directory, and without either the table stays in-memory. *)
-          let sa_table =
-            match sa_path with
-            | Some path when Sys.file_exists path -> Sa_table.load path
-            | _ -> Sa_table.create_default ~width ~k:4 ()
-          in
-          let params = Hlpower.calibrate ~alpha sa_table in
-          let r =
-            Hlpower.bind ~params ~sa_table ~regs
-              ~resources:(fun cls ->
-                max 1 (Schedule.max_density schedule cls))
-              schedule
-          in
-          (match sa_path with
-          | Some path -> Sa_table.save sa_table path
-          | None -> Sa_table.persist sa_table);
-          Logs.info (fun m ->
-              m "hlpower: %d iterations, %d promotions (SA table: %d hits, \
-                 %d misses, %d from disk)"
-                r.Hlpower.iterations r.Hlpower.promoted
-                (Sa_table.hits sa_table) (Sa_table.misses sa_table)
-                (Sa_table.disk_hits sa_table));
-          r.Hlpower.binding
-      | other -> failwith ("unknown binder: " ^ other)
+    let prepared = prepare bench in
+    let binder = Binder.of_name ~alpha binder in
+    (* --sa-table names one explicit file (the paper's workflow);
+       otherwise HLP_SA_CACHE selects the versioned cache directory, and
+       without either the table stays in-memory.  Only HLPower forces
+       it. *)
+    let sa_table =
+      lazy
+        (match sa_path with
+        | Some path when Sys.file_exists path ->
+            load_sa_table path ~width ~k:4
+        | _ -> Sa_table.create_default ~width ~k:4 ())
     in
+    let r = Binder.run ~sa_table binder prepared in
+    Option.iter
+      (fun (h : Hlpower.result) ->
+        let sa_table = Lazy.force sa_table in
+        (match sa_path with
+        | Some path -> Sa_table.save sa_table path
+        | None -> Sa_table.persist sa_table);
+        Logs.info (fun m ->
+            m "hlpower: %d iterations, %d promotions (SA table: %d hits, \
+               %d misses, %d from disk)"
+              h.iterations h.promoted (Sa_table.hits sa_table)
+              (Sa_table.misses sa_table) (Sa_table.disk_hits sa_table)))
+      r.hlpower;
     let binding =
-      if port_assign then Hlp_core.Port_assign.optimize binding else binding
+      if port_assign then Hlp_core.Port_assign.optimize r.binding
+      else r.binding
     in
     Binding.validate binding;
     Format.printf "binding: %a@." Binding.pp_summary binding;
@@ -156,7 +152,7 @@ let run_bind bench binder alpha width vectors estimator vhdl_out blif_out
         Flow.width; vectors; estimator = parse_estimator estimator }
     in
     let report =
-      Flow.run ~config ~design:(bench ^ "-" ^ binder) binding
+      Flow.run ~config ~design:(bench ^ "-" ^ Binder.name binder) binding
     in
     Format.printf "%a@." Flow.pp_report report;
     (match vhdl_out with
@@ -284,15 +280,9 @@ let lint_cmd =
 let run_compare bench width vectors estimator verbose =
   setup_logs verbose;
   try
-    let p, schedule, regs = prepare bench in
-    let lop = Lopass.bind ~regs ~resources:(Benchmarks.resources p) schedule in
-    let sa_table = Sa_table.create_default ~width ~k:4 () in
-    let min_res cls = max 1 (Schedule.max_density schedule cls) in
-    let hlp cfg_alpha =
-      let params = Hlpower.calibrate ~alpha:cfg_alpha sa_table in
-      (Hlpower.bind ~params ~sa_table ~regs ~resources:min_res schedule)
-        .Hlpower.binding
-    in
+    let prepared = prepare bench in
+    let sa_table = lazy (Sa_table.create_default ~width ~k:4 ()) in
+    let bind binder = (Binder.run ~sa_table binder prepared).binding in
     let config =
       { Flow.default_config with
         Flow.width; vectors; estimator = parse_estimator estimator }
@@ -302,9 +292,13 @@ let run_compare bench width vectors estimator verbose =
       Format.printf "%a@." Flow.pp_report r;
       r
     in
-    let rl = report (bench ^ "-lopass") lop in
-    let r1 = report (bench ^ "-hlpower-a1.0") (hlp 1.0) in
-    let r5 = report (bench ^ "-hlpower-a0.5") (hlp 0.5) in
+    let rl = report (bench ^ "-lopass") (bind Binder.Lopass) in
+    let r1 =
+      report (bench ^ "-hlpower-a1.0") (bind (Binder.Hlpower { alpha = 1.0 }))
+    in
+    let r5 =
+      report (bench ^ "-hlpower-a0.5") (bind (Binder.Hlpower { alpha = 0.5 }))
+    in
     let pc a b = Hlp_util.Stats.percent_change ~from:a ~to_:b in
     Format.printf
       "change vs LOPASS: alpha=1.0 power %+.1f%%, alpha=0.5 power %+.1f%%, \
@@ -641,6 +635,12 @@ let edits_arg =
   let doc = "One-op edits the session demo streams before closing." in
   Arg.(value & opt int 20 & info [ "edits" ] ~docv:"N" ~doc)
 
+(* Without --binder each op sends its protocol default. *)
+let client_binder_arg =
+  let doc = "Binding algorithm: hlpower or lopass, or for lint also both \
+             (default: hlpower, and both for lint)." in
+  Arg.(value & opt (some string) None & info [ "binder" ] ~doc)
+
 let client_bench_arg =
   let doc = "Benchmark name (required for bind/flow/explore)." in
   Arg.(value & opt (some string) None & info [ "b"; "bench" ] ~doc)
@@ -765,6 +765,7 @@ let run_client socket tcp op bench binder alpha width vectors port_assign
     | Some b -> b
     | None -> failwith (op ^ " needs --bench")
   in
+  let binder default = Option.value binder ~default in
   try
     let c =
       match tcp with
@@ -775,8 +776,9 @@ let run_client socket tcp op bench binder alpha width vectors port_assign
       ~finally:(fun () -> Client.close c)
       (fun () ->
         if op = "session" && raw = None then
-          run_session_demo c ~bench:(need_bench ()) ~binder ~alpha ~width
-            ~edits ~deadline_ms
+          run_session_demo c ~bench:(need_bench ())
+            ~binder:(binder Protocol.default_session_open_params.so_binder)
+            ~alpha ~width ~edits ~deadline_ms
         else
         let reply =
           match raw with
@@ -788,7 +790,8 @@ let run_client socket tcp op bench binder alpha width vectors port_assign
                 ignore (parse_estimator estimator);
                 { Protocol.default_bind_params with
                   Protocol.bench = need_bench ();
-                  binder; alpha; width; vectors; port_assign; estimator }
+                  binder = binder Protocol.default_bind_params.binder;
+                  alpha; width; vectors; port_assign; estimator }
               in
               let op =
                 match op with
@@ -809,7 +812,8 @@ let run_client socket tcp op bench binder alpha width vectors port_assign
                 | "lint" ->
                     Protocol.Lint
                       { Protocol.lint_bench = bench;
-                        lint_binder = binder;
+                        lint_binder =
+                          binder Protocol.default_lint_params.lint_binder;
                         lint_width = width }
                 | "stats" -> Protocol.Stats
                 | "cluster_stats" -> Protocol.Cluster_stats
@@ -850,9 +854,9 @@ let client_cmd =
     (Cmd.info "client" ~doc)
     Term.(
       const run_client $ socket_arg $ tcp_arg $ op_arg $ client_bench_arg
-      $ binder_arg $ alpha_arg $ width_arg $ vectors_arg $ port_assign_arg
-      $ estimator_arg $ alphas_arg $ client_deadline_arg $ ping_ms_arg
-      $ raw_arg $ edits_arg $ verbose_arg)
+      $ client_binder_arg $ alpha_arg $ width_arg $ vectors_arg
+      $ port_assign_arg $ estimator_arg $ alphas_arg $ client_deadline_arg
+      $ ping_ms_arg $ raw_arg $ edits_arg $ verbose_arg)
 
 let main_cmd =
   let doc = "FPGA-targeted glitch-aware high-level binding (HLPower)" in

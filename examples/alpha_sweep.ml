@@ -5,24 +5,15 @@
 
    Run with:  dune exec examples/alpha_sweep.exe *)
 
-module Cdfg = Hlp_cdfg.Cdfg
-module Schedule = Hlp_cdfg.Schedule
-module Lifetime = Hlp_cdfg.Lifetime
 module Benchmarks = Hlp_cdfg.Benchmarks
-module Reg_binding = Hlp_core.Reg_binding
 module Binding = Hlp_core.Binding
 module Sa_table = Hlp_core.Sa_table
-module Hlpower = Hlp_core.Hlpower
+module Binder = Hlp_core.Binder
 module Flow = Hlp_rtl.Flow
 
 let () =
-  let profile = Benchmarks.find "wang" in
-  let graph = Benchmarks.generate profile in
-  let resources = Benchmarks.resources profile in
-  let schedule = Schedule.list_schedule graph ~resources in
-  let regs = Reg_binding.bind (Lifetime.analyze schedule) in
-  let min_res cls = max 1 (Schedule.max_density schedule cls) in
-  let sa_table = Sa_table.create ~width:16 ~k:4 () in
+  let prepared = Binder.prepare (Binder.Bench (Benchmarks.find "wang", 0)) in
+  let sa_table = lazy (Sa_table.create ~width:16 ~k:4 ()) in
   Printf.printf
     "wang: sweeping alpha (Eq. 4).  alpha = 1 prices merges purely by \
      glitch-aware SA;\nalpha = 0 purely by multiplexer balance.\n\n";
@@ -30,10 +21,8 @@ let () =
     "muxLen" "LUTs" "toggle M/s" "power (mW)";
   List.iter
     (fun alpha ->
-      let params = Hlpower.calibrate ~alpha sa_table in
       let binding =
-        (Hlpower.bind ~params ~sa_table ~regs ~resources:min_res schedule)
-          .Hlpower.binding
+        (Binder.run ~sa_table (Binder.Hlpower { alpha }) prepared).binding
       in
       let s = Binding.mux_stats binding in
       let config = { Flow.default_config with Flow.vectors = 100 } in

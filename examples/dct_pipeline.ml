@@ -7,13 +7,11 @@
 
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
-module Lifetime = Hlp_cdfg.Lifetime
 module Benchmarks = Hlp_cdfg.Benchmarks
 module Reg_binding = Hlp_core.Reg_binding
 module Binding = Hlp_core.Binding
 module Sa_table = Hlp_core.Sa_table
-module Hlpower = Hlp_core.Hlpower
-module Lopass = Hlp_core.Lopass
+module Binder = Hlp_core.Binder
 module Flow = Hlp_rtl.Flow
 module Stats = Hlp_util.Stats
 
@@ -26,8 +24,8 @@ let () =
     (Cdfg.num_inputs graph)
     (List.length (Cdfg.outputs graph));
   let resources = Benchmarks.resources profile in
-  let schedule = Schedule.list_schedule graph ~resources in
-  let regs = Reg_binding.bind (Lifetime.analyze schedule) in
+  let prepared = Binder.prepare (Binder.Bench (profile, 0)) in
+  let { Binder.schedule; regs } = prepared in
   Printf.printf
     "scheduled in %d control steps on %d adders + %d multipliers, %d \
      registers\n\n"
@@ -35,15 +33,10 @@ let () =
     (resources Cdfg.Multiplier) (Reg_binding.num_regs regs);
 
   (* Bind with the LOPASS-style baseline and with HLPower. *)
-  let lopass = Lopass.bind ~regs ~resources schedule in
-  let sa_table = Sa_table.create ~width:16 ~k:4 () in
-  let min_res cls = max 1 (Schedule.max_density schedule cls) in
-  let hlpower =
-    (Hlpower.bind
-       ~params:(Hlpower.calibrate ~alpha:0.5 sa_table)
-       ~sa_table ~regs ~resources:min_res schedule)
-      .Hlpower.binding
-  in
+  let sa_table = lazy (Sa_table.create ~width:16 ~k:4 ()) in
+  let bind binder = (Binder.run ~sa_table binder prepared).binding in
+  let lopass = bind Binder.Lopass in
+  let hlpower = bind (Binder.Hlpower { alpha = 0.5 }) in
   let config = { Flow.default_config with Flow.vectors = 150 } in
   let evaluate name binding =
     let s = Binding.mux_stats binding in

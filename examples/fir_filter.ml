@@ -8,12 +8,11 @@
 
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
-module Lifetime = Hlp_cdfg.Lifetime
 module Benchmarks = Hlp_cdfg.Benchmarks
 module Reg_binding = Hlp_core.Reg_binding
 module Binding = Hlp_core.Binding
 module Sa_table = Hlp_core.Sa_table
-module Hlpower = Hlp_core.Hlpower
+module Binder = Hlp_core.Binder
 module Datapath = Hlp_rtl.Datapath
 module Vhdl = Hlp_rtl.Vhdl
 module Blif = Hlp_netlist.Blif
@@ -25,7 +24,7 @@ let () =
   Printf.printf "FIR-8: %d multiplications, %d additions\n"
     (Cdfg.num_ops_of_class graph Cdfg.Multiplier)
     (Cdfg.num_ops_of_class graph Cdfg.Add_sub);
-  let sa_table = Sa_table.create ~width:12 ~k:4 () in
+  let sa_table = lazy (Sa_table.create ~width:12 ~k:4 ()) in
   Printf.printf "%-12s %7s %6s %8s %10s %11s %10s\n" "adders/mults"
     "csteps" "regs" "LUTs" "clk (ns)" "power (mW)" "muxLen";
   let bind_at (adders, mults) =
@@ -33,13 +32,12 @@ let () =
       | Cdfg.Add_sub -> adders
       | Cdfg.Multiplier -> mults
     in
-    let schedule = Schedule.list_schedule graph ~resources in
-    let regs = Reg_binding.bind (Lifetime.analyze schedule) in
+    let prepared = Binder.prepare (Binder.Bounded (graph, resources)) in
+    let { Binder.schedule; regs } = prepared in
     let binding =
-      (Hlpower.bind
-         ~params:(Hlpower.calibrate ~alpha:0.5 sa_table)
-         ~sa_table ~regs ~resources schedule)
-        .Hlpower.binding
+      (Binder.run ~resources ~sa_table (Binder.Hlpower { alpha = 0.5 })
+         prepared)
+        .binding
     in
     let config =
       { Flow.default_config with Flow.width = 12; vectors = 100 }

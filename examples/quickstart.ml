@@ -11,6 +11,7 @@ module Reg_binding = Hlp_core.Reg_binding
 module Binding = Hlp_core.Binding
 module Sa_table = Hlp_core.Sa_table
 module Hlpower = Hlp_core.Hlpower
+module Binder = Hlp_core.Binder
 module Datapath = Hlp_rtl.Datapath
 module Vhdl = Hlp_rtl.Vhdl
 module Flow = Hlp_rtl.Flow
@@ -43,14 +44,19 @@ let () =
   let regs = Reg_binding.bind (Lifetime.analyze schedule) in
   Printf.printf "registers: %d allocated\n" (Reg_binding.num_regs regs);
 
-  (* 4. HLPower functional-unit binding with glitch-aware SA pricing. *)
-  let sa_table = Sa_table.create ~width:8 ~k:4 () in
-  let params = Hlpower.calibrate ~alpha:0.5 sa_table in
-  let result = Hlpower.bind ~params ~sa_table ~regs ~resources schedule in
-  let binding = result.Hlpower.binding in
+  (* 4. HLPower functional-unit binding with glitch-aware SA pricing;
+     [Binder.run] first fits Eq. 4's beta to the SA table. *)
+  let sa_table = lazy (Sa_table.create ~width:8 ~k:4 ()) in
+  let result =
+    Binder.run ~sa_table (Binder.Hlpower { alpha = 0.5 })
+      { Binder.schedule; regs }
+  in
+  let binding = result.binding in
   Binding.validate binding;
   Format.printf "binding: %a (%d matching iterations)@."
-    Binding.pp_summary binding result.Hlpower.iterations;
+    Binding.pp_summary binding
+    (Option.fold ~none:0 ~some:(fun r -> r.Hlpower.iterations)
+       result.hlpower);
 
   (* 5. Emit VHDL for the bound design. *)
   let dp = Datapath.build ~width:8 binding in

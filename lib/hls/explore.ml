@@ -1,9 +1,8 @@
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
-module Lifetime = Hlp_cdfg.Lifetime
 module Reg_binding = Hlp_core.Reg_binding
 module Sa_table = Hlp_core.Sa_table
-module Hlpower = Hlp_core.Hlpower
+module Binder = Hlp_core.Binder
 module Flow = Hlp_rtl.Flow
 module Pool = Hlp_util.Pool
 module Telemetry = Hlp_util.Telemetry
@@ -60,16 +59,14 @@ let sweep ?(config = default_config) ~sa_table cdfg =
       | Cdfg.Add_sub -> add_units
       | Cdfg.Multiplier -> mult_units
     in
-    match Schedule.list_schedule cdfg ~resources with
+    match Binder.prepare (Binder.Bounded (cdfg, resources)) with
     | exception Invalid_argument _ -> []
-    | schedule ->
-        let regs = Reg_binding.bind (Lifetime.analyze schedule) in
+    | { Binder.schedule; regs } as prepared ->
         List.filter_map
           (fun alpha ->
             match
-              Hlpower.bind
-                ~params:(Hlpower.calibrate ~alpha sa_table)
-                ~sa_table ~regs ~resources schedule
+              Binder.run ~resources ~sa_table:(Lazy.from_val sa_table)
+                (Binder.Hlpower { alpha }) prepared
             with
             | exception Failure _ -> None
             | result ->
@@ -86,7 +83,7 @@ let sweep ?(config = default_config) ~sa_table cdfg =
                     ~design:
                       (Printf.sprintf "%s-%da%dm-a%.2f" (Cdfg.name cdfg)
                          add_units mult_units alpha)
-                    result.Hlpower.binding
+                    result.Binder.binding
                 in
                 Some
                   {

@@ -6,8 +6,7 @@ module Flow = Hlp_rtl.Flow
 module Static_model = Hlp_rtl.Static_model
 module Mapper = Hlp_mapper.Mapper
 module Benchmarks = Hlp_cdfg.Benchmarks
-module Schedule = Hlp_cdfg.Schedule
-module Hlpower = Hlp_core.Hlpower
+module Binder = Hlp_core.Binder
 module Json = Hlp_util.Json
 
 type rule = {
@@ -154,39 +153,24 @@ let run_all ?(config = Flow.default_config) ~design:_ binding =
 
 (* --- the designs to lint ---------------------------------------------- *)
 
-(* The seven benchmarks keep their Table 2 resource profile for
-   LOPASS; the kernels, which have none, schedule with two units per
-   class.  HLPower always binds against the schedule's own density. *)
+(* Both binders bind against the schedule density ([Binder.run]'s
+   default): LOPASS allocates exactly the density, which a list schedule
+   keeps within the Table 2 bound, so the benchmarks bind the same as
+   under that bound.  The kernels schedule with two units per class. *)
+let targets =
+  let kernel cdfg = Binder.Bounded (cdfg, fun _ -> 2) in
+  List.map
+    (fun p -> (p.Benchmarks.bench_name, fun () -> Binder.Bench (p, 0)))
+    Benchmarks.all
+  @ [ ("fir8", fun () -> kernel (Benchmarks.fir ~taps:8));
+      ("dct4", fun () -> kernel (Benchmarks.dct4 ()));
+      ("biquad", fun () -> kernel (Benchmarks.biquad ()));
+      ("fig1", fun () -> Binder.Scheduled (Benchmarks.fig1 ())) ]
+
+let design_names = List.map fst targets
+
 let designs ?bench ~binder ~sa_table () =
-  let binders =
-    match binder with
-    | "both" -> [ "hlpower"; "lopass" ]
-    | ("hlpower" | "lopass") as b -> [ b ]
-    | other -> failwith ("unknown binder: " ^ other)
-  in
-  let min_res schedule cls = max 1 (Schedule.max_density schedule cls) in
-  let prepared schedule resources =
-    let lifetimes = Hlp_cdfg.Lifetime.analyze schedule in
-    (schedule, Hlp_core.Reg_binding.bind lifetimes, resources)
-  in
-  let kernel cdfg () =
-    let schedule = Schedule.list_schedule cdfg ~resources:(fun _ -> 2) in
-    prepared schedule (min_res schedule)
-  in
-  let benchmark p () =
-    let resources = Benchmarks.resources p in
-    let cdfg = Benchmarks.generate p in
-    prepared (Schedule.list_schedule cdfg ~resources) resources
-  in
-  let targets =
-    List.map (fun p -> (p.Benchmarks.bench_name, benchmark p)) Benchmarks.all
-    @ [ ("fir8", kernel (Benchmarks.fir ~taps:8));
-        ("dct4", kernel (Benchmarks.dct4 ()));
-        ("biquad", kernel (Benchmarks.biquad ()));
-        ("fig1", fun () ->
-           let s = Benchmarks.fig1 () in
-           prepared s (min_res s)) ]
-  in
+  let binders = Binder.select ~alpha:0.5 binder in
   let targets =
     match bench with
     | None -> targets
@@ -195,21 +179,13 @@ let designs ?bench ~binder ~sa_table () =
         | [] -> raise Not_found
         | l -> l)
   in
-  let bind binder (schedule, regs, resources) =
-    match binder with
-    | "lopass" -> Hlp_core.Lopass.bind ~regs ~resources schedule
-    | _ ->
-        let sa_table = Lazy.force sa_table in
-        let params = Hlpower.calibrate ~alpha:0.5 sa_table in
-        (Hlpower.bind ~params ~sa_table ~regs ~resources:(min_res schedule)
-           schedule)
-          .Hlpower.binding
-  in
   List.concat_map
-    (fun (name, prepare) ->
-      let target = lazy (prepare ()) in
+    (fun (name, design) ->
+      let prepared = lazy (Binder.prepare (design ())) in
       List.map
-        (fun b -> (name ^ "-" ^ b, fun () -> bind b (Lazy.force target)))
+        (fun b ->
+          ( name ^ "-" ^ Binder.name b,
+            fun () -> (Binder.run ~sa_table b (Lazy.force prepared)).binding ))
         binders)
     targets
 

@@ -55,13 +55,17 @@ val run_all :
   ?config:Hlp_rtl.Flow.config -> design:string -> Hlp_core.Binding.t ->
   Diagnostic.t list
 
-(** [designs ?bench ~binder ~sa_table ()] is every design [hlpower lint]
-    and the daemon's [lint] op check, each with a thunk that binds it:
-    the seven Table 1 benchmarks and the fir8, dct4, biquad and fig1
-    kernels, named ["<design>-<binder>"], under [binder] (["hlpower"],
-    ["lopass"] or ["both"]).  HLPower calibrates at alpha 0.5 on
-    [sa_table], forced only if an HLPower binding is.  [bench] keeps
-    one design.
+(** The designs [hlpower lint] and the daemon's [lint] op check, in
+    order: the seven Table 1 benchmarks, then the fir8, dct4, biquad and
+    fig1 kernels. *)
+val design_names : string list
+
+(** [designs ?bench ~binder ~sa_table ()] is every design of
+    {!design_names}, each with a thunk that binds it, named
+    ["<design>-<binder>"], under [binder] (["hlpower"], ["lopass"] or
+    ["both"], see {!Hlp_core.Binder.select}).  HLPower calibrates at
+    alpha 0.5 on [sa_table], forced only if an HLPower binding is.
+    [bench] keeps one design.
     @raise Not_found if [bench] names no design.
     @raise Failure on any other [binder]. *)
 val designs :

@@ -517,7 +517,7 @@ let range min max = Int { min; max; gen_max = max }
 let at_least min ~gen_max = Int { min; max = max_int; gen_max }
 let width = range 1 max_width
 let vectors = at_least 1 ~gen_max:64
-let binder = Enum [ "hlpower"; "lopass" ]
+let binder = Enum Hlp_core.Binder.names
 let session = Str { max_len = max_session_id_len; samples = [ "s-1"; "s-2" ] }
 let bench_xor_graph = [ One_of ("bench", "graph") ]
 
@@ -604,7 +604,7 @@ let specs =
       [ field "bench"
           (Option (Str { max_len = max_int; samples = [ "pr"; "fir8"; "x" ] }))
           (fun p -> p.lint_bench) (fun p lint_bench -> { p with lint_bench });
-        field "binder" (Enum [ "hlpower"; "lopass"; "both" ])
+        field "binder" (Enum (Hlp_core.Binder.names @ [ "both" ]))
           (fun p -> p.lint_binder) (fun p b -> { p with lint_binder = b });
         field "width" width (fun p -> p.lint_width) (fun p lint_width ->
             { p with lint_width }) ]

@@ -7,7 +7,7 @@ module Reg_binding = Hlp_core.Reg_binding
 module Binding = Hlp_core.Binding
 module Sa_table = Hlp_core.Sa_table
 module Hlpower = Hlp_core.Hlpower
-module Lopass = Hlp_core.Lopass
+module Binder = Hlp_core.Binder
 module Flow = Hlp_rtl.Flow
 module Explore = Hlp_hls.Explore
 module Diagnostic = Hlp_lint.Diagnostic
@@ -153,65 +153,31 @@ let sa_stats_json t : Json.t =
               (Sa_table.width b, Sa_table.k b))
           (all_tables t)))
 
-(* --- shared benchmark preparation (the CLI's [prepare]) --- *)
-
-let prepare bench =
-  let p = Benchmarks.find bench in
-  let cdfg = Benchmarks.generate p in
-  let resources = Benchmarks.resources p in
-  let schedule = Schedule.list_schedule cdfg ~resources in
-  let regs = Reg_binding.bind (Lifetime.analyze schedule) in
-  (p, schedule, regs)
-
-let unknown_bench bench =
+let unknown_design ~what name expected =
   [
-    Diagnostic.error "S004" Design
-      "unknown benchmark %S (expected one of %s)" bench
-      (String.concat ", "
-         (List.map
-            (fun p -> p.Benchmarks.bench_name)
-            Benchmarks.all));
+    Diagnostic.error "S004" Design "unknown %s %S (expected one of %s)" what
+      name (String.concat ", " expected);
   ]
 
-(* Inline graphs carry no Table 2 resource profile, so they are
-   scheduled unconstrained (ASAP) and both binders run against the
-   schedule's own density — the minimal feasible allocation. *)
-let prepare_inline cdfg =
-  let resources _ = max 1 (Cdfg.num_ops cdfg) in
-  let schedule = Schedule.list_schedule cdfg ~resources in
-  let regs = Reg_binding.bind (Lifetime.analyze schedule) in
-  (schedule, regs)
-
 let bind_binding t ~checkpoint (p : Protocol.bind_params) =
-  let design_base, schedule, regs, lopass_resources =
+  let design_base, design =
     match p.graph with
-    | Some cdfg ->
-        let schedule, regs = prepare_inline cdfg in
-        ( Cdfg.name cdfg,
-          schedule,
-          regs,
-          fun cls -> max 1 (Schedule.max_density schedule cls) )
-    | None ->
-        let profile, schedule, regs = prepare p.bench in
-        (p.bench, schedule, regs, Benchmarks.resources profile)
+    | Some cdfg -> (Cdfg.name cdfg, Binder.Graph cdfg)
+    | None -> (p.bench, Binder.Bench (Benchmarks.find p.bench, 0))
   in
+  let prepared = Binder.prepare design in
   checkpoint "bind";
-  match p.binder with
-  | "lopass" ->
-      let b = Lopass.bind ~regs ~resources:lopass_resources schedule in
-      (design_base, schedule, regs, b, None)
-  | _ ->
-      let sa_table = sa_table t ~width:p.width ~k:4 in
-      let params = Hlpower.calibrate ~alpha:p.alpha sa_table in
-      let r =
-        Hlpower.bind ~params ~sa_table ~regs
-          ~resources:(fun cls -> max 1 (Schedule.max_density schedule cls))
-          schedule
-      in
-      (design_base, schedule, regs, r.Hlpower.binding, Some r)
-
-let apply_port_assign (p : Protocol.bind_params) binding =
-  if p.port_assign then Hlp_core.Port_assign.optimize binding else binding
+  let binder = Binder.of_name ~alpha:p.alpha p.binder in
+  let r =
+    Binder.run ~sa_table:(lazy (sa_table t ~width:p.width ~k:4)) binder
+      prepared
+  in
+  let binding =
+    if p.port_assign then Hlp_core.Port_assign.optimize r.binding
+    else r.binding
+  in
+  Binding.validate binding;
+  (design_base ^ "-" ^ Binder.name binder, binding, r.hlpower)
 
 let mux_stats_json (s : Binding.mux_stats) : Json.t =
   Json.Obj
@@ -227,13 +193,13 @@ let mux_stats_json (s : Binding.mux_stats) : Json.t =
 (* The op-independent bind result shape, shared by [bind] and the
    session ops (whose acceptance property literally compares these
    objects against a from-scratch bind). *)
-let bind_result_json ~design ~schedule ~regs ~binding ~hlp : Json.t =
+let bind_result_json ~design ~hlp (binding : Binding.t) : Json.t =
   let stats = Binding.mux_stats binding in
   Json.Obj
     ([
        ("design", Json.String design);
-       ("csteps", Json.Int schedule.Schedule.num_csteps);
-       ("regs", Json.Int (Reg_binding.num_regs regs));
+       ("csteps", Json.Int binding.schedule.Schedule.num_csteps);
+       ("regs", Json.Int (Reg_binding.num_regs binding.regs));
        ( "add_fus",
          Json.Int (Binding.num_fus binding Cdfg.Add_sub) );
        ( "mult_fus",
@@ -249,20 +215,12 @@ let bind_result_json ~design ~schedule ~regs ~binding ~hlp : Json.t =
           ("promoted", Json.Int r.Hlpower.promoted);
         ])
 
-let handle_bind t ~checkpoint (p : Protocol.bind_params) =
-  let design_base, schedule, regs, binding, hlp =
-    bind_binding t ~checkpoint p
-  in
-  let binding = apply_port_assign p binding in
-  Binding.validate binding;
-  bind_result_json
-    ~design:(design_base ^ "-" ^ p.binder)
-    ~schedule ~regs ~binding ~hlp
+let handle_bind t ~checkpoint p =
+  let design, binding, hlp = bind_binding t ~checkpoint p in
+  bind_result_json ~design ~hlp binding
 
 let handle_flow t ~checkpoint (p : Protocol.bind_params) =
-  let design_base, _, _, binding, _ = bind_binding t ~checkpoint p in
-  let binding = apply_port_assign p binding in
-  Binding.validate binding;
+  let design, binding, _ = bind_binding t ~checkpoint p in
   let estimator =
     Option.value ~default:`Sim
       (Hlp_rtl.Power.estimator_of_string p.estimator)
@@ -280,8 +238,7 @@ let handle_flow t ~checkpoint (p : Protocol.bind_params) =
     }
   in
   Flow.json_of_report
-    (Flow.run ~checkpoint ~config ~design:(design_base ^ "-" ^ p.binder)
-       binding)
+    (Flow.run ~checkpoint ~config ~design binding)
 
 let handle_explore t ~checkpoint (p : Protocol.explore_params) =
   checkpoint "explore";
@@ -380,7 +337,7 @@ let session_resources s cls =
   in
   match override with
   | Some n -> n
-  | None -> max 1 (Schedule.max_density s.s_schedule cls)
+  | None -> Binder.density_bound s.s_schedule cls
 
 (* Injective graph fingerprint for the reply-cache key: a flat encoding
    of exactly the structure the wire JSON carries (name, input count,
@@ -425,24 +382,16 @@ let session_reply_key s =
 
 let session_bind t s ~checkpoint : Json.t =
   checkpoint "bind";
-  let resources = session_resources s in
-  let regs = Lazy.force s.s_regs in
-  let design = Cdfg.name s.s_cdfg ^ "-" ^ s.s_binder in
-  match s.s_binder with
-  | "lopass" ->
-      let binding = Lopass.bind ~regs ~resources s.s_schedule in
-      Binding.validate binding;
-      bind_result_json ~design ~schedule:s.s_schedule ~regs ~binding
-        ~hlp:None
-  | _ ->
-      let sa_table = sa_table t ~width:s.s_width ~k:s.s_k in
-      let params = Hlpower.calibrate ~alpha:s.s_alpha sa_table in
-      let r =
-        Hlpower.bind ~state:s.s_state ~params ~sa_table ~regs ~resources
-          s.s_schedule
-      in
-      bind_result_json ~design ~schedule:s.s_schedule ~regs
-        ~binding:r.Hlpower.binding ~hlp:(Some r)
+  let binder = Binder.of_name ~alpha:s.s_alpha s.s_binder in
+  let r =
+    Binder.run ~state:s.s_state ~resources:(session_resources s)
+      ~sa_table:(lazy (sa_table t ~width:s.s_width ~k:s.s_k))
+      binder
+      { Binder.schedule = s.s_schedule; regs = Lazy.force s.s_regs }
+  in
+  bind_result_json
+    ~design:(Cdfg.name s.s_cdfg ^ "-" ^ Binder.name binder)
+    ~hlp:r.hlpower r.binding
 
 (* Returns the rendered bind object plus whether the whole reply came
    from the cache.  Replies are cached as strings and re-emitted as
@@ -780,8 +729,14 @@ let handle t ~checkpoint (op : Protocol.op) =
   with
   | result -> result
   | exception Not_found ->
+      let name = Option.value ~default:"?" (bench_of op) in
       Error
-        (unknown_bench (Option.value ~default:"?" (bench_of op)))
+        (match op with
+        | Protocol.Lint _ ->
+            unknown_design ~what:"design" name Hlp_lint.Lint.design_names
+        | _ ->
+            unknown_design ~what:"benchmark" name
+              (List.map (fun p -> p.Benchmarks.bench_name) Benchmarks.all))
   | exception Hlpower.Calibration_error msg ->
       (* A structured client error, not an internal 500: the requested
          (width, K) library cannot produce the calibration entry. *)
