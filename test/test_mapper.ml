@@ -227,6 +227,68 @@ let prop_random_cover =
       Mapper.check_cover m;
       totals_match_propagation m)
 
+(* The mapper's output on the netlists the benchmark's flow requests
+   map: 7 benchmarks x {lopass, hlpower alpha 1.0, hlpower alpha 0.5},
+   width 16, K = 4.  One MD5 per design over the bits of the Eq. 3
+   totals, the LUT count, the depth and the BLIF of the LUT network, so
+   a mapper change that moves one estimate bit or one LUT fails here. *)
+let flow_mix_pinned =
+  [
+    ("chem/lopass", "41480156afcf6c11372c56e1d894dc8e");
+    ("chem/hlpower-a1.0", "9c8ac904c232d63068d15aad0e98c259");
+    ("chem/hlpower-a0.5", "f8128720921417d4c694eb202b01927b");
+    ("dir/lopass", "539b3fb78dcc7e6a186aec125329cd31");
+    ("dir/hlpower-a1.0", "149f622d669dfd18ae98f6adf5eea126");
+    ("dir/hlpower-a0.5", "1b0efe410d57aeca235dfdcf5f9c308f");
+    ("honda/lopass", "87777ceae46f92815cacb5a9e854025f");
+    ("honda/hlpower-a1.0", "d990155c77195823d198f038c8d8ea6e");
+    ("honda/hlpower-a0.5", "977687c0476e4b3846291325363619e3");
+    ("mcm/lopass", "3d256b6068ed3ef1fbc2c109c7d026c5");
+    ("mcm/hlpower-a1.0", "29464a4b1af9be33ab988191cf0b019a");
+    ("mcm/hlpower-a0.5", "24e37ed7eed22bd0e92c53d1e85f2192");
+    ("pr/lopass", "dd5be9c6ba8e8883faa8db5dc6d42c3b");
+    ("pr/hlpower-a1.0", "4538b6ba4d75ead8eeb78ff08fc811a1");
+    ("pr/hlpower-a0.5", "5405234c50ff414d039c9fca8dc33e91");
+    ("steam/lopass", "5c748b3506f37e7442b9406eb8394923");
+    ("steam/hlpower-a1.0", "d2cf5f18404700dc436452850523cd0d");
+    ("steam/hlpower-a0.5", "db0183ee23e7905eb01739e881f06bcf");
+    ("wang/lopass", "af1eab82748db581e7506cbcd61266de");
+    ("wang/hlpower-a1.0", "7f75c60ca67fe662169af86fa5e3cf7c");
+    ("wang/hlpower-a0.5", "b68363c7b1b6e30a474b4c7e8db115e7");
+  ]
+
+let test_flow_mix_pinned () =
+  let module Binder = Hlp_core.Binder in
+  let module Benchmarks = Hlp_cdfg.Benchmarks in
+  let sa_table = lazy (Hlp_core.Sa_table.create ~width:16 ~k:4 ()) in
+  let binders =
+    [ ("lopass", Binder.Lopass); ("hlpower-a1.0", Binder.Hlpower { alpha = 1.0 });
+      ("hlpower-a0.5", Binder.Hlpower { alpha = 0.5 }) ]
+  in
+  let digest (profile : Benchmarks.profile) binder =
+    let prepared = Binder.prepare (Binder.Bench (profile, 0)) in
+    let r = Binder.run ~sa_table binder prepared in
+    let dp = Hlp_rtl.Datapath.build ~width:16 r.Binder.binding in
+    let elab = Hlp_rtl.Elaborate.elaborate dp in
+    let m = Mapper.map elab.Hlp_rtl.Elaborate.netlist ~k:4 in
+    Digest.to_hex
+      (Digest.string
+         (Printf.sprintf "%h %h %d %d\n%s" m.Mapper.total_sa
+            m.Mapper.functional_sa m.Mapper.lut_count m.Mapper.depth
+            (Hlp_netlist.Blif.to_string m.Mapper.lut_network)))
+  in
+  let got =
+    List.concat_map
+      (fun (profile : Benchmarks.profile) ->
+        List.map
+          (fun (label, binder) ->
+            (profile.Benchmarks.bench_name ^ "/" ^ label, digest profile binder))
+          binders)
+      Benchmarks.all
+  in
+  Alcotest.(check (list (pair string string)))
+    "21 flow-mix mappings" flow_mix_pinned got
+
 let suite =
   [
     Alcotest.test_case "cuts of inputs" `Quick test_cuts_of_inputs;
@@ -250,5 +312,7 @@ let suite =
     Alcotest.test_case "sa decomposition" `Quick test_sa_decomposition;
     Alcotest.test_case "mapping reduces SA vs gate level" `Quick
       test_mapping_reduces_sa_vs_gates;
+    Alcotest.test_case "21 flow-mix mappings pinned" `Quick
+      test_flow_mix_pinned;
     QCheck_alcotest.to_alcotest prop_random_cover;
   ]
