@@ -26,7 +26,10 @@ let signal ~prob ~activity =
    zero and the step visits only pairs that agree on the static inputs.
    Visited pairs come in the same order, and each product multiplies
    the same factors in input order and stops at the first zero, so the
-   sum equals the full double loop's bit for bit. *)
+   sum equals the full double loop's bit for bit.  A step returns the
+   activity [signal ~prob:p] would keep (never out of range: [p] and
+   the clamped sum lie in [0, 1] or are NaN), and writes its joint
+   terms to one buffer of the stage, so it allocates no record. *)
 let of_table_staged f probs =
   let n = Tt.arity f in
   if Array.length probs <> n then
@@ -36,12 +39,13 @@ let of_table_staged f probs =
   let ones =
     Array.of_list (List.filter (Array.get on) (List.init (1 lsl n) Fun.id))
   in
+  let bound = 2. *. Float.min p (1. -. p) in
+  (* [joints.(4i + (b lor (b' lsl 1)))]: input [i]'s probability of
+     (x(t) = b, x(t+T) = b'). *)
+  let joints = Array.make (4 * n) 0. in
   let step activities =
     if Array.length activities <> n then
       invalid_arg "Switching.of_table_staged: wrong number of activities";
-    (* [joints.(4i + (b lor (b' lsl 1)))]: input [i]'s probability of
-       (x(t) = b, x(t+T) = b'). *)
-    let joints = Array.make (4 * n) 0. in
     let moving = ref 0 and bounded = ref true in
     for i = 0 to n - 1 do
       let h = activities.(i) /. 2. in
@@ -80,15 +84,15 @@ let of_table_staged f probs =
       done
     done;
     let s = 2. *. (p -. !p_joint) in
-    signal ~prob:p ~activity:(Hlp_util.Stats.clamp ~lo:0. ~hi:1. s)
+    Float.min (Hlp_util.Stats.clamp ~lo:0. ~hi:1. s) bound
   in
   (p, step)
 
 let of_table f inputs =
   if Array.length inputs <> Tt.arity f then
     invalid_arg "Switching.of_table: wrong number of inputs";
-  let _, step = of_table_staged f (Array.map (fun s -> s.prob) inputs) in
-  step (Array.map (fun s -> s.activity) inputs)
+  let prob, step = of_table_staged f (Array.map (fun s -> s.prob) inputs) in
+  { prob; activity = step (Array.map (fun s -> s.activity) inputs) }
 
 let najm_density f inputs =
   let n = Tt.arity f in

@@ -35,9 +35,9 @@ val signal : prob:float -> activity:float -> signal
 
 (** [of_table f inputs] is the Eq. 2 switching activity and probability of
     node [y = f(inputs)] under simultaneous-switching-aware propagation.
-    It is the one-step case of {!of_table_staged}:
-    [snd (of_table_staged f probs) activities] with the inputs' [prob]
-    and [activity] fields.
+    It is the one-step case of {!of_table_staged}: probability [p] and
+    activity [step activities] of [of_table_staged f probs], with the
+    inputs' [prob] and [activity] fields.
     @raise Invalid_argument if [Array.length inputs <> arity f]. *)
 val of_table : Hlp_netlist.Truth_table.t -> signal array -> signal
 
@@ -45,15 +45,18 @@ val of_table : Hlp_netlist.Truth_table.t -> signal array -> signal
     use on one function with fixed input probabilities, as the timed
     model evaluates a node once per time step.  The first stage computes
     P(f) and the on-set of [f] once and returns [(p, step)];
-    [step activities] is the signal [of_table] returns for inputs with
+    [step activities] is the activity [of_table] returns for inputs with
     probabilities [probs] and activities [activities], bit for bit: a
     step does the float operations of the full pair sum in the same
     order, leaving out only products that are exactly zero because the
-    two minterms differ on an input with zero activity.
+    two minterms differ on an input with zero activity.  [step] reads
+    [activities] and allocates no record, so a caller can step through
+    time with one buffer; it writes a scratch buffer of the stage, so
+    one stage is stepped by one domain at a time.
     @raise Invalid_argument if [probs] or [activities] has a length
     other than [arity f]. *)
 val of_table_staged :
-  Hlp_netlist.Truth_table.t -> float array -> float * (float array -> signal)
+  Hlp_netlist.Truth_table.t -> float array -> float * (float array -> float)
 
 (** [najm_density f inputs] is the Eq. 1 transition density of [y]. *)
 val najm_density : Hlp_netlist.Truth_table.t -> signal array -> float

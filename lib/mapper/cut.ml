@@ -117,52 +117,62 @@ let enumerate t ~k ~max_cuts =
     (Nl.topo_order t);
   cuts
 
-let cone_member leaves id =
-  Array.exists (fun l -> l = id) leaves
+(* Leaf [i]'s value on each of the 32 minterms of five inputs: lane
+   [j] holds bit [i] of [j]. *)
+let lane_var = function
+  | 0 -> 0xAAAAAAAA
+  | 1 -> 0xCCCCCCCC
+  | 2 -> 0xF0F0F0F0
+  | 3 -> 0xFF00FF00
+  | _ -> 0xFFFF0000
 
-let cone_nodes t root cut =
-  let acc = ref [] in
-  let seen = Hashtbl.create 16 in
+(* The cone is evaluated bit-parallel, one lane per leaf minterm.  Slot
+   [i] holds leaf [i]; the cone's nodes follow in post-order, so a
+   node's fanins sit in earlier slots.  Six leaves have 64 minterms, one
+   more than a native int holds: [lo] evaluates the 32 with leaf 5 at
+   0, [hi] the 32 with leaf 5 at 1. *)
+let cone_function t root cut =
+  let leaves = cut.leaves in
+  let m = Array.length leaves in
+  if m > Tt.max_vars then invalid_arg "Cut.cone_function: cut too wide";
+  let slots = ref (Array.make (m + 8) 0) and used = ref m in
+  Array.blit leaves 0 !slots 0 m;
+  let slot id =
+    let s = !slots and i = ref 0 in
+    while !i < !used && s.(!i) <> id do incr i done;
+    if !i < !used then !i else -1
+  in
   let rec visit id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.replace seen id ();
-      if not (cone_member cut.leaves id) then begin
-        if is_terminal t id && not (is_const t id) then
-          invalid_arg "Cut.cone_nodes: cut does not cover node";
-        Array.iter visit (Nl.node t id).Nl.fanins;
-        acc := id :: !acc
-      end
+    if slot id < 0 then begin
+      if Nl.is_input t id then
+        invalid_arg "Cut.cone_function: cut does not cover node";
+      Array.iter visit (Nl.node t id).Nl.fanins;
+      if !used = Array.length !slots then begin
+        let grown = Array.make (2 * !used) 0 in
+        Array.blit !slots 0 grown 0 !used;
+        slots := grown
+      end;
+      !slots.(!used) <- id;
+      incr used
     end
   in
   visit root;
-  (* Post-order visit already yields fanins before users. *)
-  List.rev !acc
-
-let cone_function t root cut =
-  let m = Array.length cut.leaves in
-  if m > Tt.max_vars then invalid_arg "Cut.cone_function: cut too wide";
-  let tts = Hashtbl.create 16 in
-  Array.iteri
-    (fun i leaf -> Hashtbl.replace tts leaf (Tt.var i (max m 1)))
-    cut.leaves;
-  let arity = max m 1 in
-  (* max 1: a 0-leaf (constant) cone still needs a well-formed arity; the
-     resulting table is constant in its dummy variable. *)
-  List.iter
-    (fun id ->
-      let node = Nl.node t id in
-      if Array.length node.Nl.fanins = 0 then
-        Hashtbl.replace tts id
-          (if Tt.eval node.Nl.func 0 then Tt.const1 arity else Tt.const0 arity)
-      else begin
-        let args =
-          Array.map (fun f -> Hashtbl.find tts f) node.Nl.fanins
-        in
-        Hashtbl.replace tts id (Tt.compose node.Nl.func args)
-      end)
-    (cone_nodes t root cut);
-  match Hashtbl.find_opt tts root with
-  (* Re-wrap at arity m: collapses the dummy variable of pure-constant
-     cones (m = 0) and is a no-op otherwise. *)
-  | Some tt -> Tt.create m (Tt.bits tt)
-  | None -> invalid_arg "Cut.cone_function: root not covered"
+  let lo = Array.make !used 0 and hi = Array.make !used 0 in
+  for i = 0 to min m 5 - 1 do
+    lo.(i) <- lane_var i;
+    hi.(i) <- lane_var i
+  done;
+  if m = 6 then hi.(5) <- -1;
+  let fanins = Array.make Tt.max_vars 0 in
+  for s = m to !used - 1 do
+    let node = Nl.node t !slots.(s) in
+    let arity = Tt.arity node.Nl.func in
+    Array.iteri (fun i f -> fanins.(i) <- slot f) node.Nl.fanins;
+    let tlo, thi = Tt.column_halves node.Nl.func in
+    lo.(s) <- Tt.eval_column_words ~arity ~lo:tlo ~hi:thi lo fanins 0;
+    if m = 6 then
+      hi.(s) <- Tt.eval_column_words ~arity ~lo:tlo ~hi:thi hi fanins 0
+  done;
+  let r = slot root in
+  let half v = Int64.of_int (v land 0xFFFFFFFF) in
+  Tt.create m (Int64.logor (half lo.(r)) (Int64.shift_left (half hi.(r)) 32))

@@ -34,15 +34,11 @@ val enumerate :
 
 (** [cone_function t node cut] collapses the logic cone between
     [cut.leaves] and [node] into a single truth table over the leaves (in
-    [cut.leaves] order).  Constants inside the cone are folded.
+    [cut.leaves] order).  Constants inside the cone are folded.  The cone
+    is evaluated bit-parallel, one lane per leaf minterm, with
+    {!Hlp_netlist.Truth_table.eval_column_words}.
     @raise Invalid_argument if [cut] is not a valid cut of [node] (some
-    cone path reaches a terminal node that is not a leaf). *)
+    cone path reaches a primary input that is not a leaf). *)
 val cone_function :
   Hlp_netlist.Netlist.t -> Hlp_netlist.Netlist.node_id -> t ->
   Hlp_netlist.Truth_table.t
-
-(** [cone_nodes t node cut] is the set of logic nodes strictly inside the
-    cone (excluding leaves, including [node]), in topological order. *)
-val cone_nodes :
-  Hlp_netlist.Netlist.t -> Hlp_netlist.Netlist.node_id -> t ->
-  Hlp_netlist.Netlist.node_id list

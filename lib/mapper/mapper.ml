@@ -26,83 +26,141 @@ type t = {
   lut_count : int;
 }
 
-let default_max_cuts = 8
-
-type best = {
-  b_cut : Cut.t;
-  b_func : Tt.t;
-  b_wave : Timed.waveform;
-  b_sa : float;
-  b_arrival : int;
-}
+(* Cuts kept per node, a common mapper setting. *)
+let max_cuts = 8
 
 let is_terminal t id =
   Nl.is_input t id || Array.length (Nl.node t id).Nl.fanins = 0
 
-let map ?(objective = Min_sa) ?(max_cuts = default_max_cuts)
-    ?(input = fun _ -> Sw.default_input) t ~k =
+(* A priced cut's waveform depends only on its cone table and its
+   leaves' waveforms, so [map] prices each distinct pair once.  The key
+   is [| low half; high half; leaf waveform ids... |] of the table
+   ({!Tt.column_halves}); its length gives the arity. *)
+module Memo = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
+
+(* Whether a cut whose waveform has effective SA [sa1] and arrival
+   [arr1] over [size1] leaves is no worse than the other: the
+   objective's (SA, arrival, size) key compared lexicographically, as
+   polymorphic [<=] orders it (false at a NaN). *)
+let[@inline] no_worse objective sa1 arr1 size1 sa2 arr2 size2 =
+  match objective with
+  | Min_sa ->
+      sa1 < sa2
+      || (sa1 = sa2 && (arr1 < arr2 || (arr1 = arr2 && size1 <= size2)))
+  | Min_depth ->
+      arr1 < arr2
+      || (arr1 = arr2 && (sa1 < sa2 || (sa1 = sa2 && size1 <= size2)))
+
+let map ?(objective = Min_sa) ?(input = fun _ -> Sw.default_input) t ~k =
   Telemetry.time "mapper.map" @@ fun () ->
   let cuts = Cut.enumerate t ~k ~max_cuts in
   let n = Nl.num_nodes t in
-  let best = Array.make n None in
-  (* Waveform each node would present if used as a LUT leaf. *)
-  let leaf_wave = Array.make n (Timed.make ~prob:0.5 ~steps:[]) in
+  (* Every waveform this call computes or interns, by id, with its
+     effective SA and arrival. *)
+  let waves = ref (Array.make 256 (Timed.make ~prob:0. ~steps:[])) in
+  let wave_sa = ref (Array.make 256 0.) in
+  let wave_arrival = ref (Array.make 256 0) in
+  let count = ref 0 in
+  let add w =
+    if !count = Array.length !waves then begin
+      (* Double the capacity; the copied second half is overwritten. *)
+      waves := Array.append !waves !waves;
+      wave_sa := Array.append !wave_sa !wave_sa;
+      wave_arrival := Array.append !wave_arrival !wave_arrival
+    end;
+    let id = !count in
+    !waves.(id) <- w;
+    !wave_sa.(id) <- Timed.total_activity w;
+    !wave_arrival.(id) <- Timed.arrival w;
+    incr count;
+    id
+  in
+  (* Inputs and constants by their exact bits: equal ones share an id. *)
+  let interned = Hashtbl.create 8 in
+  let intern w =
+    let key =
+      ( Int64.bits_of_float (Timed.prob w),
+        List.map (fun (t, a) -> (t, Int64.bits_of_float a)) (Timed.steps w) )
+    in
+    match Hashtbl.find_opt interned key with
+    | Some id -> id
+    | None ->
+        let id = add w in
+        Hashtbl.replace interned key id;
+        id
+  in
+  (* The waveform id each node presents as a LUT leaf. *)
+  let leaf_wave = Array.make n (-1) in
   Array.iteri
-    (fun pos id -> leaf_wave.(id) <- Timed.input_waveform (input pos))
+    (fun pos id -> leaf_wave.(id) <- intern (Timed.input_waveform (input pos)))
     (Nl.inputs t);
+  let memo = Memo.create 4096 in
+  let price (cut : Cut.t) func =
+    let leaves = cut.Cut.leaves in
+    let m = Array.length leaves in
+    let lo, hi = Tt.column_halves func in
+    let key = Array.make (m + 2) lo in
+    key.(1) <- hi;
+    for i = 0 to m - 1 do
+      key.(i + 2) <- leaf_wave.(leaves.(i))
+    done;
+    match Memo.find_opt memo key with
+    | Some w -> w
+    | None ->
+        let fanins = Array.map (fun l -> !waves.(leaf_wave.(l))) leaves in
+        let w = add (Timed.node_waveform func ~fanins ~delay:1) in
+        Memo.add memo key w;
+        w
+  in
+  let best_cut = Array.make n (Cut.trivial 0) in
+  let best_func = Array.make n (Tt.const0 0) in
+  let order = Nl.topo_order t in
   Array.iter
     (fun id ->
       if not (is_terminal t id) then begin
-        let candidates =
-          List.map
-            (fun cut ->
-              let func = Cut.cone_function t id cut in
-              let fanins =
-                Array.map (fun l -> leaf_wave.(l)) cut.Cut.leaves
-              in
-              let wave = Timed.node_waveform func ~fanins ~delay:1 in
-              { b_cut = cut; b_func = func; b_wave = wave;
-                b_sa = Timed.total_activity wave;
-                b_arrival = Timed.arrival wave })
-            cuts.(id)
-        in
-        let better a b =
-          let key c =
-            match objective with
-            | Min_sa ->
-                (c.b_sa, float_of_int c.b_arrival,
-                 float_of_int (Array.length c.b_cut.Cut.leaves))
-            | Min_depth ->
-                (float_of_int c.b_arrival, c.b_sa,
-                 float_of_int (Array.length c.b_cut.Cut.leaves))
-          in
-          if key a <= key b then a else b
-        in
-        match candidates with
-        | [] -> failwith "Mapper.map: logic node without cuts"
-        | first :: rest ->
-            let chosen = List.fold_left better first rest in
-            best.(id) <- Some chosen;
-            leaf_wave.(id) <- chosen.b_wave
+        if cuts.(id) = [] then failwith "Mapper.map: logic node without cuts";
+        (* Ties go to the earlier cut. *)
+        let best = ref (-1) in
+        List.iter
+          (fun cut ->
+            let func = Cut.cone_function t id cut in
+            let w = price cut func in
+            let b = !best in
+            if
+              b < 0
+              || not
+                   (no_worse objective !wave_sa.(b) !wave_arrival.(b)
+                      (Array.length best_cut.(id).Cut.leaves)
+                      !wave_sa.(w) !wave_arrival.(w)
+                      (Array.length cut.Cut.leaves))
+            then begin
+              best_cut.(id) <- cut;
+              best_func.(id) <- func;
+              best := w
+            end)
+          cuts.(id);
+        leaf_wave.(id) <- !best
       end
-      else if Array.length (Nl.node t id).Nl.fanins = 0
-              && not (Nl.is_input t id) then
+      else if not (Nl.is_input t id) then
         (* Constant: static waveform with its constant probability. *)
         leaf_wave.(id) <-
-          Timed.make
-            ~prob:(if Tt.eval (Nl.node t id).Nl.func 0 then 1. else 0.)
-            ~steps:[])
-    (Nl.topo_order t);
+          intern
+            (Timed.make
+               ~prob:(if Tt.eval (Nl.node t id).Nl.func 0 then 1. else 0.)
+               ~steps:[]))
+    order;
   (* Cover extraction: walk backwards from outputs. *)
   let needed = Array.make n false in
   List.iter (fun (_, id) -> needed.(id) <- true) (Nl.outputs t);
-  let order = Nl.topo_order t in
   for i = Array.length order - 1 downto 0 do
     let id = order.(i) in
     if needed.(id) && not (is_terminal t id) then
-      match best.(id) with
-      | Some b -> Array.iter (fun l -> needed.(l) <- true) b.b_cut.Cut.leaves
-      | None -> assert false
+      Array.iter (fun l -> needed.(l) <- true) best_cut.(id).Cut.leaves
   done;
   (* Eq. 3 over the cover, summed in [luts] order from the waveforms
      chosen above: each is what a unit-delay propagation over the LUT
@@ -111,55 +169,46 @@ let map ?(objective = Min_sa) ?(max_cuts = default_max_cuts)
   let luts = ref [] and total = ref 0. and functional = ref 0. in
   Array.iter
     (fun id ->
-      if needed.(id) && not (is_terminal t id) then
-        match best.(id) with
-        | Some b ->
-            luts :=
-              { root = id; leaves = b.b_cut.Cut.leaves; func = b.b_func }
-              :: !luts;
-            total := !total +. Timed.total_activity b.b_wave;
-            functional := !functional +. Timed.functional_activity b.b_wave
-        | None -> assert false)
+      if needed.(id) && not (is_terminal t id) then begin
+        luts :=
+          { root = id; leaves = best_cut.(id).Cut.leaves; func = best_func.(id) }
+          :: !luts;
+        let w = leaf_wave.(id) in
+        total := !total +. !wave_sa.(w);
+        functional := !functional +. Timed.functional_activity !waves.(w)
+      end)
     order;
   let luts = List.rev !luts in
   (* Rebuild the cover as a netlist over the same primary inputs. *)
   let builder = Nl.create_builder ~name:(Nl.name t ^ "_mapped") in
-  let remap = Hashtbl.create 64 in
+  let remap = Array.make n (-1) in
   Array.iter
-    (fun id ->
-      let name = (Nl.node t id).Nl.name in
-      Hashtbl.replace remap id (Nl.add_input builder name))
+    (fun id -> remap.(id) <- Nl.add_input builder (Nl.node t id).Nl.name)
     (Nl.inputs t);
   (* Constants needed as leaves or outputs become constant nodes. *)
   let map_leaf id =
-    match Hashtbl.find_opt remap id with
-    | Some nid -> nid
-    | None ->
-        let node = Nl.node t id in
-        if Array.length node.Nl.fanins = 0 && not (Nl.is_input t id) then begin
-          let nid = Nl.add_const builder (Tt.eval node.Nl.func 0) in
-          Hashtbl.replace remap id nid;
-          nid
-        end
-        else
-          failwith "Mapper.map: leaf mapped before its LUT"
+    if remap.(id) < 0 then begin
+      let node = Nl.node t id in
+      if Array.length node.Nl.fanins <> 0 then
+        failwith "Mapper.map: leaf mapped before its LUT";
+      remap.(id) <- Nl.add_const builder (Tt.eval node.Nl.func 0)
+    end;
+    remap.(id)
   in
   List.iter
     (fun l ->
       let fanins = Array.map map_leaf l.leaves in
-      let nid =
-        Nl.add_node builder
-          ~name:(Printf.sprintf "lut%d" l.root)
-          ~func:l.func ~fanins
-      in
-      Hashtbl.replace remap l.root nid)
+      remap.(l.root) <-
+        Nl.add_node builder ~name:("lut" ^ string_of_int l.root) ~func:l.func
+          ~fanins)
     luts;
   List.iter
     (fun (name, id) -> Nl.mark_output builder name (map_leaf id))
     (Nl.outputs t);
   let lut_network = Nl.freeze builder in
+  let lut_count = List.length luts in
   Telemetry.incr c_maps;
-  Telemetry.add c_luts (List.length luts);
+  Telemetry.add c_luts lut_count;
   {
     source = t;
     luts;
@@ -168,7 +217,7 @@ let map ?(objective = Min_sa) ?(max_cuts = default_max_cuts)
     functional_sa = !functional;
     glitch_sa = !total -. !functional;
     depth = Nl.max_depth lut_network;
-    lut_count = List.length luts;
+    lut_count;
   }
 
 let check_cover m =

@@ -43,19 +43,17 @@ type t = {
   lut_count : int;  (** number of LUTs in the cover *)
 }
 
-(** Default number of cuts retained per node (8, a common mapper setting). *)
-val default_max_cuts : int
-
-(** [map t ~k] maps [t] onto [k]-input LUTs.
+(** [map t ~k] maps [t] onto [k]-input LUTs, keeping 8 cuts per node.
+    A cut's waveform is a function of its cone's table and its leaves'
+    waveforms, so each distinct (table, leaf waveforms) pair is priced
+    once per call; all of that state lives in the call.
 
     @param objective selection policy; default {!Min_sa}.
-    @param max_cuts cuts kept per node; default {!default_max_cuts}.
     @param input per-primary-input signal statistics; defaults to the
     paper's P = 0.5, s = 0.5.
-    @raise Invalid_argument on bad [k]/[max_cuts] (see {!Cut.enumerate}). *)
+    @raise Invalid_argument on bad [k] (see {!Cut.enumerate}). *)
 val map :
   ?objective:objective ->
-  ?max_cuts:int ->
   ?input:(int -> Hlp_activity.Switching.signal) ->
   Nl.t -> k:int -> t
 

@@ -233,6 +233,15 @@ let test_node_waveform_rejects_zero_delay () =
            ~fanins:[| Timed.input_waveform Sw.default_input |]
            ~delay:0))
 
+(* Two steps at one time: the first positive one counts, for the
+   totals as for [node_waveform], which reads only the first. *)
+let test_make_keeps_first_step_per_time () =
+  let w = Timed.make ~prob:0.5 ~steps:[ (2, 0.1); (2, 0.3) ] in
+  Alcotest.(check (list (pair int (float 0.)))) "steps" [ (2, 0.1) ]
+    (Timed.steps w);
+  Alcotest.(check (float 0.)) "total" 0.1 (Timed.total_activity w);
+  Alcotest.(check (float 0.)) "functional" 0.1 (Timed.functional_activity w)
+
 let prop_timed_total_at_least_zero_delay_functional =
   (* The functional component at the arrival time is <= the zero-delay
      estimate of the same node; totals exceed it when glitches occur. *)
@@ -523,5 +532,7 @@ let suite =
       test_timed_const_node;
     Alcotest.test_case "reject zero delay" `Quick
       test_node_waveform_rejects_zero_delay;
+    Alcotest.test_case "make keeps the first step per time" `Quick
+      test_make_keeps_first_step_per_time;
   ]
   @ props

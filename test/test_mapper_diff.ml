@@ -199,19 +199,43 @@ let random_netlist rng ~k =
 
 (* Three signals per case, default among them, drawn per input
    position: positions share a waveform or differ, so the mapper's leaf
-   ids must tell them apart exactly.  Rails (P = 0 or 1) and zero
-   activity give inputs whose waveform equals a constant's. *)
+   ids must tell them apart exactly.  Probabilities and activities come
+   partly from small sets, so signals of one probability and different
+   activities occur; rails (P = 0 or 1) and zero activity give inputs
+   whose waveform equals a constant's. *)
 let random_input rng =
   let draw () =
     let prob =
-      match Rng.int rng 4 with 0 -> 0. | 1 -> 1. | _ -> Rng.float rng 1.
+      match Rng.int rng 5 with
+      | 0 -> 0.
+      | 1 -> 1.
+      | 2 -> 0.5
+      | 3 -> 0.25
+      | _ -> Rng.float rng 1.
     in
-    let activity = if Rng.int rng 4 = 0 then 0. else Rng.float rng 1. in
+    let activity =
+      match Rng.int rng 3 with 0 -> 0. | 1 -> 0.5 | _ -> Rng.float rng 1.
+    in
     Sw.signal ~prob ~activity
   in
   let signals = [| Sw.default_input; draw (); draw () |] in
   let choice = Array.init 8 (fun _ -> Rng.int rng 3) in
   fun pos -> signals.(choice.(pos))
+
+(* Equal bits on the three totals and an equal LUT list. *)
+let agrees ~objective ~input t ~k =
+  let m = Mapper.map ~objective ~input t ~k in
+  let total, functional, glitch, luts = Reference.map ~objective ~input t ~k in
+  let bits = Int64.bits_of_float in
+  bits m.Mapper.total_sa = bits total
+  && bits m.Mapper.functional_sa = bits functional
+  && bits m.Mapper.glitch_sa = bits glitch
+  && List.map
+       (fun l ->
+         ( l.Mapper.root, l.Mapper.leaves, Tt.arity l.Mapper.func,
+           Tt.bits l.Mapper.func ))
+       m.Mapper.luts
+     = luts
 
 let prop_mapper_matches_reference =
   QCheck.Test.make ~count:500
@@ -222,20 +246,32 @@ let prop_mapper_matches_reference =
       let k = 2 + Rng.int rng 5 in
       let t = random_netlist rng ~k in
       let objective = if Rng.bool rng then Mapper.Min_sa else Mapper.Min_depth in
-      let input = random_input rng in
-      let m = Mapper.map ~objective ~input t ~k in
-      let total, functional, glitch, luts =
-        Reference.map ~objective ~input t ~k
-      in
-      let bits = Int64.bits_of_float in
-      bits m.Mapper.total_sa = bits total
-      && bits m.Mapper.functional_sa = bits functional
-      && bits m.Mapper.glitch_sa = bits glitch
-      && List.map
-           (fun l ->
-             ( l.Mapper.root, l.Mapper.leaves, Tt.arity l.Mapper.func,
-               Tt.bits l.Mapper.func ))
-           m.Mapper.luts
-         = luts)
+      agrees ~objective ~input:(random_input rng) t ~k)
 
-let suite = [ QCheck_alcotest.to_alcotest prop_mapper_matches_reference ]
+(* Two 6-input gates over the same inputs whose tables share the low 32
+   minterms (x5 = 0) and differ above: a 6-leaf table does not fit one
+   native int, and the two must not be priced as one. *)
+let test_six_leaf_halves () =
+  let b = Nl.create_builder ~name:"halves" in
+  let xs = Array.init 6 (fun i -> Nl.add_input b (Printf.sprintf "x%d" i)) in
+  let low = 0xFFFFFFFEL (* x5 = 0: or of x0-x4 *) in
+  let gate name high =
+    let func = Tt.create 6 (Int64.logor low (Int64.shift_left high 32)) in
+    Nl.mark_output b name (Nl.add_node b ~name ~func ~fanins:xs)
+  in
+  gate "and" 0x80000000L;
+  gate "xor" 0x96696996L;
+  let t = Nl.freeze b in
+  List.iter
+    (fun objective ->
+      Alcotest.(check bool)
+        "agrees" true
+        (agrees ~objective ~input:(fun _ -> Sw.default_input) t ~k:6))
+    [ Mapper.Min_sa; Mapper.Min_depth ]
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_mapper_matches_reference;
+    Alcotest.test_case "six-leaf tables differing in their high half" `Quick
+      test_six_leaf_halves;
+  ]
