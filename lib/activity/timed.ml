@@ -6,7 +6,8 @@ module Nl = Hlp_netlist.Netlist
 type waveform = { prob : float; times : int array; acts : float array }
 
 let prob w = w.prob
-let steps w = List.init (Array.length w.times) (fun i -> (w.times.(i), w.acts.(i)))
+let steps w =
+  List.init (Array.length w.times) (fun i -> (w.times.(i), w.acts.(i)))
 
 let total_activity w =
   let total = ref 0. in
@@ -39,11 +40,7 @@ let make ~prob ~steps =
     |> List.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2)
     |> first_per_time |> Array.of_list
   in
-  {
-    prob;
-    times = Array.map fst steps;
-    acts = Array.init (Array.length steps) (fun i -> snd steps.(i));
-  }
+  { prob; times = Array.map fst steps; acts = Array.map snd steps }
 
 let static prob = { prob; times = [||]; acts = [||] }
 
@@ -63,7 +60,9 @@ let node_waveform func ~fanins ~delay =
   let p, step =
     Switching.of_table_staged func (Array.map (fun w -> w.prob) fanins)
   in
-  let cap = Array.fold_left (fun acc w -> acc + Array.length w.times) 0 fanins in
+  let cap =
+    Array.fold_left (fun acc w -> acc + Array.length w.times) 0 fanins
+  in
   let times = Array.make cap 0 and acts = Array.make cap 0. in
   let cursor = Array.make n 0 and activities = Array.make n 0. in
   let count = ref 0 and more = ref true in
@@ -99,7 +98,11 @@ let node_waveform func ~fanins ~delay =
       end
     end
   done;
-  { prob = p; times = Array.sub times 0 !count; acts = Array.sub acts 0 !count }
+  {
+    prob = p;
+    times = Array.sub times 0 !count;
+    acts = Array.sub acts 0 !count;
+  }
 
 let propagate t ~delay ~input =
   let waves = Array.make (Nl.num_nodes t) (static 0.) in

@@ -24,8 +24,9 @@ type waveform
 (** [prob w] is the (time-independent) signal probability. *)
 val prob : waveform -> float
 
-(** [steps w] is the (time, activity) list in increasing time order;
-    entries with zero activity are dropped. *)
+(** [steps w] is the (time, activity) list in strictly increasing time
+    order; entries with zero activity are dropped.  A waveform holds
+    them as two flat arrays, the activities unboxed. *)
 val steps : waveform -> (int * float) list
 
 (** [total_activity w] is the effective switching activity: the sum of the
@@ -47,8 +48,9 @@ val glitch_activity : waveform -> float
     opportunity at time 0 with the signal's activity. *)
 val input_waveform : Switching.signal -> waveform
 
-(** [make ~prob ~steps] builds a waveform directly (used by the mapper to
-    seed cut leaves with previously mapped LUT waveforms). *)
+(** [make ~prob ~steps] builds a waveform directly: the steps with
+    positive activity, in time order; of several at one time, the first
+    counts (the one {!node_waveform} reads). *)
 val make : prob:float -> steps:(int * float) list -> waveform
 
 (** [node_waveform func ~fanins] derives the waveform of a node computing
