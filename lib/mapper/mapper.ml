@@ -170,9 +170,8 @@ let map ?(objective = Min_sa) ?(input = fun _ -> Sw.default_input) t ~k =
   Array.iter
     (fun id ->
       if needed.(id) && not (is_terminal t id) then begin
-        luts :=
-          { root = id; leaves = best_cut.(id).Cut.leaves; func = best_func.(id) }
-          :: !luts;
+        let leaves = best_cut.(id).Cut.leaves in
+        luts := { root = id; leaves; func = best_func.(id) } :: !luts;
         let w = leaf_wave.(id) in
         total := !total +. !wave_sa.(w);
         functional := !functional +. Timed.functional_activity !waves.(w)

@@ -262,8 +262,11 @@ let test_flow_mix_pinned () =
   let module Benchmarks = Hlp_cdfg.Benchmarks in
   let sa_table = lazy (Hlp_core.Sa_table.create ~width:16 ~k:4 ()) in
   let binders =
-    [ ("lopass", Binder.Lopass); ("hlpower-a1.0", Binder.Hlpower { alpha = 1.0 });
-      ("hlpower-a0.5", Binder.Hlpower { alpha = 0.5 }) ]
+    [
+      ("lopass", Binder.Lopass);
+      ("hlpower-a1.0", Binder.Hlpower { alpha = 1.0 });
+      ("hlpower-a0.5", Binder.Hlpower { alpha = 0.5 });
+    ]
   in
   let digest (profile : Benchmarks.profile) binder =
     let prepared = Binder.prepare (Binder.Bench (profile, 0)) in
@@ -282,7 +285,8 @@ let test_flow_mix_pinned () =
       (fun (profile : Benchmarks.profile) ->
         List.map
           (fun (label, binder) ->
-            (profile.Benchmarks.bench_name ^ "/" ^ label, digest profile binder))
+            let name = profile.Benchmarks.bench_name ^ "/" ^ label in
+            (name, digest profile binder))
           binders)
       Benchmarks.all
   in

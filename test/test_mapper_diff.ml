@@ -54,7 +54,8 @@ module Reference = struct
       in
       (Sw.of_table func inputs).Sw.activity
     in
-    { prob = p; steps = normalize (List.map (fun t -> (t, step_activity t)) times) }
+    let steps = List.map (fun t -> (t, step_activity t)) times in
+    { prob = p; steps = normalize steps }
 
   let is_terminal t id =
     Nl.is_input t id || Array.length (Nl.node t id).Nl.fanins = 0
@@ -84,7 +85,9 @@ module Reference = struct
     let m = Array.length leaves in
     let arity = max m 1 in
     let tts = Hashtbl.create 16 in
-    Array.iteri (fun i leaf -> Hashtbl.replace tts leaf (Tt.var i arity)) leaves;
+    Array.iteri
+      (fun i leaf -> Hashtbl.replace tts leaf (Tt.var i arity))
+      leaves;
     List.iter
       (fun id ->
         let node = Nl.node t id in
@@ -141,7 +144,9 @@ module Reference = struct
               cuts.(id)
           in
           let better a b = if key a <= key b then a else b in
-          let chosen = List.fold_left better (List.hd candidates) (List.tl candidates) in
+          let chosen =
+            List.fold_left better (List.hd candidates) (List.tl candidates)
+          in
           best.(id) <- Some chosen;
           leaf_wave.(id) <- chosen.wave
         end
@@ -245,7 +250,9 @@ let prop_mapper_matches_reference =
       let rng = Rng.create (Printf.sprintf "mapper-diff-%d" seed) in
       let k = 2 + Rng.int rng 5 in
       let t = random_netlist rng ~k in
-      let objective = if Rng.bool rng then Mapper.Min_sa else Mapper.Min_depth in
+      let objective =
+        if Rng.bool rng then Mapper.Min_sa else Mapper.Min_depth
+      in
       agrees ~objective ~input:(random_input rng) t ~k)
 
 (* Two 6-input gates over the same inputs whose tables share the low 32
