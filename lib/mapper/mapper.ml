@@ -34,8 +34,8 @@ let is_terminal t id =
 
 (* A priced cut's waveform depends only on its cone table and its
    leaves' waveforms, so [map] prices each distinct pair once.  The key
-   is [| low half; high half; leaf waveform ids... |] of the table
-   ({!Tt.column_halves}); its length gives the arity. *)
+   is the table's two halves ({!Tt.column_halves}) followed by the
+   leaves' waveform ids; its length gives the arity. *)
 module Memo = Hashtbl.Make (struct
   type t = int array
 

@@ -1,5 +1,5 @@
 (* Differential test of the glitch-aware mapper: [Mapper.map] against
-   the mapper it replaced, kept here as the reference.  The reference
+   the list-based mapper kept here as the reference.  The reference
    holds waveforms as (time, activity) lists, collapses each cone by a
    Hashtbl walk and [Truth_table.compose], and prices every cut afresh;
    [Mapper.map] prices each distinct (table, leaf waveforms) pair once
