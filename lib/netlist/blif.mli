@@ -11,18 +11,25 @@
     of Fig. 2 of the paper. *)
 
 (** [to_string t] renders the netlist as BLIF.  Net names are made unique
-    and safe; declared outputs keep their names via buffer covers. *)
+    and safe: characters outside [[A-Za-z0-9_.\[\]]] become ['_'], and an
+    input or output whose sanitized name an earlier one already has
+    becomes ["<name>_<k>"] for the least free [k].  Logic nodes are
+    ["n<id>"] (or ["n<id>_<k>"] when an input or output has that name);
+    declared outputs keep their names via buffer covers. *)
 val to_string : Netlist.t -> string
 
 (** [output_file t path] writes [to_string t] to [path]. *)
 val output_file : Netlist.t -> string -> unit
 
 (** [parse s] parses a BLIF model back into a netlist.  Logic may be
-    declared in any order; the result is topologically sorted.  Malformed
-    input (bad covers, duplicate inputs or net definitions, undefined
-    nets, combinational cycles, functions wider than
-    {!Truth_table.max_vars}) yields [Error (lineno, message)] where
-    [lineno] is the 1-based source line of the offending construct. *)
+    declared in any order; the result is topologically sorted, nodes
+    numbered in the order a depth-first walk from the [.outputs] (fanins
+    left to right) reaches them.  Malformed input (bad covers, duplicate
+    inputs or net definitions, undefined nets, combinational cycles,
+    functions wider than {!Truth_table.max_vars}, a model without
+    outputs) yields [Error (lineno, message)] where [lineno] is the
+    1-based source line of the offending construct (for a model without
+    outputs, its first [.model] line, or 1). *)
 val parse : string -> (Netlist.t, int * string) result
 
 (** [of_string s] is [parse s], raising on malformed input.

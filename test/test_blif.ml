@@ -112,6 +112,19 @@ let test_reject_subckt () =
   check_bool "subckt rejected" true
     (try ignore (Blif.of_string s); false with Failure _ -> true)
 
+(* A model without outputs is malformed input: an error at its .model
+   line, or at line 1 when there is none. *)
+let test_reject_no_outputs () =
+  let check name line s =
+    Alcotest.(check (result reject (pair int string)))
+      name
+      (Error (line, "no outputs declared"))
+      (Blif.parse s)
+  in
+  check "model without outputs" 2 "# empty\n.model m\n.inputs a\n.end\n";
+  check "empty text" 1 "";
+  check "outputs directive without nets" 1 ".inputs a\n.outputs\n"
+
 let test_file_roundtrip () =
   let t = tiny () in
   let path = Filename.temp_file "hlp" ".blif" in
@@ -180,6 +193,8 @@ let suite =
     Alcotest.test_case "reject cycle" `Quick test_reject_cycle;
     Alcotest.test_case "reject undefined net" `Quick test_reject_undefined_net;
     Alcotest.test_case "reject subckt" `Quick test_reject_subckt;
+    Alcotest.test_case "reject a model without outputs" `Quick
+      test_reject_no_outputs;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
   ]

@@ -113,6 +113,12 @@ let test_blif_cycle_line () =
   check_bool "message mentions the cycle" true
     (String.length d.D.message > 0)
 
+(* A model without outputs is an N010 at its .model line. *)
+let test_blif_no_outputs_line () =
+  let d = parse_error ".model m\n.inputs a\n.end\n" in
+  Alcotest.(check string) "code" "N010" d.D.code;
+  check_bool "line 1" true (d.D.loc = D.Line 1)
+
 (* --- round trip --- *)
 
 let test_roundtrip_clean () =
@@ -173,6 +179,25 @@ let test_roundtrip_output_named_like_input () =
   check_codes "output a driven by input a" []
     (D.codes (Rules.check_blif_roundtrip (Nl.freeze b)))
 
+(* Inputs "a-b" and "a_b", and outputs "o-1" and "o_1", sanitize
+   alike; the writer renames the later of each pair, so the text
+   declares each net once. *)
+let test_roundtrip_sanitized_clash () =
+  let b = Nl.create_builder ~name:"in_clash" in
+  let x = Nl.add_input b "a-b" and y = Nl.add_input b "a_b" in
+  Nl.mark_output b "z" (Cl.and2 b x (Cl.not_ b y));
+  let t = Nl.freeze b in
+  check_codes "inputs a-b and a_b" [] (D.codes (Rules.check_blif_roundtrip t));
+  check_bool "second input renamed" true
+    (String.starts_with ~prefix:".model in_clash\n.inputs a_b a_b_1\n"
+       (Hlp_netlist.Blif.to_string t));
+  let b = Nl.create_builder ~name:"out_clash" in
+  let x = Nl.add_input b "x" and y = Nl.add_input b "y" in
+  Nl.mark_output b "o-1" (Cl.and2 b x y);
+  Nl.mark_output b "o_1" (Cl.or2 b x y);
+  check_codes "outputs o-1 and o_1" []
+    (D.codes (Rules.check_blif_roundtrip (Nl.freeze b)))
+
 (* Swapping y1 and y2 keeps each vector's set of output values, so only
    a comparison by position tells the two netlists apart. *)
 let test_equivalence_by_position () =
@@ -195,12 +220,16 @@ let suite =
     Alcotest.test_case "N010 undefined net line no" `Quick
       test_blif_undefined_net_line;
     Alcotest.test_case "N010 cycle line no" `Quick test_blif_cycle_line;
+    Alcotest.test_case "N010 model without outputs" `Quick
+      test_blif_no_outputs_line;
     Alcotest.test_case "round trip clean" `Quick test_roundtrip_clean;
     Alcotest.test_case "round trip 4-bit adder" `Quick test_roundtrip_adder;
     Alcotest.test_case "round trip with node names taken" `Quick
       test_roundtrip_name_clash;
     Alcotest.test_case "round trip with an output named like an input"
       `Quick test_roundtrip_output_named_like_input;
+    Alcotest.test_case "round trip with names that sanitize alike" `Quick
+      test_roundtrip_sanitized_clash;
     Alcotest.test_case "N009 compares outputs by position" `Quick
       test_equivalence_by_position;
   ]
