@@ -186,7 +186,8 @@ let push v x =
 let same s off len d d_off =
   let i = ref 0 in
   while
-    !i < len && String.unsafe_get s (off + !i) = String.unsafe_get d (d_off + !i)
+    !i < len
+    && String.unsafe_get s (off + !i) = String.unsafe_get d (d_off + !i)
   do
     incr i
   done;

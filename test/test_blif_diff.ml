@@ -158,7 +158,8 @@ module Reference = struct
         (match !polarity with
         | None -> polarity := Some out
         | Some p ->
-            if p <> out then fail_line lineno "mixed output polarities in cover");
+            if p <> out then
+              fail_line lineno "mixed output polarities in cover");
         if String.length cube <> arity then
           fail_line lineno "cube width does not match fanin count";
         let rec expand i m =
@@ -256,7 +257,8 @@ module Reference = struct
       let ids = Hashtbl.create 64 in
       List.iter
         (fun (lineno, net) ->
-          if Hashtbl.mem ids net then fail_line lineno ("duplicate input " ^ net);
+          if Hashtbl.mem ids net then
+            fail_line lineno ("duplicate input " ^ net);
           Hashtbl.replace ids net (Nl.add_input b net))
         !inputs;
       let visiting = Hashtbl.create 64 in
@@ -280,7 +282,8 @@ module Reference = struct
                 id)
       in
       List.iter
-        (fun (lineno, out) -> Nl.mark_output b out (resolve ~ref_line:lineno out))
+        (fun (lineno, out) ->
+          Nl.mark_output b out (resolve ~ref_line:lineno out))
         !outputs;
       Ok (Nl.freeze b)
     with Parse_error (lineno, msg) -> Error (lineno, msg)
@@ -335,40 +338,44 @@ let clash_free t =
   let distinct names =
     List.length (List.sort_uniq compare names) = List.length names
   in
-  distinct
-    (Array.to_list
-       (Array.map
-          (fun id -> Reference.sanitize (Nl.node t id).Nl.name)
-          (Nl.inputs t)))
-  && distinct (List.map (fun (name, _) -> Reference.sanitize name) (Nl.outputs t))
+  let input_name id = Reference.sanitize (Nl.node t id).Nl.name in
+  distinct (List.map input_name (Array.to_list (Nl.inputs t)))
+  && distinct
+       (List.map (fun (name, _) -> Reference.sanitize name) (Nl.outputs t))
 
 (* --- mutations of the writer's text --- *)
 
-let is_names l = String.length l >= 6 && String.sub l 0 6 = ".names"
-let is_row l = l <> "" && (l.[0] = '0' || l.[0] = '1' || l.[0] = '-')
-
 let words l = List.filter (( <> ) "") (String.split_on_char ' ' l)
+let directive d l = match words l with w :: _ -> w = d | [] -> false
+let is_names l = String.starts_with ~prefix:".names" l
+let is_row l = l <> "" && (l.[0] = '0' || l.[0] = '1' || l.[0] = '-')
 
 (* Index of a random line satisfying [p], if any. *)
 let pick_line rng p lines =
-  let idx = List.filter (fun i -> p lines.(i)) (List.init (Array.length lines) Fun.id) in
-  if idx = [] then None else Some (Rng.pick rng (Array.of_list idx))
+  let all = List.init (Array.length lines) Fun.id in
+  match List.filter (fun i -> p lines.(i)) all with
+  | [] -> None
+  | idx -> Some (Rng.pick rng (Array.of_list idx))
 
 let insert_at lines i new_lines =
   Array.concat
     [ Array.sub lines 0 i; Array.of_list new_lines;
       Array.sub lines i (Array.length lines - i) ]
 
-let remove_at lines i =
-  Array.append (Array.sub lines 0 i)
-    (Array.sub lines (i + 1) (Array.length lines - i - 1))
+(* [lines] with [lines.(i) .. lines.(j - 1)] replaced by [new_lines]. *)
+let splice lines i j new_lines =
+  Array.concat
+    [ Array.sub lines 0 i; Array.of_list new_lines;
+      Array.sub lines j (Array.length lines - j) ]
 
-let update lines i f =
-  let lines = Array.copy lines in
-  lines.(i) <- f lines.(i);
-  lines
+let update lines i f = splice lines i (i + 1) [ f lines.(i) ]
 
-(* Replace one character of a row's cube, or its output value. *)
+(* [choices] inserted as one line anywhere. *)
+let insert_any choices rng lines =
+  let i = Rng.int rng (Array.length lines + 1) in
+  insert_at lines i [ Rng.pick rng choices ]
+
+(* One character of a row's cube, or its output value, replaced. *)
 let set_row_char rng ~cube c lines =
   match pick_line rng is_row lines with
   | None -> lines
@@ -381,11 +388,15 @@ let set_row_char rng ~cube c lines =
           in
           String.mapi (fun j x -> if j = k then c else x) l)
 
-(* The lines of the .names block starting at [i]. *)
+(* The end of the .names block starting at [i]. *)
 let block_end lines i =
   let j = ref (i + 1) in
   while !j < Array.length lines && is_row lines.(!j) do incr j done;
   !j
+
+(* A random .names block: its first line and its end. *)
+let pick_block rng lines =
+  Option.map (fun i -> (i, block_end lines i)) (pick_line rng is_names lines)
 
 let net_of rng lines =
   match pick_line rng is_names lines with
@@ -395,15 +406,26 @@ let net_of rng lines =
       | [] -> "a"
       | nets -> Rng.pick rng (Array.of_list nets))
 
+(* A random net of a random .names line replaced by [pick ws]. *)
+let replace_net rng pick lines =
+  match pick_line rng is_names lines with
+  | None -> lines
+  | Some i ->
+      update lines i (fun l ->
+          let ws = Array.of_list (words l) in
+          match pick ws with
+          | None -> l
+          | Some (k, net) ->
+              ws.(k) <- net;
+              String.concat " " (Array.to_list ws))
+
 let mutations : (Rng.t -> string array -> string array) array =
   [|
-    (* comments: a comment line, a trailing comment, one after a '\' *)
+    (* comments: a comment line, a trailing comment, a '\' before or
+       inside one *)
+    insert_any [| "# c"; "#"; " # \\"; "#.names x" |];
     (fun rng lines ->
-      let i = Rng.int rng (Array.length lines + 1) in
-      insert_at lines i [ Rng.pick rng [| "# c"; "#"; " # \\"; "#.names x" |] ]);
-    (fun rng lines ->
-      let i = Rng.int rng (Array.length lines) in
-      update lines i (fun l ->
+      update lines (Rng.int rng (Array.length lines)) (fun l ->
           l ^ Rng.pick rng [| " # c"; "# c \\"; " \\ # c"; "\\# c"; "#" |]));
     (* '\' continuations, also on the last line *)
     (fun rng lines ->
@@ -412,44 +434,37 @@ let mutations : (Rng.t -> string array -> string array) array =
       match String.index_opt l ' ' with
       | None -> update lines i (fun l -> l ^ "\\")
       | Some k ->
-          let tail = String.sub l (k + 1) (String.length l - k - 1) in
-          let head = String.sub l 0 k in
-          let head = if Rng.bool rng then head ^ " \\" else head ^ "\\" in
-          Array.concat
-            [ Array.sub lines 0 i; [| head; tail |];
-              Array.sub lines (i + 1) (Array.length lines - i - 1) ]);
+          let head = String.sub l 0 k ^ Rng.pick rng [| " \\"; "\\" |] in
+          splice lines i (i + 1)
+            [ head; String.sub l (k + 1) (String.length l - k - 1) ]);
     (fun _ lines -> update lines (Array.length lines - 1) (fun l -> l ^ "\\"));
     (* tabs, runs of blanks, blank lines *)
     (fun rng lines ->
-      let i = Rng.int rng (Array.length lines) in
-      update lines i (fun l ->
+      update lines (Rng.int rng (Array.length lines)) (fun l ->
           String.concat (Rng.pick rng [| "\t"; "  "; " \t "; "\t\t" |])
             (String.split_on_char ' ' l)));
     (fun rng lines ->
-      let i = Rng.int rng (Array.length lines) in
-      update lines i (fun l -> Rng.pick rng [| "\t"; " "; "\t " |] ^ l ^ " "));
-    (fun rng lines ->
-      insert_at lines (Rng.int rng (Array.length lines + 1))
-        [ Rng.pick rng [| ""; " "; "\t" |] ]);
-    (* '-' cubes, off-set rows, bad cube and output characters *)
+      update lines (Rng.int rng (Array.length lines)) (fun l ->
+          Rng.pick rng [| "\t"; " "; "\t " |] ^ l ^ " "));
+    insert_any [| ""; " "; "\t" |];
+    (* '-' cubes, off-set rows and covers, bad cube and output
+       characters *)
     (fun rng lines -> set_row_char rng ~cube:true '-' lines);
     (fun rng lines -> set_row_char rng ~cube:false '0' lines);
     (fun rng lines ->
-      (* a whole cover in the off-set *)
-      match pick_line rng is_names lines with
+      match pick_block rng lines with
       | None -> lines
-      | Some i ->
-          let j = block_end lines i in
-          Array.mapi
-            (fun k l ->
-              if k > i && k < j then
-                String.mapi
-                  (fun p c -> if p = String.length l - 1 then '0' else c)
-                  l
-              else l)
-            lines);
+      | Some (i, j) ->
+          let off_set l =
+            String.mapi
+              (fun p c -> if p = String.length l - 1 then '0' else c)
+              l
+          in
+          let rows = Array.to_list (Array.sub lines (i + 1) (j - i - 1)) in
+          splice lines (i + 1) j (List.map off_set rows));
     (fun rng lines ->
-      set_row_char rng ~cube:true (Rng.pick rng [| 'x'; '2'; '0'; '1' |]) lines);
+      let c = Rng.pick rng [| 'x'; '2'; '0'; '1' |] in
+      set_row_char rng ~cube:true c lines);
     (fun rng lines ->
       set_row_char rng ~cube:false (Rng.pick rng [| 'x'; '2'; '-' |]) lines);
     (* one-token constant rows, empty covers *)
@@ -457,94 +472,71 @@ let mutations : (Rng.t -> string array -> string array) array =
       match pick_line rng is_names lines with
       | None -> lines
       | Some i ->
-          insert_at lines (i + 1) [ Rng.pick rng [| "1"; "0"; "10"; "x"; "-" |] ]);
+          insert_at lines (i + 1)
+            [ Rng.pick rng [| "1"; "0"; "10"; "x"; "-" |] ]);
     (fun rng lines ->
-      match pick_line rng is_names lines with
+      match pick_block rng lines with
       | None -> lines
-      | Some i ->
-          let j = block_end lines i in
-          Array.append (Array.sub lines 0 (i + 1))
-            (Array.sub lines j (Array.length lines - j)));
+      | Some (i, j) -> splice lines (i + 1) j []);
     (* definitions out of order, a net defined twice *)
     (fun rng lines ->
-      match pick_line rng is_names lines with
+      match pick_block rng lines with
       | None -> lines
-      | Some i ->
-          let j = block_end lines i in
+      | Some (i, j) ->
           let block = Array.to_list (Array.sub lines i (j - i)) in
-          let rest =
-            Array.append (Array.sub lines 0 i)
-              (Array.sub lines j (Array.length lines - j))
-          in
-          let k =
-            match pick_line rng is_names rest with Some k -> k | None -> 0
-          in
+          let rest = splice lines i j [] in
+          let k = Option.value ~default:0 (pick_line rng is_names rest) in
           insert_at rest k block);
     (fun rng lines ->
-      match pick_line rng is_names lines with
+      match pick_block rng lines with
       | None -> lines
-      | Some i ->
-          let j = block_end lines i in
-          let block = Array.to_list (Array.sub lines i (j - i)) in
-          insert_at lines (Rng.int rng (Array.length lines + 1)) block);
-    (* unknown directives, rows before any .names, .names without nets *)
-    (fun rng lines ->
-      insert_at lines (Rng.int rng (Array.length lines + 1))
-        [ Rng.pick rng [| ".default_input_arrival 0 0"; ".area 3"; ".exdc"; ".x" |] ]);
+      | Some (i, j) ->
+          insert_at lines (Rng.int rng (Array.length lines + 1))
+            (Array.to_list (Array.sub lines i (j - i))));
+    (* unknown directives, rows before any .names, .names without nets,
+       sequential and hierarchical directives *)
+    insert_any [| ".default_input_arrival 0 0"; ".area 3"; ".exdc"; ".x" |];
     (fun rng lines ->
       insert_at lines (min 1 (Array.length lines))
         [ Rng.pick rng [| "1 1"; "11 1"; "1" |] ]);
-    (fun rng lines ->
-      insert_at lines (Rng.int rng (Array.length lines + 1)) [ ".names" ]);
-    (fun rng lines ->
-      insert_at lines (Rng.int rng (Array.length lines + 1))
-        [ Rng.pick rng [| ".latch a b 0"; ".subckt f x=a"; ".search lib.blif" |] ]);
+    insert_any [| ".names" |];
+    insert_any [| ".latch a b 0"; ".subckt f x=a"; ".search lib.blif" |];
     (* duplicate inputs, undefined nets, cycles *)
     (fun rng lines ->
-      match pick_line rng (fun l -> words l <> [] && List.hd (words l) = ".inputs") lines with
+      match pick_line rng (directive ".inputs") lines with
       | None -> lines
-      | Some i ->
-          if Rng.bool rng then
-            update lines i (fun l ->
-                match List.tl (words l) with
-                | [] -> l ^ " a a"
-                | nets -> l ^ " " ^ Rng.pick rng (Array.of_list nets))
-          else insert_at lines (i + 1) [ ".inputs " ^ net_of rng lines ])
-    ;
-    (fun rng lines ->
-      match pick_line rng is_names lines with
-      | None -> lines
-      | Some i ->
+      | Some i when Rng.bool rng ->
           update lines i (fun l ->
-              let ws = Array.of_list (words l) in
-              if Array.length ws < 2 then l
-              else (
-                ws.(1 + Rng.int rng (Array.length ws - 1)) <-
-                  Rng.pick rng [| "ghost"; "n99" |];
-                String.concat " " (Array.to_list ws))));
+              match List.tl (words l) with
+              | [] -> l ^ " a a"
+              | nets -> l ^ " " ^ Rng.pick rng (Array.of_list nets))
+      | Some i -> insert_at lines (i + 1) [ ".inputs " ^ net_of rng lines ]);
     (fun rng lines ->
-      match pick_line rng is_names lines with
-      | None -> lines
-      | Some i ->
-          update lines i (fun l ->
-              let ws = Array.of_list (words l) in
-              let n = Array.length ws in
-              if n < 3 then l
-              else (
-                (* a fanin becomes this net or some other .names' net *)
-                ws.(1 + Rng.int rng (n - 2)) <-
-                  (if Rng.bool rng then ws.(n - 1) else net_of rng lines);
-                String.concat " " (Array.to_list ws))));
+      replace_net rng
+        (fun ws ->
+          let n = Array.length ws in
+          if n < 2 then None
+          else
+            Some (1 + Rng.int rng (n - 1), Rng.pick rng [| "ghost"; "n99" |]))
+        lines);
+    (fun rng lines ->
+      (* a fanin becomes this net or some other .names' net *)
+      let other = net_of rng lines in
+      replace_net rng
+        (fun ws ->
+          let n = Array.length ws in
+          if n < 3 then None
+          else
+            let net = if Rng.bool rng then ws.(n - 1) else other in
+            Some (1 + Rng.int rng (n - 2), net))
+        lines);
     (* a 7-input cover, reached or not *)
     (fun rng lines ->
       let nets = List.init 7 (fun _ -> net_of rng lines) in
-      let reached = Rng.bool rng in
       let lines =
-        if reached then
+        if Rng.bool rng then
           Array.map
-            (fun l ->
-              if words l <> [] && List.hd (words l) = ".outputs" then l ^ " w7"
-              else l)
+            (fun l -> if directive ".outputs" l then l ^ " w7" else l)
             lines
         else lines
       in
@@ -556,36 +548,38 @@ let mutations : (Rng.t -> string array -> string array) array =
       match pick_line rng is_names lines with
       | None -> lines
       | Some i ->
-          let ws = words lines.(i) in
-          let arity = max 0 (List.length ws - 2) in
-          let cube = String.make arity '1' in
-          let sep = if arity = 0 then "" else " " in
-          insert_at lines (i + 1) [ cube ^ sep ^ "1"; String.make arity '0' ^ sep ^ "0" ]);
+          let arity = max 0 (List.length (words lines.(i)) - 2) in
+          let row c out =
+            if arity = 0 then out else String.make arity c ^ " " ^ out
+          in
+          insert_at lines (i + 1) [ row '1' "1"; row '0' "0" ]);
     (* text after .end, no .end, no outputs *)
     (fun rng lines ->
-      Array.append lines
-        [| Rng.pick rng [| ".names a z"; "1 1"; "junk"; ".model again"; ".end" |] |]);
+      let after = [| ".names a z"; "1 1"; "junk"; ".model again"; ".end" |] in
+      Array.append lines [| Rng.pick rng after |]);
     (fun rng lines ->
       match pick_line rng (fun l -> words l = [ ".end" ]) lines with
       | None -> lines
-      | Some i -> remove_at lines i);
+      | Some i -> splice lines i (i + 1) []);
     (fun rng lines ->
-      match pick_line rng (fun l -> words l <> [] && List.hd (words l) = ".outputs") lines with
+      match pick_line rng (directive ".outputs") lines with
       | None -> lines
-      | Some i -> if Rng.bool rng then remove_at lines i else update lines i (fun _ -> ".outputs"));
+      | Some i ->
+          splice lines i (i + 1) (if Rng.bool rng then [] else [ ".outputs" ]));
   |]
 
 (* The writer's text for a random netlist, after 0-3 mutations; the
    lines are joined by LF, sometimes by CRLF. *)
 let mutated_text rng t =
-  let lines = Array.of_list (String.split_on_char '\n' (Reference.to_string t)) in
-  let lines = ref lines in
+  let text = Reference.to_string t in
+  let lines = ref (Array.of_list (String.split_on_char '\n' text)) in
   for _ = 1 to Rng.int rng 4 do
     lines := (Rng.pick rng mutations) rng !lines
   done;
-  String.concat (if Rng.int rng 8 = 0 then "\r\n" else "\n") (Array.to_list !lines)
+  let eol = if Rng.int rng 8 = 0 then "\r\n" else "\n" in
+  String.concat eol (Array.to_list !lines)
 
-(* The line the new parser cites for a model without outputs: its first
+(* The line [Blif.parse] cites for a model without outputs: its first
    .model directive, or line 1. *)
 let model_line s =
   let rec first = function
@@ -659,7 +653,8 @@ let prop_writer_matches_reference =
     ~name:"Blif.to_string round-trips; = Printf reference when clash-free"
     QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
     (fun seed ->
-      let t = random_netlist (Rng.create (Printf.sprintf "blif-diff-%d" seed)) in
+      let rng = Rng.create (Printf.sprintf "blif-diff-%d" seed) in
+      let t = random_netlist rng in
       Hlp_lint.Rules_netlist.check_blif_roundtrip t = []
       && ((not (clash_free t)) || Blif.to_string t = Reference.to_string t))
 
