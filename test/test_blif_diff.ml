@@ -357,17 +357,13 @@ let pick_line rng p lines =
   | [] -> None
   | idx -> Some (Rng.pick rng (Array.of_list idx))
 
-let insert_at lines i new_lines =
-  Array.concat
-    [ Array.sub lines 0 i; Array.of_list new_lines;
-      Array.sub lines i (Array.length lines - i) ]
-
 (* [lines] with [lines.(i) .. lines.(j - 1)] replaced by [new_lines]. *)
 let splice lines i j new_lines =
   Array.concat
     [ Array.sub lines 0 i; Array.of_list new_lines;
       Array.sub lines j (Array.length lines - j) ]
 
+let insert_at lines i new_lines = splice lines i i new_lines
 let update lines i f = splice lines i (i + 1) [ f lines.(i) ]
 
 (* [choices] inserted as one line anywhere. *)
