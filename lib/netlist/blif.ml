@@ -157,7 +157,7 @@ let output_file t path =
    rows as offsets.  Then each net may be defined once, the inputs are
    added in order, and a depth-first walk from the [.outputs], fanins
    left to right, adds each node it reaches after its fanins, turning
-   the node's cover into a table only then.  All scratch state belongs
+   the node's cover into a table only then.  All working state belongs
    to one call. *)
 
 (* Internal, structured parse failure: every branch carries the line the
@@ -200,7 +200,7 @@ let hash s off len =
   done;
   !h lxor (!h lsr 29)
 
-(* The text, what the scan has read so far, and its scratch. *)
+(* The text, what the scan has read so far, and its working buffers. *)
 type state = {
   s : string;
   (* Nets: net [k] is the text at [net_off.(k)], [net_len.(k)] long;
