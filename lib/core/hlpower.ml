@@ -1,7 +1,6 @@
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
 module Telemetry = Hlp_util.Telemetry
-module IS = Set.Make (Int)
 
 let c_iterations = Telemetry.counter "hlpower.iterations"
 let c_promotions = Telemetry.counter "hlpower.promotions"
@@ -64,44 +63,73 @@ type result = {
   promoted : int;
 }
 
+(* Fixed-width bitsets: bit [i] is bit [i mod Sys.int_size] of word
+   [i / Sys.int_size].  A bind sizes them once, from the schedule length
+   (busy steps) and the register count (source registers), so every
+   node of a class has the same word counts. *)
+let words n = (max n 1 + Sys.int_size - 1) / Sys.int_size
+
+let singleton ~words i =
+  let a = Array.make words 0 in
+  a.(i / Sys.int_size) <- 1 lsl (i mod Sys.int_size);
+  a
+
+let interval ~words s f =
+  let a = Array.make words 0 in
+  for x = s to f do
+    a.(x / Sys.int_size) <- a.(x / Sys.int_size) lor (1 lsl (x mod Sys.int_size))
+  done;
+  a
+
+let disjoint a b =
+  let rec go i = i < 0 || (a.(i) land b.(i) = 0 && go (i - 1)) in
+  go (Array.length a - 1)
+
+let union a b = Array.map2 ( lor ) a b
+
+(* |a ∪ b|: the size of the mux a merge would build. *)
+let union_cardinal a b =
+  let n = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    n := !n + Hlp_util.Bits.popcount (a.(i) lor b.(i))
+  done;
+  !n
+
 (* A node of the bipartite graph: a (partially filled) functional unit. *)
 type node = {
   cls : Cdfg.fu_class;
   n_ops : int list; (* descending insertion, sorted at the end *)
-  busy : IS.t; (* occupied control steps *)
-  left_srcs : IS.t; (* distinct source registers, port A *)
-  right_srcs : IS.t; (* distinct source registers, port B *)
+  busy : int array; (* occupied control steps *)
+  left_srcs : int array; (* distinct source registers, port A *)
+  right_srcs : int array; (* distinct source registers, port B *)
 }
+
+let reg_of regs = function
+  | Cdfg.Input k -> Reg_binding.reg_of_var regs (Hlp_cdfg.Lifetime.V_input k)
+  | Cdfg.Op j -> Reg_binding.reg_of_var regs (Hlp_cdfg.Lifetime.V_op j)
 
 let node_of_op schedule regs op =
   let id = op.Cdfg.id in
   let s, f = Schedule.active_steps schedule id in
-  let busy = ref IS.empty in
-  for x = s to f do
-    busy := IS.add x !busy
-  done;
-  let reg o =
-    match o with
-    | Cdfg.Input k -> Reg_binding.reg_of_var regs (Hlp_cdfg.Lifetime.V_input k)
-    | Cdfg.Op j -> Reg_binding.reg_of_var regs (Hlp_cdfg.Lifetime.V_op j)
-  in
+  let step_words = words schedule.Schedule.num_csteps in
+  let reg_words = words (Reg_binding.num_regs regs) in
   {
     cls = Cdfg.class_of op.Cdfg.kind;
     n_ops = [ id ];
-    busy = !busy;
-    left_srcs = IS.singleton (reg op.Cdfg.left);
-    right_srcs = IS.singleton (reg op.Cdfg.right);
+    busy = interval ~words:step_words s f;
+    left_srcs = singleton ~words:reg_words (reg_of regs op.Cdfg.left);
+    right_srcs = singleton ~words:reg_words (reg_of regs op.Cdfg.right);
   }
 
-let compatible u v = u.cls = v.cls && IS.disjoint u.busy v.busy
+let compatible u v = u.cls = v.cls && disjoint u.busy v.busy
 
 let merge u v =
   {
     cls = u.cls;
     n_ops = u.n_ops @ v.n_ops;
-    busy = IS.union u.busy v.busy;
-    left_srcs = IS.union u.left_srcs v.left_srcs;
-    right_srcs = IS.union u.right_srcs v.right_srcs;
+    busy = union u.busy v.busy;
+    left_srcs = union u.left_srcs v.left_srcs;
+    right_srcs = union u.right_srcs v.right_srcs;
   }
 
 let edge_weight ~params ~sa_table ~cls ~left ~right =
@@ -124,8 +152,8 @@ type weight_key = {
   wk_beta : float;
   wk_width : int;
   wk_k : int;
-  wk_left : int list; (* merged left-source registers, ascending *)
-  wk_right : int list; (* merged right-source registers, ascending *)
+  wk_left : int array; (* merged left-source registers, canonical words *)
+  wk_right : int array; (* merged right-source registers, canonical words *)
 }
 
 (* A whole per-class run is a pure function of this signature: seeding
@@ -160,24 +188,58 @@ type state = {
 let create_state () =
   { weight_memo = Hashtbl.create 256; class_memo = Hashtbl.create 64 }
 
-let merged_weight ?state ~params ~sa_table u v =
+(* The words of [a ∪ b] without its trailing zero words: equal sets give
+   equal keys whatever the register count of the bind that priced them,
+   so a memo carried across session edits still hits. *)
+let canonical_union a b =
+  let rec last i = if i > 0 && a.(i) lor b.(i) = 0 then last (i - 1) else i in
+  let n = last (Array.length a - 1) + 1 in
+  Array.init n (fun i -> a.(i) lor b.(i))
+
+(* The Eq. 4 weights of one class within one bind: cell
+   [(left - 1) * cols + right - 1] holds [edge_weight] at mux sizes
+   (left, right), filled from the SA table on first use (nan until then).
+   Sized by the class's distinct source registers per port, which bound
+   every merged mux. *)
+type pricing = {
+  params : params;
+  sa_table : Sa_table.t;
+  state : state option;
+  cols : int;
+  cells : float array;
+}
+
+let pricing ?state ~params ~sa_table ~rows ~cols () =
+  { params; sa_table; state; cols; cells = Array.make (rows * cols) Float.nan }
+
+let grid_weight p cls ~left ~right =
+  let i = ((left - 1) * p.cols) + right - 1 in
+  let w = p.cells.(i) in
+  if Float.is_nan w then begin
+    let w = edge_weight ~params:p.params ~sa_table:p.sa_table ~cls ~left ~right in
+    p.cells.(i) <- w;
+    w
+  end
+  else w
+
+let merged_weight p u v =
   let compute () =
-    let left = IS.cardinal (IS.union u.left_srcs v.left_srcs) in
-    let right = IS.cardinal (IS.union u.right_srcs v.right_srcs) in
-    edge_weight ~params ~sa_table ~cls:u.cls ~left ~right
+    grid_weight p u.cls
+      ~left:(union_cardinal u.left_srcs v.left_srcs)
+      ~right:(union_cardinal u.right_srcs v.right_srcs)
   in
-  match state with
+  match p.state with
   | None -> compute ()
   | Some st -> (
       let key =
         {
           wk_cls = u.cls;
-          wk_alpha = params.alpha;
-          wk_beta = params.beta u.cls;
-          wk_width = Sa_table.width sa_table;
-          wk_k = Sa_table.k sa_table;
-          wk_left = IS.elements (IS.union u.left_srcs v.left_srcs);
-          wk_right = IS.elements (IS.union u.right_srcs v.right_srcs);
+          wk_alpha = p.params.alpha;
+          wk_beta = p.params.beta u.cls;
+          wk_width = Sa_table.width p.sa_table;
+          wk_k = Sa_table.k p.sa_table;
+          wk_left = canonical_union u.left_srcs v.left_srcs;
+          wk_right = canonical_union u.right_srcs v.right_srcs;
         }
       in
       match Hashtbl.find_opt st.weight_memo key with
@@ -195,13 +257,17 @@ let merged_weight ?state ~params ~sa_table u v =
 (* The in-flight binding of one class: the partially merged unit set [U],
    the not-yet-absorbed ops [V], and the round counters.  Values are
    persistent — each round returns a fresh state — so a caller can stop,
-   inspect, and resume between rounds. *)
+   inspect, and resume between rounds.  [cs_rows] and [cs_cols] count the
+   class's distinct left and right source registers: no merged mux is
+   larger, so they size the class's weight grid. *)
 type class_state = {
   cs_cls : Cdfg.fu_class;
   cs_u : node array;
   cs_v : node list;
   cs_iterations : int;
   cs_promoted : int;
+  cs_rows : int;
+  cs_cols : int;
 }
 
 let cs_units cs = Array.length cs.cs_u + List.length cs.cs_v
@@ -220,30 +286,40 @@ let seed_of_ops ~schedule ~regs cls ops_of_cls =
       s <= peak && peak <= f
     in
     let u_ops, v_ops = List.partition in_peak ops_of_cls in
+    let u = Array.of_list (List.map (node_of_op schedule regs) u_ops) in
+    let v = List.map (node_of_op schedule regs) v_ops in
+    let all = Array.append u (Array.of_list v) in
+    let sources port =
+      let acc = Array.fold_left (fun acc n -> union acc (port n)) (port all.(0)) all in
+      union_cardinal acc acc
+    in
     Some
       {
         cs_cls = cls;
-        cs_u = Array.of_list (List.map (node_of_op schedule regs) u_ops);
-        cs_v = List.map (node_of_op schedule regs) v_ops;
+        cs_u = u;
+        cs_v = v;
         cs_iterations = 0;
         cs_promoted = 0;
+        cs_rows = sources (fun n -> n.left_srcs);
+        cs_cols = sources (fun n -> n.right_srcs);
       }
   end
 
 let seed ~schedule ~regs cls =
   seed_of_ops ~schedule ~regs cls (ops_of_class schedule.Schedule.cdfg cls)
 
+let class_pricing ?state ~params ~sa_table cs =
+  pricing ?state ~params ~sa_table ~rows:cs.cs_rows ~cols:cs.cs_cols ()
+
 (* One iterated-matching round: solve the bipartite graph between U and V;
    merge every matched pair, or — when nothing can merge (multi-cycle
    case) — promote the earliest V node into U. *)
-let matching_round ?state ~params ~sa_table cs =
+let matching_round p cs =
   let v_arr = Array.of_list cs.cs_v in
   let u = Array.copy cs.cs_u in
   let weight i j =
     let un = u.(i) and vn = v_arr.(j) in
-    if compatible un vn then
-      Some (merged_weight ?state ~params ~sa_table un vn)
-    else None
+    if compatible un vn then Some (merged_weight p un vn) else None
   in
   let pairs =
     Bipartite.max_weight_matching ~n_left:(Array.length u)
@@ -261,16 +337,16 @@ let matching_round ?state ~params ~sa_table cs =
         }
     | [] -> invalid_arg "Hlpower.matching_round: no pending ops"
   else begin
-    let matched_v =
-      List.fold_left (fun s (_, j) -> IS.add j s) IS.empty pairs
-    in
-    List.iter (fun (i, j) -> u.(i) <- merge u.(i) v_arr.(j)) pairs;
+    let matched = Array.make (Array.length v_arr) false in
+    List.iter
+      (fun (i, j) ->
+        matched.(j) <- true;
+        u.(i) <- merge u.(i) v_arr.(j))
+      pairs;
     {
       cs with
       cs_u = u;
-      cs_v =
-        List.filteri (fun j _ -> not (IS.mem j matched_v))
-          (Array.to_list v_arr);
+      cs_v = List.filteri (fun j _ -> not matched.(j)) cs.cs_v;
       cs_iterations = cs.cs_iterations + 1;
     }
   end
@@ -281,7 +357,7 @@ let matching_round ?state ~params ~sa_table cs =
    max-of-min op id) pair so the choice does not depend on the order U was
    assembled in — promotion order would otherwise leak into the result and
    break bit-identity between from-scratch and resumed runs. *)
-let fallback_round ?state ~params ~sa_table cs =
+let fallback_round p cs =
   let nodes = cs.cs_u in
   let min_op n = List.fold_left min max_int n.n_ops in
   let best = ref None in
@@ -290,7 +366,7 @@ let fallback_round ?state ~params ~sa_table cs =
       Array.iteri
         (fun j nj ->
           if i < j && compatible ni nj then begin
-            let w = merged_weight ?state ~params ~sa_table ni nj in
+            let w = merged_weight p ni nj in
             let a = min_op ni and b = min_op nj in
             let key = (min a b, max a b) in
             let better =
@@ -366,14 +442,15 @@ let groups_of cs =
    can re-report the same telemetry). *)
 let run_class ?state ~params ~sa_table ~resources ~schedule ~regs cs
     ops_of_cls =
+  let p = class_pricing ?state ~params ~sa_table cs in
   let rec matching cs =
     if cs_units cs > resources && cs.cs_v <> [] then
-      matching (matching_round ?state ~params ~sa_table cs)
+      matching (matching_round p cs)
     else cs
   in
   let rec fallback cs =
     if cs_units cs > resources then
-      match fallback_round ?state ~params ~sa_table cs with
+      match fallback_round p cs with
       | Some cs' -> fallback cs'
       | None -> cs
     else cs
@@ -393,11 +470,7 @@ let run_class ?state ~params ~sa_table ~resources ~schedule ~regs cs
 
 let class_signature ~params ~sa_table ~resources ~schedule ~regs cls
     ops_of_cls =
-  let reg o =
-    match o with
-    | Cdfg.Input k -> Reg_binding.reg_of_var regs (Hlp_cdfg.Lifetime.V_input k)
-    | Cdfg.Op j -> Reg_binding.reg_of_var regs (Hlp_cdfg.Lifetime.V_op j)
-  in
+  let reg = reg_of regs in
   {
     ck_cls = cls;
     ck_alpha = params.alpha;
@@ -486,7 +559,10 @@ module Rounds = struct
   let pending = cs_pending
   let iterations cs = cs.cs_iterations
   let promoted cs = cs.cs_promoted
-  let matching_round = matching_round
-  let fallback_round = fallback_round
+  let matching_round ?state ~params ~sa_table cs =
+    matching_round (class_pricing ?state ~params ~sa_table cs) cs
+
+  let fallback_round ?state ~params ~sa_table cs =
+    fallback_round (class_pricing ?state ~params ~sa_table cs) cs
   let groups = groups_of
 end
