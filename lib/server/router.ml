@@ -56,6 +56,8 @@ type t = {
   sa_cache_dir : string option;
   mu : Mutex.t;  (* guards the registry map, not the tables themselves *)
   tables : (int * int, Sa_table.t) Hashtbl.t;
+  bmu : Mutex.t;  (* guards [benches] *)
+  benches : (string, Binder.prepared) Hashtbl.t;
   session_ttl_s : float;
   max_sessions : int;
   smu : Mutex.t;  (* guards the session table and counters below *)
@@ -89,6 +91,8 @@ let create ?sa_cache_dir ?session_ttl_ms ?max_sessions () =
     sa_cache_dir;
     mu = Mutex.create ();
     tables = Hashtbl.create 4;
+    bmu = Mutex.create ();
+    benches = Hashtbl.create 8;
     session_ttl_s = float_of_int ttl_ms /. 1000.;
     max_sessions;
     smu = Mutex.create ();
@@ -153,6 +157,25 @@ let sa_stats_json t : Json.t =
               (Sa_table.width b, Sa_table.k b))
           (all_tables t)))
 
+(* A named benchmark's preparation (list schedule under its Table 2
+   bound, then register binding), made on first use and shared by every
+   bind and flow that names it: a prepared design is never mutated, and
+   there are at most as many as [Benchmarks.all].  The first use prepares
+   under the lock, so a racing one waits instead of preparing twice. *)
+let prepared_bench t name =
+  Mutex.protect t.bmu @@ fun () ->
+  match Hashtbl.find_opt t.benches name with
+  | Some prepared -> prepared
+  | None ->
+      (* [Not_found] maps to S004 in [handle]'s backstop. *)
+      let prepared = Binder.prepare (Binder.Bench (Benchmarks.find name, 0)) in
+      Hashtbl.replace t.benches name prepared;
+      prepared
+
+let prepared_benches t =
+  Mutex.protect t.bmu (fun () ->
+      List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.benches []))
+
 let unknown_design ~what name expected =
   [
     Diagnostic.error "S004" Design "unknown %s %S (expected one of %s)" what
@@ -160,12 +183,11 @@ let unknown_design ~what name expected =
   ]
 
 let bind_binding t ~checkpoint (p : Protocol.bind_params) =
-  let design_base, design =
+  let design_base, prepared =
     match p.graph with
-    | Some cdfg -> (Cdfg.name cdfg, Binder.Graph cdfg)
-    | None -> (p.bench, Binder.Bench (Benchmarks.find p.bench, 0))
+    | Some cdfg -> (Cdfg.name cdfg, Binder.prepare (Binder.Graph cdfg))
+    | None -> (p.bench, prepared_bench t p.bench)
   in
-  let prepared = Binder.prepare design in
   checkpoint "bind";
   let binder = Binder.of_name ~alpha:p.alpha p.binder in
   let r =

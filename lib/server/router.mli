@@ -44,6 +44,13 @@ val handle :
   Protocol.op ->
   (Hlp_util.Json.t, Protocol.Diagnostic.t list) result
 
+(** [prepared_benches t] names, sorted, the benchmarks whose preparation
+    (list schedule, then register binding) [t] holds.  A [bind] or
+    [flow] that names a benchmark prepares it on first use and every
+    later one reuses it; a fresh router holds none, and inline graphs,
+    sessions, [lint] and [explore] prepare their own designs. *)
+val prepared_benches : t -> string list
+
 (** [sa_stats_json t] describes every warm table: width, k, entries,
     hits, misses, disk hits. *)
 val sa_stats_json : t -> Hlp_util.Json.t

@@ -433,6 +433,41 @@ let test_inline_flows_keep_timers_bounded () =
   done;
   Alcotest.(check int) "timer count unchanged" before (timers ())
 
+(* --- one preparation per benchmark, shared across domains --- *)
+
+(* A router prepares a benchmark on its first bind and every later bind
+   reuses it.  Two domains binding all seven benchmarks in opposite
+   orders on a fresh router race on every first use; each reply must
+   equal the one a router serving them one at a time gives. *)
+let test_prepared_benches_race_free () =
+  let names = List.map (fun p -> p.Benchmarks.bench_name) Benchmarks.all in
+  let bind router bench =
+    match
+      Hlp_server.Router.handle router ~checkpoint:ignore
+        (P.Bind { P.default_bind_params with bench; width = 4 })
+    with
+    | Ok j -> (bench, Json.to_string j)
+    | Error _ -> Alcotest.failf "bind %s failed" bench
+  in
+  let sequential = List.map (bind (Hlp_server.Router.create ())) names in
+  let router = Hlp_server.Router.create () in
+  Alcotest.(check (list string))
+    "a fresh router holds no preparation" []
+    (Hlp_server.Router.prepared_benches router);
+  let racer order = Domain.spawn (fun () -> List.map (bind router) order) in
+  let d1 = racer names and d2 = racer (List.rev names) in
+  let replies = Domain.join d1 @ Domain.join d2 in
+  List.iter
+    (fun (bench, reply) ->
+      Alcotest.(check string) bench (List.assoc bench sequential) reply)
+    replies;
+  ignore (Hlp_server.Router.handle router ~checkpoint:ignore
+            (P.Bind { P.default_bind_params with bench = "nope"; width = 4 }));
+  Alcotest.(check (list string))
+    "one preparation per benchmark, none for unknown names"
+    (List.sort compare names)
+    (Hlp_server.Router.prepared_benches router)
+
 (* --- graceful drain: every accepted request gets its reply --- *)
 
 (* Three clients each park a 600 ms ping; [stop] shuts the daemon down
@@ -835,6 +870,8 @@ let suite =
       test_hostile_graph_over_wire;
     Alcotest.test_case "inline flows keep timers bounded" `Quick
       test_inline_flows_keep_timers_bounded;
+    Alcotest.test_case "benchmark preparations race-free" `Quick
+      test_prepared_benches_race_free;
     Alcotest.test_case "sessions live on the daemon, not the socket" `Quick
       test_sessions_over_the_wire;
     Alcotest.test_case "drain with open sessions is clean" `Quick
