@@ -82,18 +82,17 @@ let check (t : Nl.t) =
           let node = Nl.node t i in
           let arity = Tt.arity node.Nl.func in
           if arity > 0 && arity = Array.length node.Nl.fanins then begin
-            let support = Tt.support node.Nl.func in
-            if support = [] then
+            let support = Tt.support_size node.Nl.func in
+            if support = 0 then
               report
                 (D.warning "N007" (D.Node i)
                    "node %s computes a constant despite %d fanins"
                    node.Nl.name arity)
-            else if List.length support < arity then
+            else if support < arity then
               report
                 (D.warning "N007" (D.Node i)
                    "node %s ignores %d of its %d fanins" node.Nl.name
-                   (arity - List.length support)
-                   arity)
+                   (arity - support) arity)
           end
         end)
       reachable

@@ -136,13 +136,39 @@ let cofactor t i b =
   create t.arity dup
 
 let boolean_difference t i = xor (cofactor t i true) (cofactor t i false)
-let depends_on t i = Int64.compare (boolean_difference t i).bits 0L <> 0
+
+(* The low 32 bits of each projection mask: for inputs 0-4 the pattern
+   repeats in both halves of the column. *)
+let var_mask_half =
+  Array.map (fun m -> Int64.to_int (Int64.logand m 0xFFFFFFFFL)) var_mask
+
+(* [f] depends on input [i] iff its minterms with [x_i = 1], shifted
+   onto those with [x_i = 0], differ from them.  Tested on the column's
+   two 32-bit halves as native ints, so no table is built: a stripe of
+   inputs 0-4 lies within one half, and input 5 selects between the
+   halves. *)
+let depends_on t i =
+  if i < 0 || i >= t.arity then invalid_arg "Truth_table.depends_on: bad index";
+  let lo = low_half t and hi = high_half t in
+  if i = 5 then lo <> hi
+  else begin
+    let m = var_mask_half.(i) and block = 1 lsl i in
+    let rest = m lxor 0xFFFFFFFF in
+    (lo land m) lsr block <> lo land rest || (hi land m) lsr block <> hi land rest
+  end
 
 let support t =
   let rec loop i acc =
     if i < 0 then acc else loop (i - 1) (if depends_on t i then i :: acc else acc)
   in
   loop (t.arity - 1) []
+
+let support_size t =
+  let n = ref 0 in
+  for i = 0 to t.arity - 1 do
+    if depends_on t i then incr n
+  done;
+  !n
 
 let count_ones t =
   let rec loop b acc =

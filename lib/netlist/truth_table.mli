@@ -90,11 +90,17 @@ val cofactor : t -> int -> bool -> t
     paper). *)
 val boolean_difference : t -> int -> t
 
-(** [depends_on t i] holds iff the function is sensitive to input [i]. *)
+(** [depends_on t i] holds iff the function is sensitive to input [i]
+    (allocates nothing).
+    @raise Invalid_argument if [i] is not an input. *)
 val depends_on : t -> int -> bool
 
 (** [support t] is the list of input indices the function depends on. *)
 val support : t -> int list
+
+(** [support_size t] is [List.length (support t)], counted without
+    allocating. *)
+val support_size : t -> int
 
 (** [count_ones t] is the number of satisfying minterms. *)
 val count_ones : t -> int

@@ -141,6 +141,25 @@ let prop_bd_detects_sensitivity =
       done;
       !ok)
 
+let prop_support_is_sensitivity =
+  QCheck.Test.make ~name:"depends_on and support_size = flip sensitivity"
+    ~count:300 arb_table (fun t ->
+      let inputs = List.init (Tt.arity t) Fun.id in
+      let agrees t =
+        let sensitive i =
+          List.exists
+            (fun m -> Tt.eval t m <> Tt.eval t (m lxor (1 lsl i)))
+            (List.init (1 lsl Tt.arity t) Fun.id)
+        in
+        List.for_all (fun i -> Tt.depends_on t i = sensitive i) inputs
+        && Tt.support t = List.filter sensitive inputs
+        && Tt.support_size t = List.length (Tt.support t)
+      in
+      (* Random columns depend on every input; their cofactors do not. *)
+      agrees t
+      && List.for_all (fun i -> agrees (Tt.cofactor t i false)) inputs
+      && agrees (List.fold_left (fun t i -> Tt.cofactor t i true) t inputs))
+
 let prop_count_ones_matches_eval =
   QCheck.Test.make ~name:"count_ones = number of true minterms" ~count:200
     arb_table (fun t ->
@@ -198,6 +217,7 @@ let props =
       prop_xor_self;
       prop_shannon;
       prop_bd_detects_sensitivity;
+      prop_support_is_sensitivity;
       prop_count_ones_matches_eval;
       prop_compose_pointwise;
     ]
