@@ -290,8 +290,8 @@ let seed_of_ops ~schedule ~regs cls ops_of_cls =
     let v = List.map (node_of_op schedule regs) v_ops in
     let all = Array.append u (Array.of_list v) in
     let sources port =
-      let acc = Array.fold_left (fun acc n -> union acc (port n)) (port all.(0)) all in
-      union_cardinal acc acc
+      let regs = Array.fold_left (fun acc n -> union acc (port n)) (port all.(0)) all in
+      Array.fold_left (fun n w -> n + Hlp_util.Bits.popcount w) 0 regs
     in
     Some
       {

@@ -18,6 +18,20 @@
     matched pairs.  Iteration stops once every class meets its resource
     constraint.
 
+    {2 Representation}
+
+    A node's busy control steps and its two source-register sets are
+    fixed-width int bitsets, sized once per bind from
+    [Schedule.num_csteps] and {!Reg_binding.num_regs}.  Two nodes are
+    compatible when their busy words AND to zero, and a merge's mux
+    sizes are the popcounts of the ORed register words.  Each class
+    prices its merges from a grid indexed by (left, right) mux size, at
+    most the class's distinct source registers per port; a cell is
+    filled from {!Sa_table.lookup} on first use, by the same expression
+    as {!edge_weight}, so a bind looks each distinct key up once and the
+    matching sees the same weights, bit for bit, as when every edge is
+    priced afresh.
+
     For multi-cycle libraries Theorem 1 gives no guarantee; when an
     iteration cannot merge anything but the constraint is still unmet, a
     [V]-node is promoted into [U] (allocating one more unit, mirroring the
@@ -76,7 +90,10 @@ type result = {
 
 (** Persistent binder state: memoized Eq. 4 evaluations keyed by
     (class, merged left-source set, merged right-source set, alpha, beta,
-    SA-table identity) plus memoized whole per-class results.  Hits and
+    SA-table identity) plus memoized whole per-class results.  A set is
+    keyed by its bitset words without trailing zero words, so a state
+    carried across binds with different register counts still hits on
+    equal sets.  Hits and
     misses of both memos are counted process-wide, in the
     [hlpower.memo_weight_hits], [_weight_misses], [_class_hits] and
     [_class_misses] telemetry counters.  Not thread-safe — guard with a
@@ -116,7 +133,9 @@ val edge_weight :
     unit count exceeds the bound and ops are pending, then
     {!Rounds.fallback_round} while over the bound, then first-fit
     packing.  Exposed so tests and interactive tooling can run, pause and
-    inspect the iteration. *)
+    inspect the iteration.  {!bind} prices all of a class's rounds from
+    one weight grid; each round called here fills a grid of its own,
+    with the same weights. *)
 module Rounds : sig
   (** In-flight binding of one class; values are persistent, each round
       returns a fresh state. *)

