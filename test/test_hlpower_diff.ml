@@ -9,13 +9,15 @@
    must return the same groups in the same order, the same iteration
    and promotion counts, and — with a binder state, including one
    carried across binds whose register count differs — the same memo
-   hit and miss counts. *)
+   hit and miss counts.  [Lopass.bind] is held the same way to the
+   set-based LOPASS binder kept below, on the same random designs. *)
 
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
 module Lifetime = Hlp_cdfg.Lifetime
 module RB = Hlp_core.Reg_binding
 module H = Hlp_core.Hlpower
+module Lopass = Hlp_core.Lopass
 module ST = Hlp_core.Sa_table
 module Bind = Hlp_core.Binding
 module Bipartite = Hlp_core.Bipartite
@@ -317,6 +319,101 @@ module Reference = struct
     (groups, sum (fun (_, i, _) -> i), sum (fun (_, _, p) -> p))
 end
 
+(* The set-based LOPASS binder, kept as the reference for [Lopass.bind]:
+   a unit holds its busy steps and source registers as [Set.Make (Int)]
+   values, and every (op, unit) pair priced builds the op's span afresh.
+   Returns the groups it hands to [Binding.make]. *)
+module Lopass_reference = struct
+  module IS = Set.Make (Int)
+
+  type fu_state = {
+    mutable ops : int list;
+    mutable busy : IS.t;
+    mutable left_srcs : IS.t;
+    mutable right_srcs : IS.t;
+  }
+
+  let bind ~regs ~resources schedule =
+    let cdfg = schedule.Schedule.cdfg in
+    let reg = Reference.reg regs in
+    let bind_class cls =
+      let n_units = Schedule.max_density schedule cls in
+      if n_units > resources cls then
+        failwith
+          (Printf.sprintf "Lopass.bind: class %s density exceeds bound"
+             (Cdfg.class_to_string cls));
+      if n_units = 0 then []
+      else begin
+        let units =
+          Array.init n_units (fun _ ->
+              { ops = []; busy = IS.empty; left_srcs = IS.empty;
+                right_srcs = IS.empty })
+        in
+        let by_step = Hashtbl.create 16 in
+        Array.iter
+          (fun o ->
+            if Cdfg.class_of o.Cdfg.kind = cls then begin
+              let s = schedule.Schedule.cstep.(o.Cdfg.id) in
+              let l = Option.value ~default:[] (Hashtbl.find_opt by_step s) in
+              Hashtbl.replace by_step s (o :: l)
+            end)
+          (Cdfg.ops cdfg);
+        let steps =
+          Hashtbl.fold (fun s _ acc -> s :: acc) by_step [] |> List.sort compare
+        in
+        List.iter
+          (fun s ->
+            let ops =
+              Array.of_list
+                (List.rev (Option.value ~default:[] (Hashtbl.find_opt by_step s)))
+            in
+            let weight i j =
+              let o = ops.(i) in
+              let st, fi = Schedule.active_steps schedule o.Cdfg.id in
+              let span = ref IS.empty in
+              for x = st to fi do
+                span := IS.add x !span
+              done;
+              if not (IS.disjoint units.(j).busy !span) then None
+              else begin
+                let reuse =
+                  (if IS.mem (reg o.Cdfg.left) units.(j).left_srcs then 1 else 0)
+                  + if IS.mem (reg o.Cdfg.right) units.(j).right_srcs then 1
+                    else 0
+                in
+                Some
+                  (1.
+                  +. (0.001 *. float_of_int reuse)
+                  +. (0.01 /. float_of_int (1 + List.length units.(j).ops)))
+              end
+            in
+            let pairs =
+              Bipartite.max_weight_matching ~n_left:(Array.length ops)
+                ~n_right:n_units ~weight
+            in
+            if List.length pairs <> Array.length ops then
+              failwith "Lopass.bind: could not place every op (internal)";
+            List.iter
+              (fun (i, j) ->
+                let o = ops.(i) in
+                let st, fi = Schedule.active_steps schedule o.Cdfg.id in
+                let unit = units.(j) in
+                unit.ops <- o.Cdfg.id :: unit.ops;
+                for x = st to fi do
+                  unit.busy <- IS.add x unit.busy
+                done;
+                unit.left_srcs <- IS.add (reg o.Cdfg.left) unit.left_srcs;
+                unit.right_srcs <- IS.add (reg o.Cdfg.right) unit.right_srcs)
+              pairs)
+          steps;
+        Array.to_list units
+        |> List.filter (fun u -> u.ops <> [])
+        |> List.map (fun u -> (cls, List.sort compare u.ops))
+      end
+    in
+    List.concat_map bind_class Cdfg.all_classes
+end
+
 (* --- random designs --------------------------------------------------- *)
 
 (* One small table for every case: entries at width 2 map in
@@ -371,9 +468,9 @@ let random_alpha st =
   | 2 -> 1.
   | _ -> Random.State.float st 1.
 
-(* Density plus 0-2 spare units per class. *)
-let random_bound st schedule =
-  let extra = Array.init 2 (fun _ -> Random.State.int st 3) in
+(* Density (at least 1) plus [spare] to [spare + 2] units per class. *)
+let random_bound ?(spare = 0) st schedule =
+  let extra = Array.init 2 (fun _ -> spare + Random.State.int st 3) in
   fun cls ->
     max 1 (Schedule.max_density schedule cls)
     + extra.(match cls with Cdfg.Add_sub -> 0 | Cdfg.Multiplier -> 1)
@@ -502,9 +599,57 @@ let test_paths_covered () =
   check "some bind fell back to first fit" paths.first_fits;
   check "some memo hit crossed a register-width change" paths.cross_width_hits
 
+(* LOPASS on one random design, under a bound from one below the
+   density upward, so that some classes cannot be bound: [Lopass.bind]
+   must return the reference's groups in the same order, or raise the
+   same [Failure].  Returns whether the bind failed. *)
+let lopass_case seed =
+  let st = Random.State.make [| seed |] in
+  let flat = Random.State.int st 4 = 0 in
+  let num_inputs = 1 + Random.State.int st 4 in
+  let num_ops = 2 + Random.State.int st 30 in
+  let ops = random_ops st ~num_inputs ~num_ops ~flat in
+  let latency = random_latency st in
+  let schedule = random_schedule st ~latency ~flat (graph ~num_inputs ops) in
+  let regs = RB.bind (Lifetime.analyze schedule) in
+  let resources = random_bound ~spare:(-1) st schedule in
+  let outcome bind =
+    match bind () with groups -> Ok groups | exception Failure m -> Error m
+  in
+  let got =
+    outcome (fun () ->
+        List.map
+          (fun f -> (f.Bind.fu_class, f.Bind.fu_ops))
+          (Lopass.bind ~regs ~resources schedule).Bind.fus)
+  in
+  let want = outcome (fun () -> Lopass_reference.bind ~regs ~resources schedule) in
+  let show = function
+    | Ok groups -> Printf.sprintf "%d units" (List.length groups)
+    | Error m -> m
+  in
+  if got <> want then
+    QCheck.Test.fail_reportf "seed %d: %s, reference %s" seed (show got)
+      (show want);
+  Result.is_error got
+
+let prop_lopass_same_as_reference =
+  QCheck.Test.make ~name:"lopass bind = set-based reference" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      ignore (lopass_case seed);
+      true)
+
+let test_lopass_outcomes_covered () =
+  let failed = List.init 100 lopass_case in
+  Alcotest.(check bool) "some bind failed" true (List.mem true failed);
+  Alcotest.(check bool) "some bind succeeded" true (List.mem false failed)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_same_as_reference;
     Alcotest.test_case "promotion, fallback and first fit all compared"
       `Quick test_paths_covered;
+    QCheck_alcotest.to_alcotest prop_lopass_same_as_reference;
+    Alcotest.test_case "lopass binds and bound failures both compared"
+      `Quick test_lopass_outcomes_covered;
   ]
