@@ -145,7 +145,6 @@ let run_bind bench binder alpha width vectors estimator vhdl_out blif_out
       if port_assign then Hlp_core.Port_assign.optimize r.binding
       else r.binding
     in
-    Binding.validate binding;
     Format.printf "binding: %a@." Binding.pp_summary binding;
     let config =
       { Flow.default_config with

@@ -81,10 +81,6 @@ let validate t =
 let num_fus t cls =
   List.length (List.filter (fun f -> f.fu_class = cls) t.fus)
 
-let operand_reg t = function
-  | Cdfg.Input k -> Reg_binding.reg_of_var t.regs (Lifetime.V_input k)
-  | Cdfg.Op j -> Reg_binding.reg_of_var t.regs (Lifetime.V_op j)
-
 let effective_operands t op_id =
   let o = Cdfg.op t.schedule.Schedule.cdfg op_id in
   if t.swapped.(op_id) then (o.Cdfg.right, o.Cdfg.left)
@@ -103,7 +99,9 @@ let set_swaps t swapped =
 
 let port_sources t fu =
   let collect pick =
-    List.map (fun id -> operand_reg t (pick (effective_operands t id)))
+    List.map
+      (fun id ->
+        Reg_binding.reg_of_operand t.regs (pick (effective_operands t id)))
       fu.fu_ops
     |> List.sort_uniq compare
   in

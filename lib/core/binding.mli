@@ -56,9 +56,6 @@ val num_fus : t -> Cdfg.fu_class -> int
 
 (** {1 Multiplexer structure} *)
 
-(** [operand_reg t operand] is the register an operand is read from. *)
-val operand_reg : t -> Cdfg.operand -> int
-
 (** [effective_operands t op_id] is the (port A, port B) operand pair
     after applying the op's swap flag. *)
 val effective_operands : t -> int -> Cdfg.operand * Cdfg.operand

@@ -63,75 +63,6 @@ type result = {
   promoted : int;
 }
 
-(* Fixed-width bitsets: bit [i] is bit [i mod Sys.int_size] of word
-   [i / Sys.int_size].  A bind sizes them once, from the schedule length
-   (busy steps) and the register count (source registers), so every
-   node of a class has the same word counts. *)
-let words n = (max n 1 + Sys.int_size - 1) / Sys.int_size
-
-let singleton ~words i =
-  let a = Array.make words 0 in
-  a.(i / Sys.int_size) <- 1 lsl (i mod Sys.int_size);
-  a
-
-let interval ~words s f =
-  let a = Array.make words 0 in
-  for x = s to f do
-    a.(x / Sys.int_size) <- a.(x / Sys.int_size) lor (1 lsl (x mod Sys.int_size))
-  done;
-  a
-
-let disjoint a b =
-  let rec go i = i < 0 || (a.(i) land b.(i) = 0 && go (i - 1)) in
-  go (Array.length a - 1)
-
-let union a b = Array.map2 ( lor ) a b
-
-(* |a ∪ b|: the size of the mux a merge would build. *)
-let union_cardinal a b =
-  let n = ref 0 in
-  for i = 0 to Array.length a - 1 do
-    n := !n + Hlp_util.Bits.popcount (a.(i) lor b.(i))
-  done;
-  !n
-
-(* A node of the bipartite graph: a (partially filled) functional unit. *)
-type node = {
-  cls : Cdfg.fu_class;
-  n_ops : int list; (* descending insertion, sorted at the end *)
-  busy : int array; (* occupied control steps *)
-  left_srcs : int array; (* distinct source registers, port A *)
-  right_srcs : int array; (* distinct source registers, port B *)
-}
-
-let reg_of regs = function
-  | Cdfg.Input k -> Reg_binding.reg_of_var regs (Hlp_cdfg.Lifetime.V_input k)
-  | Cdfg.Op j -> Reg_binding.reg_of_var regs (Hlp_cdfg.Lifetime.V_op j)
-
-let node_of_op schedule regs op =
-  let id = op.Cdfg.id in
-  let s, f = Schedule.active_steps schedule id in
-  let step_words = words schedule.Schedule.num_csteps in
-  let reg_words = words (Reg_binding.num_regs regs) in
-  {
-    cls = Cdfg.class_of op.Cdfg.kind;
-    n_ops = [ id ];
-    busy = interval ~words:step_words s f;
-    left_srcs = singleton ~words:reg_words (reg_of regs op.Cdfg.left);
-    right_srcs = singleton ~words:reg_words (reg_of regs op.Cdfg.right);
-  }
-
-let compatible u v = u.cls = v.cls && disjoint u.busy v.busy
-
-let merge u v =
-  {
-    cls = u.cls;
-    n_ops = u.n_ops @ v.n_ops;
-    busy = union u.busy v.busy;
-    left_srcs = union u.left_srcs v.left_srcs;
-    right_srcs = union u.right_srcs v.right_srcs;
-  }
-
 let edge_weight ~params ~sa_table ~cls ~left ~right =
   let sa = Sa_table.lookup sa_table cls ~left ~right in
   let mux_diff = abs (left - right) in
@@ -222,11 +153,10 @@ let grid_weight p cls ~left ~right =
   end
   else w
 
-let merged_weight p u v =
+let merged_weight p (u : Fu_node.t) v =
   let compute () =
-    grid_weight p u.cls
-      ~left:(union_cardinal u.left_srcs v.left_srcs)
-      ~right:(union_cardinal u.right_srcs v.right_srcs)
+    grid_weight p u.cls ~left:(Fu_node.mux_left u v)
+      ~right:(Fu_node.mux_right u v)
   in
   match p.state with
   | None -> compute ()
@@ -252,64 +182,22 @@ let merged_weight p u v =
           Telemetry.incr c_weight_misses;
           w)
 
-(* --- resumable rounds -------------------------------------------------- *)
+(* --- one class ------------------------------------------------------- *)
 
 (* The in-flight binding of one class: the partially merged unit set [U],
-   the not-yet-absorbed ops [V], and the round counters.  Values are
-   persistent — each round returns a fresh state — so a caller can stop,
-   inspect, and resume between rounds.  [cs_rows] and [cs_cols] count the
-   class's distinct left and right source registers: no merged mux is
-   larger, so they size the class's weight grid. *)
+   the not-yet-absorbed ops [V], and the round counters. *)
 type class_state = {
-  cs_cls : Cdfg.fu_class;
-  cs_u : node array;
-  cs_v : node list;
+  cs_u : Fu_node.t array;
+  cs_v : Fu_node.t list;
   cs_iterations : int;
   cs_promoted : int;
-  cs_rows : int;
-  cs_cols : int;
 }
 
 let cs_units cs = Array.length cs.cs_u + List.length cs.cs_v
-let cs_pending cs = List.length cs.cs_v
 
 let ops_of_class cdfg cls =
   Array.to_list (Cdfg.ops cdfg)
   |> List.filter (fun o -> Cdfg.class_of o.Cdfg.kind = cls)
-
-let seed_of_ops ~schedule ~regs cls ops_of_cls =
-  if ops_of_cls = [] then None
-  else begin
-    let peak = Schedule.peak_step schedule cls in
-    let in_peak o =
-      let s, f = Schedule.active_steps schedule o.Cdfg.id in
-      s <= peak && peak <= f
-    in
-    let u_ops, v_ops = List.partition in_peak ops_of_cls in
-    let u = Array.of_list (List.map (node_of_op schedule regs) u_ops) in
-    let v = List.map (node_of_op schedule regs) v_ops in
-    let all = Array.append u (Array.of_list v) in
-    let sources port =
-      let regs = Array.fold_left (fun acc n -> union acc (port n)) (port all.(0)) all in
-      Array.fold_left (fun n w -> n + Hlp_util.Bits.popcount w) 0 regs
-    in
-    Some
-      {
-        cs_cls = cls;
-        cs_u = u;
-        cs_v = v;
-        cs_iterations = 0;
-        cs_promoted = 0;
-        cs_rows = sources (fun n -> n.left_srcs);
-        cs_cols = sources (fun n -> n.right_srcs);
-      }
-  end
-
-let seed ~schedule ~regs cls =
-  seed_of_ops ~schedule ~regs cls (ops_of_class schedule.Schedule.cdfg cls)
-
-let class_pricing ?state ~params ~sa_table cs =
-  pricing ?state ~params ~sa_table ~rows:cs.cs_rows ~cols:cs.cs_cols ()
 
 (* One iterated-matching round: solve the bipartite graph between U and V;
    merge every matched pair, or — when nothing can merge (multi-cycle
@@ -319,75 +207,33 @@ let matching_round p cs =
   let u = Array.copy cs.cs_u in
   let weight i j =
     let un = u.(i) and vn = v_arr.(j) in
-    if compatible un vn then Some (merged_weight p un vn) else None
+    if Fu_node.compatible un vn then Some (merged_weight p un vn) else None
   in
   let pairs =
     Bipartite.max_weight_matching ~n_left:(Array.length u)
       ~n_right:(Array.length v_arr) ~weight
   in
-  if pairs = [] then
-    match cs.cs_v with
-    | first :: rest ->
-        {
-          cs with
-          cs_u = Array.append cs.cs_u [| first |];
-          cs_v = rest;
-          cs_iterations = cs.cs_iterations + 1;
-          cs_promoted = cs.cs_promoted + 1;
-        }
-    | [] -> invalid_arg "Hlpower.matching_round: no pending ops"
-  else begin
-    let matched = Array.make (Array.length v_arr) false in
-    List.iter
-      (fun (i, j) ->
-        matched.(j) <- true;
-        u.(i) <- merge u.(i) v_arr.(j))
-      pairs;
-    {
-      cs with
-      cs_u = u;
-      cs_v = List.filteri (fun j _ -> not matched.(j)) cs.cs_v;
-      cs_iterations = cs.cs_iterations + 1;
-    }
-  end
-
-(* Multi-cycle fallback round: merge the single best compatible pair of
-   allocated units (still priced by Eq. 4), or report that none exists.
-   Equal-weight candidates are tie-broken on the canonical (min op id,
-   max-of-min op id) pair so the choice does not depend on the order U was
-   assembled in — promotion order would otherwise leak into the result and
-   break bit-identity between from-scratch and resumed runs. *)
-let fallback_round p cs =
-  let nodes = cs.cs_u in
-  let min_op n = List.fold_left min max_int n.n_ops in
-  let best = ref None in
-  Array.iteri
-    (fun i ni ->
-      Array.iteri
-        (fun j nj ->
-          if i < j && compatible ni nj then begin
-            let w = merged_weight p ni nj in
-            let a = min_op ni and b = min_op nj in
-            let key = (min a b, max a b) in
-            let better =
-              match !best with
-              | None -> true
-              | Some (_, _, w', key') -> w > w' || (w = w' && key < key')
-            in
-            if better then best := Some (i, j, w, key)
-          end)
-        nodes)
-    nodes;
-  match !best with
-  | None -> None
-  | Some (i, j, _, _) ->
-      let merged = merge nodes.(i) nodes.(j) in
-      let u =
-        Array.of_list
-          (List.filteri (fun k _ -> k <> j) (Array.to_list nodes))
-      in
-      u.(i) <- merged;
-      Some { cs with cs_u = u; cs_iterations = cs.cs_iterations + 1 }
+  match (pairs, cs.cs_v) with
+  | [], first :: rest ->
+      {
+        cs_u = Array.append cs.cs_u [| first |];
+        cs_v = rest;
+        cs_iterations = cs.cs_iterations + 1;
+        cs_promoted = cs.cs_promoted + 1;
+      }
+  | _ ->
+      let matched = Array.make (Array.length v_arr) false in
+      List.iter
+        (fun (i, j) ->
+          matched.(j) <- true;
+          u.(i) <- Fu_node.merge u.(i) v_arr.(j))
+        pairs;
+      {
+        cs with
+        cs_u = u;
+        cs_v = List.filteri (fun j _ -> not matched.(j)) cs.cs_v;
+        cs_iterations = cs.cs_iterations + 1;
+      }
 
 (* Last resort: first-fit interval packing.  Ops occupy contiguous
    control-step ranges, so greedy assignment in start order uses exactly
@@ -396,7 +242,7 @@ let fallback_round p cs =
    schedule.  Ties at the same start step are broken on op id: List.sort
    is not stable, so a cstep-only key would leave equal-step order to the
    stdlib's whims. *)
-let first_fit ~schedule ~regs cs ops_of_cls =
+let first_fit ~schedule ~regs ops_of_cls =
   Telemetry.incr c_first_fit;
   let sorted =
     List.sort
@@ -422,55 +268,79 @@ let first_fit ~schedule ~regs cs ops_of_cls =
   in
   List.iter
     (fun op ->
-      let n = node_of_op schedule regs op in
+      let n = Fu_node.of_op schedule regs op in
       let rec place i =
         if i >= !n_units then push n
-        else if compatible !units.(i) n then !units.(i) <- merge !units.(i) n
+        else if Fu_node.compatible !units.(i) n then
+          !units.(i) <- Fu_node.merge !units.(i) n
         else place (i + 1)
       in
       place 0)
     sorted;
-  { cs with cs_u = Array.sub !units 0 !n_units; cs_v = [] }
+  Array.sub !units 0 !n_units
 
-let groups_of cs =
-  Array.to_list cs.cs_u @ cs.cs_v
-  |> List.map (fun n -> (cs.cs_cls, List.sort compare n.n_ops))
-
-(* Run one class to completion: iterated matching while over the bound and
-   V is nonempty, then fallback merging, then first fit.  Returns the
-   groups plus the counters and whether first fit fired (so a memo replay
-   can re-report the same telemetry). *)
-let run_class ?state ~params ~sa_table ~resources ~schedule ~regs cs
+(* Run one class to completion: seed U with the ops active at the class's
+   peak step, run matching rounds while over the bound and V is nonempty,
+   then pack first fit if still over the bound.  Returns the groups plus
+   the counters and whether first fit fired (so a memo replay can
+   re-report the same telemetry). *)
+let run_class ?state ~params ~sa_table ~resources ~schedule ~regs cls
     ops_of_cls =
-  let p = class_pricing ?state ~params ~sa_table cs in
+  let peak = Schedule.peak_step schedule cls in
+  let in_peak o =
+    let s, f = Schedule.active_steps schedule o.Cdfg.id in
+    s <= peak && peak <= f
+  in
+  let u_ops, v_ops = List.partition in_peak ops_of_cls in
+  let node = Fu_node.of_op schedule regs in
+  (* No merged mux is larger than the class's distinct source registers
+     on its port, so they size the class's weight grid. *)
+  let sources port =
+    List.length
+      (List.sort_uniq compare
+         (List.map (fun o -> Reg_binding.reg_of_operand regs (port o))
+            ops_of_cls))
+  in
+  let p =
+    pricing ?state ~params ~sa_table
+      ~rows:(sources (fun o -> o.Cdfg.left))
+      ~cols:(sources (fun o -> o.Cdfg.right))
+      ()
+  in
   let rec matching cs =
     if cs_units cs > resources && cs.cs_v <> [] then
       matching (matching_round p cs)
     else cs
   in
-  let rec fallback cs =
-    if cs_units cs > resources then
-      match fallback_round p cs with
-      | Some cs' -> fallback cs'
-      | None -> cs
-    else cs
+  let cs =
+    matching
+      {
+        cs_u = Array.of_list (List.map node u_ops);
+        cs_v = List.map node v_ops;
+        cs_iterations = 0;
+        cs_promoted = 0;
+      }
   in
-  let cs = fallback (matching cs) in
   let cs, used_first_fit =
     if cs_units cs > resources then
-      (first_fit ~schedule ~regs cs ops_of_cls, true)
+      let units = first_fit ~schedule ~regs ops_of_cls in
+      ({ cs with cs_u = units; cs_v = [] }, true)
     else (cs, false)
   in
   if cs_units cs > resources then
     failwith
       (Printf.sprintf
          "Hlpower.bind: cannot meet resource constraint for class %s"
-         (Cdfg.class_to_string cs.cs_cls));
-  (groups_of cs, cs.cs_iterations, cs.cs_promoted, used_first_fit)
+         (Cdfg.class_to_string cls));
+  let groups =
+    Array.to_list cs.cs_u @ cs.cs_v
+    |> List.map (fun (n : Fu_node.t) -> (cls, List.sort compare n.ops))
+  in
+  (groups, cs.cs_iterations, cs.cs_promoted, used_first_fit)
 
 let class_signature ~params ~sa_table ~resources ~schedule ~regs cls
     ops_of_cls =
-  let reg = reg_of regs in
+  let reg = Reg_binding.reg_of_operand regs in
   {
     ck_cls = cls;
     ck_alpha = params.alpha;
@@ -501,16 +371,13 @@ let bind ?state ?(params = default_params) ~sa_table ~regs ~resources
     Cdfg.all_classes;
   let iterations = ref 0 in
   let promoted = ref 0 in
-  (* Per class, seed U from the peak-density control step and run the
-     iterated matching rounds. *)
   let bind_class cls =
-    let ops_of_cls = ops_of_class cdfg cls in
-    match seed_of_ops ~schedule ~regs cls ops_of_cls with
-    | None -> []
-    | Some cs ->
+    match ops_of_class cdfg cls with
+    | [] -> []
+    | ops_of_cls ->
         let resources = resources cls in
         let fresh () =
-          run_class ?state ~params ~sa_table ~resources ~schedule ~regs cs
+          run_class ?state ~params ~sa_table ~resources ~schedule ~regs cls
             ops_of_cls
         in
         let groups, its, promos, _ =
@@ -550,19 +417,3 @@ let bind ?state ?(params = default_params) ~sa_table ~regs ~resources
   Telemetry.add c_iterations !iterations;
   Telemetry.add c_promotions !promoted;
   { binding; iterations = !iterations; promoted = !promoted }
-
-module Rounds = struct
-  type nonrec class_state = class_state
-
-  let seed = seed
-  let units = cs_units
-  let pending = cs_pending
-  let iterations cs = cs.cs_iterations
-  let promoted cs = cs.cs_promoted
-  let matching_round ?state ~params ~sa_table cs =
-    matching_round (class_pricing ?state ~params ~sa_table cs) cs
-
-  let fallback_round ?state ~params ~sa_table cs =
-    fallback_round (class_pricing ?state ~params ~sa_table cs) cs
-  let groups = groups_of
-end

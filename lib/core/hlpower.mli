@@ -20,35 +20,37 @@
 
     {2 Representation}
 
-    A node's busy control steps and its two source-register sets are
-    fixed-width int bitsets, sized once per bind from
-    [Schedule.num_csteps] and {!Reg_binding.num_regs}.  Two nodes are
-    compatible when their busy words AND to zero, and a merge's mux
-    sizes are the popcounts of the ORed register words.  Each class
-    prices its merges from a grid indexed by (left, right) mux size, at
-    most the class's distinct source registers per port; a cell is
-    filled from {!Sa_table.lookup} on first use, by the same expression
-    as {!edge_weight}, so a bind looks each distinct key up once and the
-    matching sees the same weights, bit for bit, as when every edge is
-    priced afresh.
+    A node is a {!Fu_node.t}: its busy control steps and its two
+    source-register sets are fixed-width int bitsets, so compatibility
+    is a word-wise AND and a merge's mux sizes are popcounts.  Each
+    class prices its merges from a grid indexed by (left, right) mux
+    size, at most the class's distinct source registers per port; a cell
+    is filled from {!Sa_table.lookup} on first use, by the same
+    expression as {!edge_weight}, so a bind looks each distinct key up
+    once and the matching sees the same weights, bit for bit, as when
+    every edge is priced afresh.
 
     For multi-cycle libraries Theorem 1 gives no guarantee; when an
     iteration cannot merge anything but the constraint is still unmet, a
     [V]-node is promoted into [U] (allocating one more unit, mirroring the
     paper's observation that the algorithm "is nonetheless effective in
-    most cases"), and binding fails only if promotion exhausts [V] while
-    exceeding the constraint.
+    most cases").  If promotion exhausts [V] while the class is still
+    over its bound, its ops are packed first fit in start order, which
+    needs exactly the schedule's density.  No merge of two units of
+    [U] is tried before that, because none can exist: the seeds share
+    the peak step; a node is promoted only when the matching returned no
+    pair, which with every weight positive means no edge, so it is
+    incompatible with every unit of [U]; and merges only grow busy
+    sets.  The units of [U] therefore stay pairwise incompatible.
 
-    {2 Resumable rounds and binder state}
+    {2 Binder state}
 
-    The iteration is exposed as explicit rounds over persistent
-    {!Rounds.class_state} values (seed, matching round, fallback round),
-    and {!bind} accepts an optional {!state} — a binder-lifetime memo of
+    {!bind} accepts an optional {!state}: a binder-lifetime memo of
     Eq. 4 evaluations (keyed by class and the exact merged source-register
     sets) and of whole per-class results (keyed by everything a class run
     consumes: op intervals, operand registers, alpha, beta, the SA-table
     identity and the resource bound).  Reuse happens only on exact key
-    equality, so a bind resumed from a warm state is bit-identical to a
+    equality, so a bind from a warm state is bit-identical to a
     from-scratch bind of the same inputs — the property the incremental
     session layer of the daemon builds on. *)
 
@@ -106,8 +108,8 @@ val create_state : unit -> state
     Algorithm 1.  With [?state], Eq. 4 evaluations and whole per-class
     runs are memoized in (and replayed from) the given binder state; the
     result is bit-identical to a stateless bind of the same inputs.
-    @raise Failure if the constraint is unreachable (multi-cycle only) or
-    some class has a bound below its schedule density. *)
+    @raise Failure if some class has a bound below its schedule
+    density. *)
 val bind :
   ?state:state ->
   ?params:params ->
@@ -127,59 +129,3 @@ val edge_weight :
   left:int ->
   right:int ->
   float
-
-(** The iterated matching as explicit resumable rounds.  {!bind} is
-    exactly: seed each class, apply {!Rounds.matching_round} while the
-    unit count exceeds the bound and ops are pending, then
-    {!Rounds.fallback_round} while over the bound, then first-fit
-    packing.  Exposed so tests and interactive tooling can run, pause and
-    inspect the iteration.  {!bind} prices all of a class's rounds from
-    one weight grid; each round called here fills a grid of its own,
-    with the same weights. *)
-module Rounds : sig
-  (** In-flight binding of one class; values are persistent, each round
-      returns a fresh state. *)
-  type class_state
-
-  (** [seed ~schedule ~regs cls] partitions the class's ops into the
-      peak-step seeds (U) and the pending set (V); [None] if the class
-      has no ops. *)
-  val seed :
-    schedule:Schedule.t -> regs:Reg_binding.t -> Cdfg.fu_class ->
-    class_state option
-
-  (** Prospective unit count, |U| + |V|. *)
-  val units : class_state -> int
-
-  (** Pending (not yet absorbed) ops, |V|. *)
-  val pending : class_state -> int
-
-  val iterations : class_state -> int
-  val promoted : class_state -> int
-
-  (** One iterated-matching round: solve the U-V bipartite graph and
-      merge every matched pair, or promote the earliest V node when
-      nothing can merge (multi-cycle case).
-      @raise Invalid_argument if no ops are pending. *)
-  val matching_round :
-    ?state:state ->
-    params:params ->
-    sa_table:Sa_table.t ->
-    class_state ->
-    class_state
-
-  (** One fallback round: merge the best compatible pair of allocated
-      units (Eq. 4-priced, tie-broken on the canonical op-id pair so the
-      choice is independent of U's assembly order), or [None] when no
-      compatible pair remains. *)
-  val fallback_round :
-    ?state:state ->
-    params:params ->
-    sa_table:Sa_table.t ->
-    class_state ->
-    class_state option
-
-  (** The functional-unit groups of the current state (remaining V nodes
-      become their own units). *)
-  val groups : class_state -> (Cdfg.fu_class * int list) list
-end

@@ -1,21 +1,8 @@
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
-module Lifetime = Hlp_cdfg.Lifetime
-module IS = Set.Make (Int)
-
-type fu_state = {
-  mutable ops : int list;
-  mutable busy : IS.t;
-  mutable left_srcs : IS.t;
-  mutable right_srcs : IS.t;
-}
 
 let bind ~regs ~resources schedule =
   let cdfg = schedule.Schedule.cdfg in
-  let reg = function
-    | Cdfg.Input k -> Reg_binding.reg_of_var regs (Lifetime.V_input k)
-    | Cdfg.Op j -> Reg_binding.reg_of_var regs (Lifetime.V_op j)
-  in
   let bind_class cls =
     let n_units = Schedule.max_density schedule cls in
     if n_units > resources cls then
@@ -24,61 +11,51 @@ let bind ~regs ~resources schedule =
            (Cdfg.class_to_string cls));
     if n_units = 0 then []
     else begin
-      let units =
-        Array.init n_units (fun _ ->
-            { ops = []; busy = IS.empty; left_srcs = IS.empty;
-              right_srcs = IS.empty })
-      in
-      (* Ops grouped by start step, in schedule order. *)
-      let by_step = Hashtbl.create 16 in
+      (* [None] until the unit's first op. *)
+      let units = Array.make n_units None in
+      (* The class's ops as units of their own, by start step, each
+         step's in id order. *)
+      let cstep = schedule.Schedule.cstep in
+      let by_step = Array.make (1 + Array.fold_left max 0 cstep) [] in
+      let all = Cdfg.ops cdfg in
+      for i = Array.length all - 1 downto 0 do
+        let o = all.(i) in
+        if Cdfg.class_of o.Cdfg.kind = cls then begin
+          let s = cstep.(o.Cdfg.id) in
+          by_step.(s) <- Fu_node.of_op schedule regs o :: by_step.(s)
+        end
+      done;
       Array.iter
-        (fun o ->
-          if Cdfg.class_of o.Cdfg.kind = cls then begin
-            let s = schedule.Schedule.cstep.(o.Cdfg.id) in
-            let l = Option.value ~default:[] (Hashtbl.find_opt by_step s) in
-            Hashtbl.replace by_step s (o :: l)
-          end)
-        (Cdfg.ops cdfg);
-      let steps =
-        Hashtbl.fold (fun s _ acc -> s :: acc) by_step [] |> List.sort compare
-      in
-      List.iter
-        (fun s ->
-          let ops =
-            Array.of_list
-              (List.rev (Option.value ~default:[] (Hashtbl.find_opt by_step s)))
+        (fun step ->
+          let ops = Array.of_list step in
+          (* The original LOPASS binder minimizes the estimated switching
+             power of the values sharing a unit.  Under the evaluation
+             workload — uniform random input vectors, the paper's own
+             setting — pairwise value-switching affinities are
+             statistically flat, so the binder degenerates to a
+             near-uniform preference (consistent with the strongly skewed
+             LOPASS multiplexer profiles of Table 4).  Source reuse enters
+             only as the weak secondary effect it has on switched wire
+             capacitance; the load-spreading bias is the deterministic
+             tie-break.  See DESIGN.md, baseline calibration note. *)
+          let price ~reuse ~load =
+            Some
+              (1.
+              +. (0.001 *. float_of_int reuse (* wire-capacitance nudge *))
+              +. (0.01 /. float_of_int (1 + load)))
           in
           (* Units free over the op's whole occupancy. *)
           let weight i j =
-            let o = ops.(i) in
-            let st, fi = Schedule.active_steps schedule o.Cdfg.id in
-            let span = ref IS.empty in
-            for x = st to fi do
-              span := IS.add x !span
-            done;
-            if not (IS.disjoint units.(j).busy !span) then None
-            else begin
-              let reuse =
-                (if IS.mem (reg o.Cdfg.left) units.(j).left_srcs then 1 else 0)
-                + if IS.mem (reg o.Cdfg.right) units.(j).right_srcs then 1
-                  else 0
-              in
-              (* The original LOPASS binder minimizes the estimated
-                 switching power of the values sharing a unit.  Under the
-                 evaluation workload — uniform random input vectors, the
-                 paper's own setting — pairwise value-switching affinities
-                 are statistically flat, so the binder degenerates to a
-                 near-uniform preference (consistent with the strongly
-                 skewed LOPASS multiplexer profiles of Table 4).  Source
-                 reuse enters only as the weak secondary effect it has on
-                 switched wire capacitance; the load-spreading bias is the
-                 deterministic tie-break.  See DESIGN.md, baseline
-                 calibration note. *)
-              Some
-                (1.
-                +. (0.001 *. float_of_int reuse (* wire-capacitance nudge *))
-                +. (0.01 /. float_of_int (1 + List.length units.(j).ops)))
-            end
+            let n = ops.(i) in
+            match units.(j) with
+            | None -> price ~reuse:0 ~load:0
+            | Some (u : Fu_node.t) when Fu_node.compatible u n ->
+                let shares a b = if Fu_node.disjoint a b then 0 else 1 in
+                price
+                  ~reuse:(shares u.left_srcs n.left_srcs
+                         + shares u.right_srcs n.right_srcs)
+                  ~load:(List.length u.ops)
+            | Some _ -> None
           in
           let pairs =
             Bipartite.max_weight_matching ~n_left:(Array.length ops)
@@ -88,20 +65,16 @@ let bind ~regs ~resources schedule =
             failwith "Lopass.bind: could not place every op (internal)";
           List.iter
             (fun (i, j) ->
-              let o = ops.(i) in
-              let st, fi = Schedule.active_steps schedule o.Cdfg.id in
-              let unit = units.(j) in
-              unit.ops <- o.Cdfg.id :: unit.ops;
-              for x = st to fi do
-                unit.busy <- IS.add x unit.busy
-              done;
-              unit.left_srcs <- IS.add (reg o.Cdfg.left) unit.left_srcs;
-              unit.right_srcs <- IS.add (reg o.Cdfg.right) unit.right_srcs)
+              units.(j) <-
+                Some
+                  (match units.(j) with
+                  | None -> ops.(i)
+                  | Some u -> Fu_node.merge u ops.(i)))
             pairs)
-        steps;
+        by_step;
       Array.to_list units
-      |> List.filter (fun u -> u.ops <> [])
-      |> List.map (fun u -> (cls, List.sort compare u.ops))
+      |> List.filter_map
+           (Option.map (fun (u : Fu_node.t) -> (cls, List.sort compare u.ops)))
     end
   in
   let groups = List.concat_map bind_class Cdfg.all_classes in

@@ -15,10 +15,10 @@ let cost objective left right =
 let optimize ?(objective = Min_inputs) binding =
   let cdfg = binding.Binding.schedule.Schedule.cdfg in
   let swapped = Array.copy binding.Binding.swapped in
+  let reg = Reg_binding.reg_of_operand binding.Binding.regs in
   let op_regs id =
     let o = Cdfg.op cdfg id in
-    ( Binding.operand_reg binding o.Cdfg.left,
-      Binding.operand_reg binding o.Cdfg.right )
+    (reg o.Cdfg.left, reg o.Cdfg.right)
   in
   let commutative id = (Cdfg.op cdfg id).Cdfg.kind <> Cdfg.Sub in
   List.iter

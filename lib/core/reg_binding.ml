@@ -17,6 +17,10 @@ let reg_of_var t v =
   | Some r -> r
   | None -> raise Not_found
 
+let reg_of_operand t = function
+  | Cdfg.Input k -> reg_of_var t (Lifetime.V_input k)
+  | Cdfg.Op j -> reg_of_var t (Lifetime.V_op j)
+
 let vars_of_reg t r = List.rev t.contents.(r)
 
 (* Affinity of assigning variable [v] to register [r]: strong preference

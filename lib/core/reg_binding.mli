@@ -30,6 +30,11 @@ val num_regs : t -> int
     @raise Not_found for unknown variables. *)
 val reg_of_var : t -> Lifetime.var -> int
 
+(** [reg_of_operand t operand] is the register an operand is read from:
+    its input's or its producing op's.
+    @raise Not_found for unknown operands. *)
+val reg_of_operand : t -> Hlp_cdfg.Cdfg.operand -> int
+
 (** [vars_of_reg t r] is the variables assigned to register [r], in birth
     order. *)
 val vars_of_reg : t -> int -> Lifetime.var list

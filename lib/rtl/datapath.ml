@@ -87,12 +87,7 @@ let build ?adder_impls ~width binding =
   let output_regs =
     List.mapi
       (fun i operand ->
-        let r =
-          match operand with
-          | Cdfg.Input k -> Reg_binding.reg_of_var regs (Lifetime.V_input k)
-          | Cdfg.Op j -> Reg_binding.reg_of_var regs (Lifetime.V_op j)
-        in
-        (Printf.sprintf "out%d" i, r))
+        (Printf.sprintf "out%d" i, Reg_binding.reg_of_operand regs operand))
       (Cdfg.outputs cdfg)
   in
   (* Control tables. *)
@@ -104,7 +99,7 @@ let build ?adder_impls ~width binding =
           reg_load = Array.make (max n_regs 1) None;
         })
   in
-  let operand_reg o = Binding.operand_reg binding o in
+  let operand_reg = Reg_binding.reg_of_operand regs in
   Array.iter
     (fun o ->
       let id = o.Cdfg.id in

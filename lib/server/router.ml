@@ -198,7 +198,6 @@ let bind_binding t ~checkpoint (p : Protocol.bind_params) =
     if p.port_assign then Hlp_core.Port_assign.optimize r.binding
     else r.binding
   in
-  Binding.validate binding;
   (design_base ^ "-" ^ Binder.name binder, binding, r.hlpower)
 
 let mux_stats_json (s : Binding.mux_stats) : Json.t =

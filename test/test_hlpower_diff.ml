@@ -365,7 +365,8 @@ module Lopass_reference = struct
           (fun s ->
             let ops =
               Array.of_list
-                (List.rev (Option.value ~default:[] (Hashtbl.find_opt by_step s)))
+                (List.rev
+                   (Option.value ~default:[] (Hashtbl.find_opt by_step s)))
             in
             let weight i j =
               let o = ops.(i) in
@@ -376,10 +377,10 @@ module Lopass_reference = struct
               done;
               if not (IS.disjoint units.(j).busy !span) then None
               else begin
+                let mem r set = if IS.mem r set then 1 else 0 in
                 let reuse =
-                  (if IS.mem (reg o.Cdfg.left) units.(j).left_srcs then 1 else 0)
-                  + if IS.mem (reg o.Cdfg.right) units.(j).right_srcs then 1
-                    else 0
+                  mem (reg o.Cdfg.left) units.(j).left_srcs
+                  + mem (reg o.Cdfg.right) units.(j).right_srcs
                 in
                 Some
                   (1.
@@ -582,12 +583,14 @@ let prop_same_as_reference =
     (fun seed -> check_case (Reference.new_paths ()) seed)
 
 (* Over fixed seeds, every path of the binder must have run and agreed:
-   promotion, the fallback round, first fit, and a weight-memo hit across
-   a change of register bitset width.  A fallback round cannot merge when
-   [bind] calls it: the peak seeds share a step, a node is promoted only
-   when no unit in U is compatible with any pending op, and merging only
-   grows busy sets, so no two units in U are ever compatible.  It runs,
-   finds no pair, and first fit follows. *)
+   promotion, first fit, and a weight-memo hit across a change of
+   register bitset width.  The reference still runs a fallback round
+   (merge the best compatible pair of units) before first fit, which the
+   binder does not: binds that ran one agreeing with the binder shows
+   that the round never changed a result.  It cannot merge: the peak
+   seeds share a step, a node is promoted only when no unit in U is
+   compatible with any pending op, and merging only grows busy sets, so
+   no two units in U are ever compatible. *)
 let test_paths_covered () =
   let paths = Reference.new_paths () in
   for seed = 0 to 99 do
@@ -622,7 +625,9 @@ let lopass_case seed =
           (fun f -> (f.Bind.fu_class, f.Bind.fu_ops))
           (Lopass.bind ~regs ~resources schedule).Bind.fus)
   in
-  let want = outcome (fun () -> Lopass_reference.bind ~regs ~resources schedule) in
+  let want =
+    outcome (fun () -> Lopass_reference.bind ~regs ~resources schedule)
+  in
   let show = function
     | Ok groups -> Printf.sprintf "%d units" (List.length groups)
     | Error m -> m

@@ -5,6 +5,7 @@ module Benchmarks = Hlp_cdfg.Benchmarks
 module Reg_binding = Hlp_core.Reg_binding
 module Binding = Hlp_core.Binding
 module Lopass = Hlp_core.Lopass
+module Binder = Hlp_core.Binder
 module Port_assign = Hlp_core.Port_assign
 module Datapath = Hlp_rtl.Datapath
 module Elaborate = Hlp_rtl.Elaborate
@@ -97,11 +98,21 @@ let test_effective_operands () =
   check_int "swapped array length" (Cdfg.num_ops cdfg)
     (Array.length b.Binding.swapped)
 
+(* One SA table for every HLPower bind: width-2 entries map in
+   microseconds, and port assignment reads only the binding's structure. *)
+let sa_table = lazy (Hlp_core.Sa_table.create ~width:2 ~k:4 ())
+
+(* Binders validate what they return, and the daemon and the CLI do not
+   validate again after [Port_assign.optimize]: its result must stay
+   valid, for LOPASS on a FIR and for HLPower on a variant of each of the
+   seven benchmarks. *)
 let prop_port_assign_valid =
   QCheck.Test.make ~name:"port assignment preserves binding validity"
     ~count:20
-    QCheck.(pair (int_range 2 8) (int_range 1 3))
-    (fun (taps, units) ->
+    QCheck.(
+      quad (int_range 2 8) (int_range 1 3) (int_range 0 2)
+        (float_bound_inclusive 1.))
+    (fun (taps, units, variant, alpha) ->
       let g = Benchmarks.fir ~taps in
       let resources = fun _ -> units in
       let schedule = Schedule.list_schedule g ~resources in
@@ -109,6 +120,12 @@ let prop_port_assign_valid =
       let b = Lopass.bind ~regs ~resources schedule in
       let b' = Port_assign.optimize b in
       Binding.validate b';
+      List.iter
+        (fun p ->
+          let prepared = Binder.prepare (Binder.Bench (p, variant)) in
+          let r = Binder.run ~sa_table (Binder.Hlpower { alpha }) prepared in
+          Binding.validate (Port_assign.optimize r.Binder.binding))
+        Benchmarks.all;
       (Binding.mux_stats b').Binding.mux_length
       <= (Binding.mux_stats b).Binding.mux_length)
 

@@ -431,54 +431,6 @@ let test_first_fit_matches_reference () =
   check "packing equals (cstep, id) reference" true
     (mult_groups r.H.binding = reference)
 
-(* Fallback merge tie-break: with every candidate pair priced equally
-   (symmetric ops), the merge must take the canonical smallest (i, j)
-   pair, independent of the enumeration order of the unit list. *)
-let test_fallback_round_canonical_pair () =
-  let g, schedule, regs, _ = fallback_motif 1 in
-  ignore g;
-  let sa_table = ST.create ~width:2 ~k:4 () in
-  let params = H.calibrate sa_table in
-  match H.Rounds.seed ~schedule ~regs Cdfg.Multiplier with
-  | None -> Alcotest.fail "motif has multiplier ops"
-  | Some cs ->
-      (* Drive matching until merging stalls, as bind does. *)
-      let rec settle cs =
-        if H.Rounds.pending cs = 0 then cs
-        else settle (H.Rounds.matching_round ~params ~sa_table cs)
-      in
-      let cs = settle cs in
-      let before = H.Rounds.groups cs in
-      (match H.Rounds.fallback_round ~params ~sa_table cs with
-      | None ->
-          (* No compatible pair at this density: that is the motif's
-             point — first-fit takes over.  The tie-break is then
-             covered by the reference test above; still assert the
-             round is deterministic across calls. *)
-          check "fallback stays None" true
-            (H.Rounds.fallback_round ~params ~sa_table cs = None)
-      | Some cs' ->
-          let merged =
-            List.filter
-              (fun (_, ops) -> not (List.mem (List.sort compare ops) (List.map (fun (_, o) -> List.sort compare o) before)))
-              (H.Rounds.groups cs')
-          in
-          (match merged with
-          | [ (_, ops) ] ->
-              let sorted = List.sort compare ops in
-              (* Re-running from the same state must merge the same
-                 canonical pair. *)
-              let again =
-                match H.Rounds.fallback_round ~params ~sa_table cs with
-                | Some cs'' ->
-                    List.exists
-                      (fun (_, o) -> List.sort compare o = sorted)
-                      (H.Rounds.groups cs'')
-                | None -> false
-              in
-              check "fallback merge deterministic" true again
-          | _ -> Alcotest.fail "exactly one merge per fallback round"))
-
 let suite =
   [
     Alcotest.test_case "open, edit, close round trip" `Quick
@@ -503,6 +455,4 @@ let suite =
       test_first_fit_cstep_id_order;
     Alcotest.test_case "first-fit equals explicit reference" `Quick
       test_first_fit_matches_reference;
-    Alcotest.test_case "fallback merge picks canonical pair" `Quick
-      test_fallback_round_canonical_pair;
   ]
