@@ -6,8 +6,6 @@ let c_iterations = Telemetry.counter "hlpower.iterations"
 let c_promotions = Telemetry.counter "hlpower.promotions"
 let c_binds = Telemetry.counter "hlpower.binds"
 let c_first_fit = Telemetry.counter "hlpower.first_fit_fallbacks"
-let c_weight_hits = Telemetry.counter "hlpower.memo_weight_hits"
-let c_weight_misses = Telemetry.counter "hlpower.memo_weight_misses"
 let c_class_hits = Telemetry.counter "hlpower.memo_class_hits"
 let c_class_misses = Telemetry.counter "hlpower.memo_class_misses"
 
@@ -72,21 +70,6 @@ let edge_weight ~params ~sa_table ~cls ~left ~right =
 
 (* --- persistent binder state ------------------------------------------ *)
 
-(* An Eq. 4 evaluation is a pure function of the merged source-register
-   sets plus everything that parameterizes the weight: the class, alpha,
-   the class beta, and the SA table identity (width, K) — entries of equal
-   (width, K) tables are pure functions of the key, so two tables with the
-   same identity yield the same weight. *)
-type weight_key = {
-  wk_cls : Cdfg.fu_class;
-  wk_alpha : float;
-  wk_beta : float;
-  wk_width : int;
-  wk_k : int;
-  wk_left : int array; (* merged left-source registers, canonical words *)
-  wk_right : int array; (* merged right-source registers, canonical words *)
-}
-
 (* A whole per-class run is a pure function of this signature: seeding
    reads only the class ops' active intervals (the peak step is the argmax
    of the class's own density profile, unaffected by other classes), each
@@ -111,21 +94,9 @@ type class_value = {
   cv_first_fit : bool;
 }
 
-type state = {
-  weight_memo : (weight_key, float) Hashtbl.t;
-  class_memo : (class_key, class_value) Hashtbl.t;
-}
+type state = (class_key, class_value) Hashtbl.t
 
-let create_state () =
-  { weight_memo = Hashtbl.create 256; class_memo = Hashtbl.create 64 }
-
-(* The words of [a ∪ b] without its trailing zero words: equal sets give
-   equal keys whatever the register count of the bind that priced them,
-   so a memo carried across session edits still hits. *)
-let canonical_union a b =
-  let rec last i = if i > 0 && a.(i) lor b.(i) = 0 then last (i - 1) else i in
-  let n = last (Array.length a - 1) + 1 in
-  Array.init n (fun i -> a.(i) lor b.(i))
+let create_state () = Hashtbl.create 64
 
 (* The Eq. 4 weights of one class within one bind: cell
    [(left - 1) * cols + right - 1] holds [edge_weight] at mux sizes
@@ -135,52 +106,24 @@ let canonical_union a b =
 type pricing = {
   params : params;
   sa_table : Sa_table.t;
-  state : state option;
   cols : int;
   cells : float array;
 }
 
-let pricing ?state ~params ~sa_table ~rows ~cols () =
-  { params; sa_table; state; cols; cells = Array.make (rows * cols) Float.nan }
+let pricing ~params ~sa_table ~rows ~cols =
+  { params; sa_table; cols; cells = Array.make (rows * cols) Float.nan }
 
-let grid_weight p cls ~left ~right =
+(* The cell holding the weight of merging [u] and [v], filled on first
+   use.  Returning the index, not the float, keeps the weight unboxed on
+   its way into the matching matrix. *)
+let merged_cell p (u : Fu_node.t) v =
+  let left = Fu_node.mux_left u v and right = Fu_node.mux_right u v in
   let i = ((left - 1) * p.cols) + right - 1 in
-  let w = p.cells.(i) in
-  if Float.is_nan w then begin
-    let w = edge_weight ~params:p.params ~sa_table:p.sa_table ~cls ~left ~right in
-    p.cells.(i) <- w;
-    w
-  end
-  else w
-
-let merged_weight p (u : Fu_node.t) v =
-  let compute () =
-    grid_weight p u.cls ~left:(Fu_node.mux_left u v)
-      ~right:(Fu_node.mux_right u v)
-  in
-  match p.state with
-  | None -> compute ()
-  | Some st -> (
-      let key =
-        {
-          wk_cls = u.cls;
-          wk_alpha = p.params.alpha;
-          wk_beta = p.params.beta u.cls;
-          wk_width = Sa_table.width p.sa_table;
-          wk_k = Sa_table.k p.sa_table;
-          wk_left = canonical_union u.left_srcs v.left_srcs;
-          wk_right = canonical_union u.right_srcs v.right_srcs;
-        }
-      in
-      match Hashtbl.find_opt st.weight_memo key with
-      | Some w ->
-          Telemetry.incr c_weight_hits;
-          w
-      | None ->
-          let w = compute () in
-          Hashtbl.replace st.weight_memo key w;
-          Telemetry.incr c_weight_misses;
-          w)
+  if Float.is_nan p.cells.(i) then
+    p.cells.(i) <-
+      edge_weight ~params:p.params ~sa_table:p.sa_table ~cls:u.cls ~left
+        ~right;
+  i
 
 (* --- one class ------------------------------------------------------- *)
 
@@ -199,21 +142,23 @@ let ops_of_class cdfg cls =
   Array.to_list (Cdfg.ops cdfg)
   |> List.filter (fun o -> Cdfg.class_of o.Cdfg.kind = cls)
 
-(* One iterated-matching round: solve the bipartite graph between U and V;
-   merge every matched pair, or — when nothing can merge (multi-cycle
-   case) — promote the earliest V node into U. *)
-let matching_round p cs =
+(* One iterated-matching round: solve the bipartite graph between U and V
+   on the bind's workspace; merge every matched pair, or — when nothing
+   can merge (multi-cycle case) — promote the earliest V node into U. *)
+let matching_round p ws cs =
   let v_arr = Array.of_list cs.cs_v in
   let u = Array.copy cs.cs_u in
-  let weight i j =
-    let un = u.(i) and vn = v_arr.(j) in
-    if Fu_node.compatible un vn then Some (merged_weight p un vn) else None
-  in
-  let pairs =
-    Bipartite.max_weight_matching ~n_left:(Array.length u)
-      ~n_right:(Array.length v_arr) ~weight
-  in
-  match (pairs, cs.cs_v) with
+  let n_v = Array.length v_arr in
+  let m = Bipartite.weights ws ~n_left:(Array.length u) ~n_right:n_v in
+  Array.iteri
+    (fun i un ->
+      for j = 0 to n_v - 1 do
+        let vn = v_arr.(j) in
+        if Fu_node.compatible un vn then
+          m.((i * n_v) + j) <- p.cells.(merged_cell p un vn)
+      done)
+    u;
+  match (Bipartite.max_weight_matching ws, cs.cs_v) with
   | [], first :: rest ->
       {
         cs_u = Array.append cs.cs_u [| first |];
@@ -221,8 +166,8 @@ let matching_round p cs =
         cs_iterations = cs.cs_iterations + 1;
         cs_promoted = cs.cs_promoted + 1;
       }
-  | _ ->
-      let matched = Array.make (Array.length v_arr) false in
+  | pairs, _ ->
+      let matched = Array.make n_v false in
       List.iter
         (fun (i, j) ->
           matched.(j) <- true;
@@ -284,7 +229,7 @@ let first_fit ~schedule ~regs ops_of_cls =
    then pack first fit if still over the bound.  Returns the groups plus
    the counters and whether first fit fired (so a memo replay can
    re-report the same telemetry). *)
-let run_class ?state ~params ~sa_table ~resources ~schedule ~regs cls
+let run_class ~params ~sa_table ~ws ~resources ~schedule ~regs cls
     ops_of_cls =
   let peak = Schedule.peak_step schedule cls in
   let in_peak o =
@@ -302,14 +247,13 @@ let run_class ?state ~params ~sa_table ~resources ~schedule ~regs cls
             ops_of_cls))
   in
   let p =
-    pricing ?state ~params ~sa_table
+    pricing ~params ~sa_table
       ~rows:(sources (fun o -> o.Cdfg.left))
       ~cols:(sources (fun o -> o.Cdfg.right))
-      ()
   in
   let rec matching cs =
     if cs_units cs > resources && cs.cs_v <> [] then
-      matching (matching_round p cs)
+      matching (matching_round p ws cs)
     else cs
   in
   let cs =
@@ -371,13 +315,16 @@ let bind ?state ?(params = default_params) ~sa_table ~regs ~resources
     Cdfg.all_classes;
   let iterations = ref 0 in
   let promoted = ref 0 in
+  (* Every matching round of every class is solved on this one
+     workspace. *)
+  let ws = Bipartite.workspace () in
   let bind_class cls =
     match ops_of_class cdfg cls with
     | [] -> []
     | ops_of_cls ->
         let resources = resources cls in
         let fresh () =
-          run_class ?state ~params ~sa_table ~resources ~schedule ~regs cls
+          run_class ~params ~sa_table ~ws ~resources ~schedule ~regs cls
             ops_of_cls
         in
         let groups, its, promos, _ =
@@ -388,7 +335,7 @@ let bind ?state ?(params = default_params) ~sa_table ~regs ~resources
                 class_signature ~params ~sa_table ~resources ~schedule ~regs
                   cls ops_of_cls
               in
-              match Hashtbl.find_opt st.class_memo key with
+              match Hashtbl.find_opt st key with
               | Some cv ->
                   Telemetry.incr c_class_hits;
                   if cv.cv_first_fit then Telemetry.incr c_first_fit;
@@ -397,7 +344,7 @@ let bind ?state ?(params = default_params) ~sa_table ~regs ~resources
               | None ->
                   Telemetry.incr c_class_misses;
                   let groups, its, promos, ff = fresh () in
-                  Hashtbl.replace st.class_memo key
+                  Hashtbl.replace st key
                     {
                       cv_groups = groups;
                       cv_iterations = its;

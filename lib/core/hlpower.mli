@@ -28,7 +28,10 @@
     is filled from {!Sa_table.lookup} on first use, by the same
     expression as {!edge_weight}, so a bind looks each distinct key up
     once and the matching sees the same weights, bit for bit, as when
-    every edge is priced afresh.
+    every edge is priced afresh.  Each round writes those weights into
+    a dense {!Bipartite.workspace} (an incompatible pair is a zero
+    cell), created once per bind and reused by every round of every
+    class.
 
     For multi-cycle libraries Theorem 1 gives no guarantee; when an
     iteration cannot merge anything but the constraint is still unmet, a
@@ -45,14 +48,17 @@
 
     {2 Binder state}
 
-    {!bind} accepts an optional {!state}: a binder-lifetime memo of
-    Eq. 4 evaluations (keyed by class and the exact merged source-register
-    sets) and of whole per-class results (keyed by everything a class run
-    consumes: op intervals, operand registers, alpha, beta, the SA-table
-    identity and the resource bound).  Reuse happens only on exact key
-    equality, so a bind from a warm state is bit-identical to a
-    from-scratch bind of the same inputs — the property the incremental
-    session layer of the daemon builds on. *)
+    {!bind} accepts an optional {!state}: a binder-lifetime memo of whole
+    per-class results, keyed by everything a class run consumes (op
+    intervals, operand registers, alpha, beta, the SA-table identity and
+    the resource bound).  Reuse happens only on exact key equality, so a
+    bind from a warm state is bit-identical to a from-scratch bind of the
+    same inputs — the property the incremental session layer of the
+    daemon builds on.
+
+    It holds no memo of single Eq. 4 weights: with every merge priced
+    from the per-bind grid above, such a memo only added a hash lookup
+    per edge and a heap that lived as long as the session. *)
 
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
@@ -90,24 +96,19 @@ type result = {
   promoted : int;  (** extra units allocated beyond the lower bound *)
 }
 
-(** Persistent binder state: memoized Eq. 4 evaluations keyed by
-    (class, merged left-source set, merged right-source set, alpha, beta,
-    SA-table identity) plus memoized whole per-class results.  A set is
-    keyed by its bitset words without trailing zero words, so a state
-    carried across binds with different register counts still hits on
-    equal sets.  Hits and
-    misses of both memos are counted process-wide, in the
-    [hlpower.memo_weight_hits], [_weight_misses], [_class_hits] and
-    [_class_misses] telemetry counters.  Not thread-safe — guard with a
-    mutex when shared (the router holds one per session). *)
+(** Persistent binder state: memoized whole per-class results.  Hits
+    and misses are counted process-wide, in the
+    [hlpower.memo_class_hits] and [hlpower.memo_class_misses] telemetry
+    counters.  Not thread-safe — guard with a mutex when shared (the
+    router holds one per session). *)
 type state
 
 val create_state : unit -> state
 
 (** [bind ?state ~params ~sa_table ~regs ~resources schedule] runs
-    Algorithm 1.  With [?state], Eq. 4 evaluations and whole per-class
-    runs are memoized in (and replayed from) the given binder state; the
-    result is bit-identical to a stateless bind of the same inputs.
+    Algorithm 1.  With [?state], whole per-class runs are memoized in
+    (and replayed from) the given binder state; the result is
+    bit-identical to a stateless bind of the same inputs.
     @raise Failure if some class has a bound below its schedule
     density. *)
 val bind :

@@ -3,6 +3,7 @@ module Schedule = Hlp_cdfg.Schedule
 
 let bind ~regs ~resources schedule =
   let cdfg = schedule.Schedule.cdfg in
+  let ws = Bipartite.workspace () in
   let bind_class cls =
     let n_units = Schedule.max_density schedule cls in
     if n_units > resources cls then
@@ -38,29 +39,35 @@ let bind ~regs ~resources schedule =
              only as the weak secondary effect it has on switched wire
              capacitance; the load-spreading bias is the deterministic
              tie-break.  See DESIGN.md, baseline calibration note. *)
+          (* Inlined, so the weight reaches the matrix unboxed. *)
           let price ~reuse ~load =
-            Some
-              (1.
-              +. (0.001 *. float_of_int reuse (* wire-capacitance nudge *))
-              +. (0.01 /. float_of_int (1 + load)))
+            1.
+            +. (0.001 *. float_of_int reuse (* wire-capacitance nudge *))
+            +. (0.01 /. float_of_int (1 + load))
+            [@@inline]
           in
-          (* Units free over the op's whole occupancy. *)
-          let weight i j =
-            let n = ops.(i) in
-            match units.(j) with
-            | None -> price ~reuse:0 ~load:0
-            | Some (u : Fu_node.t) when Fu_node.compatible u n ->
-                let shares a b = if Fu_node.disjoint a b then 0 else 1 in
-                price
-                  ~reuse:(shares u.left_srcs n.left_srcs
-                         + shares u.right_srcs n.right_srcs)
-                  ~load:(List.length u.ops)
-            | Some _ -> None
+          (* Units free over the op's whole occupancy; a busy unit is a
+             non-edge (weight 0). *)
+          let m =
+            Bipartite.weights ws ~n_left:(Array.length ops) ~n_right:n_units
           in
-          let pairs =
-            Bipartite.max_weight_matching ~n_left:(Array.length ops)
-              ~n_right:n_units ~weight
-          in
+          Array.iteri
+            (fun i (n : Fu_node.t) ->
+              for j = 0 to n_units - 1 do
+                let c = (i * n_units) + j in
+                match units.(j) with
+                | None -> m.(c) <- price ~reuse:0 ~load:0
+                | Some (u : Fu_node.t) when Fu_node.compatible u n ->
+                    let shares a b = if Fu_node.disjoint a b then 0 else 1 in
+                    m.(c) <-
+                      price
+                        ~reuse:(shares u.left_srcs n.left_srcs
+                               + shares u.right_srcs n.right_srcs)
+                        ~load:(List.length u.ops)
+                | Some _ -> ()
+              done)
+            ops;
+          let pairs = Bipartite.max_weight_matching ws in
           if List.length pairs <> Array.length ops then
             failwith "Lopass.bind: could not place every op (internal)";
           List.iter

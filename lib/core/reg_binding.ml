@@ -27,35 +27,42 @@ let vars_of_reg t r = List.rev t.contents.(r)
    when the producer op of [v] reads a value that lived in [r] (the FU
    writes back into a register it read from), mild preference for reusing
    a register whose previous occupant was produced by the same op class
-   (downstream, those results tend to flow to the same FUs). *)
-let affinity cdfg assignment v r r_vars =
-  let base = 1. in
-  match v with
-  | Lifetime.V_input _ -> base
-  | Lifetime.V_op id ->
-      let op = Cdfg.op cdfg id in
-      let operand_reg = function
-        | Cdfg.Input k -> Hashtbl.find_opt assignment (Lifetime.V_input k)
-        | Cdfg.Op j -> Hashtbl.find_opt assignment (Lifetime.V_op j)
-      in
-      let reads_r =
-        List.exists
-          (fun o -> operand_reg o = Some r)
-          [ op.Cdfg.left; op.Cdfg.right ]
-      in
+   (downstream, those results tend to flow to the same FUs).
+   [affinity_row] resolves [v]'s side once and writes its weight for
+   each register of [free] to [m], from cell [at] on. *)
+let affinity_row cdfg assignment contents v free m ~at =
+  (* The producer op's class and operand registers, -1 for none. *)
+  let cls, left, right =
+    match v with
+    | Lifetime.V_input _ -> (None, -1, -1)
+    | Lifetime.V_op id ->
+        let op = Cdfg.op cdfg id in
+        let reg = function
+          | Cdfg.Input k -> Hashtbl.find_opt assignment (Lifetime.V_input k)
+          | Cdfg.Op j -> Hashtbl.find_opt assignment (Lifetime.V_op j)
+        in
+        let reg o = Option.value ~default:(-1) (reg o) in
+        (Some (Cdfg.class_of op.Cdfg.kind), reg op.Cdfg.left, reg op.Cdfg.right)
+  in
+  Array.iteri
+    (fun j r ->
       let same_class =
-        match r_vars with
-        | Lifetime.V_op prev :: _ ->
-            Cdfg.class_of (Cdfg.op cdfg prev).Cdfg.kind
-            = Cdfg.class_of op.Cdfg.kind
+        match (contents.(r), cls) with
+        | Lifetime.V_op prev :: _, Some c ->
+            Cdfg.class_of (Cdfg.op cdfg prev).Cdfg.kind = c
         | _ -> false
       in
-      base +. (if reads_r then 4. else 0.) +. (if same_class then 1. else 0.)
+      m.(at + j) <-
+        1.
+        +. (if left = r || right = r then 4. else 0.)
+        +. if same_class then 1. else 0.)
+    free
 
 let bind lt =
   let sched = Lifetime.schedule lt in
   let cdfg = sched.Schedule.cdfg in
   let num_regs = Lifetime.max_live lt in
+  let ws = Bipartite.workspace () in
   let assignment = Hashtbl.create 64 in
   let contents = Array.make (max num_regs 1) [] in
   (* Per-register step after which it is free again. *)
@@ -83,15 +90,16 @@ let bind lt =
       let free_regs = Array.of_list free_regs in
       if Array.length cluster > Array.length free_regs then
         failwith "Reg_binding.bind: allocation too small (internal error)";
-      let weight i j =
-        let iv = cluster.(i) in
-        let r = free_regs.(j) in
-        Some (affinity cdfg assignment iv.Lifetime.var r contents.(r))
+      let n_free = Array.length free_regs in
+      let m =
+        Bipartite.weights ws ~n_left:(Array.length cluster) ~n_right:n_free
       in
-      let pairs =
-        Bipartite.max_weight_matching ~n_left:(Array.length cluster)
-          ~n_right:(Array.length free_regs) ~weight
-      in
+      Array.iteri
+        (fun i (iv : Lifetime.interval) ->
+          affinity_row cdfg assignment contents iv.Lifetime.var free_regs m
+            ~at:(i * n_free))
+        cluster;
+      let pairs = Bipartite.max_weight_matching ws in
       List.iter
         (fun (i, j) ->
           let iv = cluster.(i) in

@@ -7,7 +7,9 @@
     free registers by maximum-weight bipartite matching, with weights
     favoring data locality (a register that held an operand of the
     variable's producer op is preferred, shortening register-FU-register
-    loops and, downstream, multiplexer sizes).
+    loops and, downstream, multiplexer sizes).  Each variable's row of
+    weights is computed once, from its producer op's class and operand
+    registers, into one dense {!Bipartite.workspace} per bind.
 
     Operator ports keep the CDFG's left/right operand order — the paper
     binds ports "randomly" at this stage; ours is the deterministic order

@@ -104,28 +104,24 @@ let parse_blif s =
   | Ok t -> Ok t
   | Error (lineno, msg) -> Error (D.error "N010" (D.Line lineno) "%s" msg)
 
+(* Two evaluations of each netlist, every lane of both words a vector. *)
 let equivalent_on_random_vectors ~seed a b =
-  let module Bits = Hlp_util.Bits in
   let rng = Hlp_util.Rng.create seed in
   let n_in = Array.length (Nl.inputs a) in
   let outs_a = Nl.outputs a and outs_b = Nl.outputs b in
   let words = Array.make n_in 0 in
-  let rec from base =
-    base >= 64
+  let rec from word =
+    word >= 2
     ||
-    let active = min Bits.lanes (64 - base) in
-    Array.fill words 0 n_in 0;
-    for lane = 0 to active - 1 do
-      for i = 0 to n_in - 1 do
-        if Hlp_util.Rng.bool rng then words.(i) <- words.(i) lor (1 lsl lane)
-      done
-    done;
-    let va = Nl.eval_words a words and vb = Nl.eval_words b words in
-    let mask = Bits.mask_lanes active in
-    List.for_all2
-      (fun (_, x) (_, y) -> (va.(x) lxor vb.(y)) land mask = 0)
-      outs_a outs_b
-    && from (base + active)
+    (Array.fill words 0 n_in 0;
+     for lane = 0 to Hlp_util.Bits.lanes - 1 do
+       for i = 0 to n_in - 1 do
+         if Hlp_util.Rng.bool rng then words.(i) <- words.(i) lor (1 lsl lane)
+       done
+     done;
+     let va = Nl.eval_words a words and vb = Nl.eval_words b words in
+     List.for_all2 (fun (_, x) (_, y) -> va.(x) = vb.(y)) outs_a outs_b
+     && from (word + 1))
   in
   List.compare_lengths outs_a outs_b = 0 && from 0
 

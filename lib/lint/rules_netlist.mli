@@ -26,11 +26,12 @@ val check : Hlp_netlist.Netlist.t -> Diagnostic.t list
 val check_blif_roundtrip : Hlp_netlist.Netlist.t -> Diagnostic.t list
 
 (** [equivalent_on_random_vectors ~seed a b] holds iff [a] and [b] have
-    as many outputs and, on 64 random input vectors, every output of [a]
-    equals the output of [b] at the same position.  The vectors come
-    from [Rng.create seed], one [Rng.bool] per input, vector after
-    vector, and are evaluated {!Hlp_util.Bits.lanes} at a time with
-    [Netlist.eval_words].  Shared by [N009] and [M003].
+    as many outputs and, on [2 * Bits.lanes] (126) random input vectors,
+    every output of [a] equals the output of [b] at the same position.
+    The vectors come from [Rng.create seed], one [Rng.bool] per input,
+    vector after vector, and fill two words, each evaluated in one
+    [Netlist.eval_words] pass per netlist.  Shared by [N009] and
+    [M003].
     @raise Invalid_argument if the input counts differ. *)
 val equivalent_on_random_vectors :
   seed:string -> Hlp_netlist.Netlist.t -> Hlp_netlist.Netlist.t -> bool

@@ -360,24 +360,47 @@ let session_resources s cls =
   | Some n -> n
   | None -> Binder.density_bound s.s_schedule cls
 
+(* [n]'s decimal digits, the bytes [string_of_int n] would give, written
+   straight into [b] with no intermediate string. *)
+let rec add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    (* -(n / 10) and -(n mod 10) are representable even for min_int *)
+    if n <= -10 then add_int b (-(n / 10));
+    Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+  end
+  else begin
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
 (* Injective graph fingerprint for the reply-cache key: a flat encoding
    of exactly the structure the wire JSON carries (name, input count,
    every op's kind and operands, the output list), but written straight
-   into a buffer — no tree, no escaping — so keying an edit costs a few
-   microseconds instead of a full JSON render.  Each variable-length
-   field is delimited, so equal keys imply equal graphs. *)
-let graph_key (g : Cdfg.t) =
-  let b = Buffer.create 512 in
+   into a buffer — no tree, no escaping, no string per number — so
+   keying an edit costs a few microseconds instead of a full JSON
+   render.  Each variable-length field is delimited, so equal keys imply
+   equal graphs.  The buffer starts at about the key's size (an op
+   takes 11 bytes at four-digit indices), so it rarely grows. *)
+let graph_key_buffer (g : Cdfg.t) =
+  let outputs = Cdfg.outputs g in
+  let b =
+    Buffer.create
+      (String.length (Cdfg.name g)
+      + 64
+      + (12 * Cdfg.num_ops g)
+      + (6 * List.length outputs))
+  in
   Buffer.add_string b (Cdfg.name g);
   Buffer.add_char b '\x00';
-  Buffer.add_string b (string_of_int (Cdfg.num_inputs g));
+  add_int b (Cdfg.num_inputs g);
   let operand = function
     | Cdfg.Input k ->
         Buffer.add_char b 'i';
-        Buffer.add_string b (string_of_int k)
+        add_int b k
     | Cdfg.Op j ->
         Buffer.add_char b 'o';
-        Buffer.add_string b (string_of_int j)
+        add_int b j
   in
   for i = 0 to Cdfg.num_ops g - 1 do
     let op = Cdfg.op g i in
@@ -388,18 +411,22 @@ let graph_key (g : Cdfg.t) =
     operand op.Cdfg.right
   done;
   Buffer.add_char b '>';
-  List.iter operand (Cdfg.outputs g);
-  Buffer.contents b
+  List.iter operand outputs;
+  b
+
+let graph_key g = Buffer.contents (graph_key_buffer g)
 
 (* Whole-reply cache key: the canonical encoding of everything the bind
    result depends on within one session (binder, width and K are fixed
-   per session, so they stay out of the key).  The graph fingerprint is
-   structurally exact; alpha is rendered as a hex float so distinct
-   values never collide. *)
+   per session, so they stay out of the key), appended to the graph
+   fingerprint's buffer.  The graph fingerprint is structurally exact;
+   alpha is rendered as a hex float so distinct values never collide. *)
 let session_reply_key s =
-  Printf.sprintf "%s|%h|%d|%d" (graph_key s.s_cdfg) s.s_alpha
+  let b = graph_key_buffer s.s_cdfg in
+  Printf.bprintf b "|%h|%d|%d" s.s_alpha
     (session_resources s Cdfg.Add_sub)
-    (session_resources s Cdfg.Multiplier)
+    (session_resources s Cdfg.Multiplier);
+  Buffer.contents b
 
 let session_bind t s ~checkpoint : Json.t =
   checkpoint "bind";

@@ -44,6 +44,12 @@ val handle :
   Protocol.op ->
   (Hlp_util.Json.t, Protocol.Diagnostic.t list) result
 
+(** [graph_key g] is the graph part of a session's reply-cache key: a
+    flat, injective byte encoding of [g]'s name, input count, every op's
+    kind and operands, and its outputs, with every number in the decimal
+    digits [string_of_int] gives.  Equal keys imply equal graphs. *)
+val graph_key : Hlp_cdfg.Cdfg.t -> string
+
 (** [prepared_benches t] names, sorted, the benchmarks whose preparation
     (list schedule, then register binding) [t] holds.  A [bind] or
     [flow] that names a benchmark prepares it on first use and every

@@ -54,6 +54,32 @@ let create ?(config = default_config) () =
 let shutdown t = Front.shutdown t.front
 let install_signal_handlers t = Front.install_signal_handlers t.front
 
+(* The process's GC counters, from [Gc.quick_stat]: collections and
+   allocated words since start, which only grow, then the major heap's
+   current and largest size in words, gauges that OCaml 5 sums over the
+   live domains. *)
+let gc_stats () =
+  let g = Gc.quick_stat () in
+  let words = int_of_float in
+  Hlp_util.Prometheus.
+    [
+      ("minor_collections", Counter, "Minor collections.",
+       g.Gc.minor_collections);
+      ("major_collections", Counter, "Major collection cycles completed.",
+       g.Gc.major_collections);
+      ("minor_words", Counter, "Words allocated in the minor heaps.",
+       words g.Gc.minor_words);
+      ("promoted_words", Counter,
+       "Words promoted from the minor heaps to the major heap.",
+       words g.Gc.promoted_words);
+      ("major_words", Counter,
+       "Words allocated in the major heap, promoted words included.",
+       words g.Gc.major_words);
+      ("heap_words", Gauge, "Major heap size in words.", g.Gc.heap_words);
+      ("top_heap_words", Gauge, "Largest major heap size in words.",
+       g.Gc.top_heap_words);
+    ]
+
 let stats_json t : Json.t =
   let s = Scheduler.stats t.scheduler in
   Json.Obj
@@ -73,6 +99,10 @@ let stats_json t : Json.t =
           ] );
       ("sa_tables", Router.sa_stats_json t.router);
       ("sessions", Router.session_stats_json t.router);
+      ( "gc",
+        Json.Obj
+          (List.map (fun (name, _, _, v) -> (name, Json.Int v)) (gc_stats ()))
+      );
       ( "telemetry",
         Json.Obj
           (List.map (fun (k, v) -> (k, Json.Int v)) (Telemetry.counters ()))
@@ -81,10 +111,20 @@ let stats_json t : Json.t =
 
 (* The /metrics exposition: every telemetry counter as a Prometheus
    counter, plus point-in-time gauges the counters cannot carry (queue
-   depth, running, uptime).  Rendered fresh at scrape time. *)
+   depth, running, uptime) and the GC counters under [hlp_gc_].
+   Rendered fresh at scrape time. *)
 let metrics_body t () =
   let module Prom = Hlp_util.Prometheus in
   let s = Scheduler.stats t.scheduler in
+  let gc =
+    List.map
+      (fun (name, kind, help, v) ->
+        let metric =
+          match kind with Prom.Counter -> Prom.counter | Gauge -> Prom.gauge
+        in
+        metric ~help ("hlp_gc_" ^ name) (float_of_int v))
+      (gc_stats ())
+  in
   Prom.render
     (Prom.gauge ~help:"Seconds since the daemon started." "hlp_uptime_seconds"
        (Front.uptime t.front)
@@ -106,7 +146,7 @@ let metrics_body t () =
          (float_of_int s.Scheduler.completed)
     :: Prom.counter ~help:"Overloaded rejections." "hlp_scheduler_rejected"
          (float_of_int s.Scheduler.rejected)
-    :: Prom.of_counters (Telemetry.counters ()))
+    :: (gc @ Prom.of_counters (Telemetry.counters ())))
 
 (* --- dispatch --- *)
 

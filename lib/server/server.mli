@@ -60,5 +60,16 @@ val shutdown : t -> unit
 val install_signal_handlers : t -> unit
 
 (** [stats_json t] is the [stats] reply body: uptime, request counters,
-    scheduler occupancy, warm SA tables, telemetry counters. *)
+    scheduler occupancy, warm SA tables, sessions, the process's GC
+    counters ([gc], from [Gc.quick_stat]: the counters
+    [minor_collections], [major_collections], [minor_words],
+    [promoted_words] and [major_words], which never decrease, and the
+    gauges [heap_words] and [top_heap_words], which OCaml 5 sums over
+    the live domains, so both can fall) and telemetry counters. *)
 val stats_json : t -> Hlp_util.Json.t
+
+(** [metrics_body t ()] is the [/metrics] body: the scheduler and uptime
+    gauges, the GC counters of {!stats_json} as [hlp_gc_<name>_total]
+    (the two heap sizes as gauges [hlp_gc_heap_words] and
+    [hlp_gc_top_heap_words]) and every telemetry counter. *)
+val metrics_body : t -> unit -> string

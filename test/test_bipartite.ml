@@ -1,4 +1,11 @@
-module Bp = Hlp_core.Bipartite
+(* The dense kernel, driven through option callbacks: a [None] cell is
+   written as a non-edge. *)
+module Bp = struct
+  let max_weight_matching ~n_left ~n_right ~weight =
+    Test_bipartite_diff.dense ~n_left ~n_right ~weight ()
+
+  let total_weight = Test_bipartite_diff.Reference.total_weight
+end
 
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
@@ -66,13 +73,24 @@ let test_empty_sides () =
        (Bp.max_weight_matching ~n_left:4 ~n_right:0 ~weight:(fun _ _ ->
             Some 1.)))
 
-let test_rejects_nonpositive () =
-  Alcotest.check_raises "zero weight"
-    (Invalid_argument "Bipartite.max_weight_matching: non-positive weight")
-    (fun () ->
-      ignore
-        (Bp.max_weight_matching ~n_left:1 ~n_right:1 ~weight:(fun _ _ ->
-             Some 0.)))
+let test_nonpositive_cells_are_non_edges () =
+  let ws = Hlp_core.Bipartite.workspace () in
+  let solve cells =
+    let nr = Array.length cells.(0) in
+    let m =
+      Hlp_core.Bipartite.weights ws ~n_left:(Array.length cells) ~n_right:nr
+    in
+    Array.iteri (fun i row -> Array.blit row 0 m (i * nr) nr) cells;
+    Hlp_core.Bipartite.max_weight_matching ws
+  in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.check pairs "zero and negative cells" []
+    (solve [| [| 0.; -1. |]; [| -0.5; 0. |] |]);
+  Alcotest.check pairs "only the positive cells pair" [ (0, 1); (1, 0) ]
+    (solve [| [| 0.; 2. |]; [| 3.; -4. |] |]);
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Bipartite.weights: negative size") (fun () ->
+      ignore (Hlp_core.Bipartite.weights ws ~n_left:(-1) ~n_right:2))
 
 let test_maximal_when_positive () =
   (* All-positive complete graphs must produce a perfect matching on the
@@ -339,8 +357,8 @@ let suite =
       test_sparse_prefers_real_edges;
     Alcotest.test_case "no edges" `Quick test_no_edges;
     Alcotest.test_case "empty sides" `Quick test_empty_sides;
-    Alcotest.test_case "rejects non-positive weights" `Quick
-      test_rejects_nonpositive;
+    Alcotest.test_case "non-positive cells are non-edges" `Quick
+      test_nonpositive_cells_are_non_edges;
     Alcotest.test_case "complete graph gives perfect matching" `Quick
       test_maximal_when_positive;
     QCheck_alcotest.to_alcotest prop_matches_brute_force;

