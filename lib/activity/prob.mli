@@ -15,6 +15,15 @@
     @raise Invalid_argument if [Array.length probs <> arity f]. *)
 val of_table : Hlp_netlist.Truth_table.t -> float array -> float
 
+(** [scratch ()] is a buffer for {!of_table_in}. *)
+val scratch : unit -> float array
+
+(** [of_table_in s f probs] is [of_table f probs], bit for bit, computed
+    in the buffer [s] from {!scratch}: it allocates nothing but the
+    returned float. *)
+val of_table_in :
+  float array -> Hlp_netlist.Truth_table.t -> float array -> float
+
 (** [of_table_minterms f probs] is the original [O(n * 2^n)] minterm sum
     — kept as the differential test oracle for {!of_table}.  Both are
     exact (and bit-equal) under the paper's uniform 0.5 assignment,

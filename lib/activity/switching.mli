@@ -11,9 +11,9 @@
       this paper: [s(y) = 2 * (P(y) - P(y(t) * y(t+T)))], where the joint
       two-time term is computed from a per-input joint distribution over
       [(x(t), x(t+T))] derived from each input's probability and
-      normalized activity.  Staged as {!of_table_staged}, it is the
-      kernel the glitch-aware {!Timed} estimator invokes once per
-      discrete time step.
+      normalized activity.  Split into a per-function {!entry} and a
+      {!step}, it is the kernel the glitch-aware {!Timed} estimator
+      invokes once per discrete time step.
 
     A signal's [activity] is its normalized switching activity: the
     probability of a transition across one unit time period (so values lie
@@ -33,30 +33,55 @@ val default_input : signal
     @raise Invalid_argument if [prob] or [activity] is outside [0, 1]. *)
 val signal : prob:float -> activity:float -> signal
 
+(** [clamp_activities probs activities n] replaces each of the first [n]
+    [activities.(i)] with the activity of [signal ~prob:probs.(i)
+    ~activity:activities.(i)], in place and in index order, so a caller
+    clamps a step's inputs without building records.
+    @raise Invalid_argument as {!signal} does, at the first bad input. *)
+val clamp_activities : float array -> float array -> int -> unit
+
 (** [of_table f inputs] is the Eq. 2 switching activity and probability of
-    node [y = f(inputs)] under simultaneous-switching-aware propagation.
-    It is the one-step case of {!of_table_staged}: probability [p] and
-    activity [step activities] of [of_table_staged f probs], with the
-    inputs' [prob] and [activity] fields.
+    node [y = f(inputs)] under simultaneous-switching-aware propagation:
+    one {!step} of a fresh {!entry} of [f], with probability
+    [prob (entry f) probs].
     @raise Invalid_argument if [Array.length inputs <> arity f]. *)
 val of_table : Hlp_netlist.Truth_table.t -> signal array -> signal
 
-(** [of_table_staged f probs] is the Eq. 2 kernel split for repeated
-    use on one function with fixed input probabilities, as the timed
-    model evaluates a node once per time step.  The first stage computes
-    P(f) and the on-set of [f] once and returns [(p, step)];
-    [step activities] is the activity [of_table] returns for inputs with
-    probabilities [probs] and activities [activities], bit for bit: a
-    step does the float operations of the full pair sum in the same
-    order, leaving out only products that are exactly zero because the
-    two minterms differ on an input with zero activity.  [step] reads
-    [activities] and allocates no record, so a caller can step through
-    time with one buffer; it writes a scratch buffer of the stage, so
-    one stage is stepped by one domain at a time.
-    @raise Invalid_argument if [probs] or [activities] has a length
-    other than [arity f]. *)
-val of_table_staged :
-  Hlp_netlist.Truth_table.t -> float array -> float * (float array -> float)
+(** The Eq. 2 kernel's tables for one function, for repeated use, as
+    the timed model evaluates a node once per time step and the mapper
+    prices many cuts of one cone function: the on-set, the ones, and
+    per mask of moving inputs the pairs of ones a step visits, in
+    visiting order, each table built on first use.  An entry carries
+    scratch buffers, so one entry is used by one domain at a time. *)
+type entry
+
+(** [entry f] is [f]'s entry, with no pair table built yet. *)
+val entry : Hlp_netlist.Truth_table.t -> entry
+
+(** [arity e] is the arity of [e]'s function. *)
+val arity : entry -> int
+
+(** [prob e probs] is [Prob.of_table f probs] for [e]'s function [f],
+    bit for bit, computed in [e]'s buffer: it allocates only the
+    returned float.
+    @raise Invalid_argument if [Array.length probs <> arity e]. *)
+val prob : entry -> float array -> float
+
+(** [step e ~p probs activities out at] writes to [out.(at)] the
+    activity {!of_table} returns for inputs with probabilities [probs]
+    and activities [activities] (the first [arity e] entries of each),
+    [p] being [prob e] of those probabilities.  The pair sum is one pass
+    over the pair table of the moving inputs (or of all inputs when a
+    joint probability is out of range or NaN), with the full double
+    loop's float operations in the same order: each product stops at
+    its first zero factor, and the only products left out are exactly
+    zero because the two minterms differ on an input with zero
+    activity.  Writing the result to an array slot keeps it unboxed
+    across the call; once its pair table is built, a step allocates
+    nothing. *)
+val step :
+  entry -> p:float -> float array -> float array -> float array -> int ->
+  unit
 
 (** [najm_density f inputs] is the Eq. 1 transition density of [y]. *)
 val najm_density : Hlp_netlist.Truth_table.t -> signal array -> float

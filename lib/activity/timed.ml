@@ -47,24 +47,52 @@ let static prob = { prob; times = [||]; acts = [||] }
 let input_waveform (s : Switching.signal) =
   make ~prob:s.Switching.prob ~steps:[ (0, s.Switching.activity) ]
 
+(* Buffers for [node_waveform_in]: fanin probabilities by arity (a
+   probability array must have the function's arity), the per-step
+   cursors and clamped activities, and the output steps before they are
+   copied out at their final count. *)
+type scratch = {
+  probs : float array array;
+  cursor : int array;
+  activities : float array;
+  mutable times : int array;
+  mutable acts : float array;
+}
+
+let scratch () =
+  {
+    probs = Array.init (Tt.max_vars + 1) (fun n -> Array.make n 0.);
+    cursor = Array.make Tt.max_vars 0;
+    activities = Array.make Tt.max_vars 0.;
+    times = Array.make 16 0;
+    acts = Array.make 16 0.;
+  }
+
 (* The output may switch one delay after any fanin step.  One cursor per
    fanin walks the fanin times in increasing order; at each distinct
    time [t_in], a fanin's activity is that of its step at [t_in], or 0,
-   clamped by [Switching.signal] as a signal of the fanin's probability,
-   and the staged Chou-Roy step prices the output at [t_in + delay]. *)
-let node_waveform func ~fanins ~delay =
+   clamped as [Switching.signal] clamps it for a signal of the fanin's
+   probability, and one Chou-Roy step of the entry prices the output at
+   [t_in + delay]. *)
+let node_waveform_in sc entry ~fanins ~delay =
   if delay < 1 then invalid_arg "Timed.node_waveform: delay must be >= 1";
-  let n = Tt.arity func in
+  let n = Switching.arity entry in
   if Array.length fanins <> n then
     invalid_arg "Timed.node_waveform: fanin count mismatch";
-  let p, step =
-    Switching.of_table_staged func (Array.map (fun w -> w.prob) fanins)
-  in
-  let cap =
-    Array.fold_left (fun acc w -> acc + Array.length w.times) 0 fanins
-  in
-  let times = Array.make cap 0 and acts = Array.make cap 0. in
-  let cursor = Array.make n 0 and activities = Array.make n 0. in
+  let probs = sc.probs.(n) and cursor = sc.cursor in
+  let activities = sc.activities in
+  let cap = ref 0 in
+  for i = 0 to n - 1 do
+    probs.(i) <- fanins.(i).prob;
+    cursor.(i) <- 0;
+    cap := !cap + Array.length fanins.(i).times
+  done;
+  if Array.length sc.times < !cap then begin
+    sc.times <- Array.make (2 * !cap) 0;
+    sc.acts <- Array.make (2 * !cap) 0.
+  end;
+  let times = sc.times and acts = sc.acts in
+  let p = Switching.prob entry probs in
   let count = ref 0 and more = ref true in
   while !more do
     let t_in = ref 0 in
@@ -80,20 +108,17 @@ let node_waveform func ~fanins ~delay =
     if !more then begin
       for i = 0 to n - 1 do
         let w = fanins.(i) and c = cursor.(i) in
-        let a =
-          if c < Array.length w.times && w.times.(c) = !t_in then begin
-            cursor.(i) <- c + 1;
-            w.acts.(c)
-          end
-          else 0.
-        in
         activities.(i) <-
-          (Switching.signal ~prob:w.prob ~activity:a).Switching.activity
+          (if c < Array.length w.times && w.times.(c) = !t_in then begin
+             cursor.(i) <- c + 1;
+             w.acts.(c)
+           end
+           else 0.)
       done;
-      let a = step activities in
-      if a > 0. then begin
+      Switching.clamp_activities probs activities n;
+      Switching.step entry ~p probs activities acts !count;
+      if acts.(!count) > 0. then begin
         times.(!count) <- !t_in + delay;
-        acts.(!count) <- a;
         incr count
       end
     end
@@ -103,6 +128,9 @@ let node_waveform func ~fanins ~delay =
     times = Array.sub times 0 !count;
     acts = Array.sub acts 0 !count;
   }
+
+let node_waveform func ~fanins ~delay =
+  node_waveform_in (scratch ()) (Switching.entry func) ~fanins ~delay
 
 let propagate t ~delay ~input =
   let waves = Array.make (Nl.num_nodes t) (static 0.) in

@@ -10,10 +10,11 @@
     transition and every earlier one is a {e glitch}.
 
     Per time step the activity is computed with the Chou-Roy Eq. 2 kernel
-    ({!Switching.of_table}), feeding it only the activity that each fanin
-    exhibits at the relevant step — so simultaneous arrivals cancel
-    correctly and staggered arrivals generate glitches, which is exactly
-    the effect multiplexer balancing exploits.
+    ({!Switching.step}, the step of {!Switching.of_table}), feeding it
+    only the activity that each fanin exhibits at the relevant step — so
+    simultaneous arrivals cancel correctly and staggered arrivals
+    generate glitches, which is exactly the effect multiplexer balancing
+    exploits.
 
     The {e effective switching activity} of a node is the sum of its
     waveform (the per-cut summation of [6]); summing over all nodes gives
@@ -55,9 +56,27 @@ val make : prob:float -> steps:(int * float) list -> waveform
 
 (** [node_waveform func ~fanins] derives the waveform of a node computing
     [func] whose fanins have the given waveforms, with the node's own
-    delay [delay] (>= 1). *)
+    delay [delay] (>= 1).  It is {!node_waveform_in} on a fresh scratch
+    and a fresh [Switching.entry func]. *)
 val node_waveform :
   Hlp_netlist.Truth_table.t -> fanins:waveform array -> delay:int -> waveform
+
+(** Buffers that {!node_waveform_in} reuses from call to call; one
+    scratch serves one domain at a time. *)
+type scratch
+
+val scratch : unit -> scratch
+
+(** [node_waveform_in sc e ~fanins ~delay] is [node_waveform f ~fanins
+    ~delay] for [e]'s function [f], bit for bit, one [Switching.step]
+    of [e] per distinct fanin step time.  Its temporaries live in [sc]
+    and [e] (whose pair tables it may build), so once those are built
+    it allocates only the waveform it returns: a caller pricing many
+    nodes of few functions keeps one entry per function and one
+    scratch. *)
+val node_waveform_in :
+  scratch -> Switching.entry -> fanins:waveform array -> delay:int ->
+  waveform
 
 (** [propagate t ~delay ~input] computes every node's waveform.  [delay id]
     is the node's propagation delay (ignored for inputs); [input k] is the

@@ -98,20 +98,26 @@ type state = (class_key, class_value) Hashtbl.t
 
 let create_state () = Hashtbl.create 64
 
-(* The Eq. 4 weights of one class within one bind: cell
+(* The Eq. 4 weights of the class being bound: cell
    [(left - 1) * cols + right - 1] holds [edge_weight] at mux sizes
    (left, right), filled from the SA table on first use (nan until then).
-   Sized by the class's distinct source registers per port, which bound
-   every merged mux. *)
+   One grid serves every class of a bind: [reset] sizes it by the
+   class's distinct source registers per port, which bound every merged
+   mux, growing it when a class needs more cells than any before. *)
 type pricing = {
   params : params;
   sa_table : Sa_table.t;
-  cols : int;
-  cells : float array;
+  mutable cols : int;
+  mutable cells : float array;
 }
 
-let pricing ~params ~sa_table ~rows ~cols =
-  { params; sa_table; cols; cells = Array.make (rows * cols) Float.nan }
+let pricing ~params ~sa_table = { params; sa_table; cols = 0; cells = [||] }
+
+let reset p ~rows ~cols =
+  let used = rows * cols in
+  if Array.length p.cells < used then p.cells <- Array.make used Float.nan
+  else Array.fill p.cells 0 used Float.nan;
+  p.cols <- cols
 
 (* The cell holding the weight of merging [u] and [v], filled on first
    use.  Returning the index, not the float, keeps the weight unboxed on
@@ -229,8 +235,7 @@ let first_fit ~schedule ~regs ops_of_cls =
    then pack first fit if still over the bound.  Returns the groups plus
    the counters and whether first fit fired (so a memo replay can
    re-report the same telemetry). *)
-let run_class ~params ~sa_table ~ws ~resources ~schedule ~regs cls
-    ops_of_cls =
+let run_class ~pricing:p ~ws ~resources ~schedule ~regs cls ops_of_cls =
   let peak = Schedule.peak_step schedule cls in
   let in_peak o =
     let s, f = Schedule.active_steps schedule o.Cdfg.id in
@@ -246,11 +251,9 @@ let run_class ~params ~sa_table ~ws ~resources ~schedule ~regs cls
          (List.map (fun o -> Reg_binding.reg_of_operand regs (port o))
             ops_of_cls))
   in
-  let p =
-    pricing ~params ~sa_table
-      ~rows:(sources (fun o -> o.Cdfg.left))
-      ~cols:(sources (fun o -> o.Cdfg.right))
-  in
+  reset p
+    ~rows:(sources (fun o -> o.Cdfg.left))
+    ~cols:(sources (fun o -> o.Cdfg.right));
   let rec matching cs =
     if cs_units cs > resources && cs.cs_v <> [] then
       matching (matching_round p ws cs)
@@ -316,16 +319,15 @@ let bind ?state ?(params = default_params) ~sa_table ~regs ~resources
   let iterations = ref 0 in
   let promoted = ref 0 in
   (* Every matching round of every class is solved on this one
-     workspace. *)
-  let ws = Bipartite.workspace () in
+     workspace and priced from this one grid. *)
+  let ws = Bipartite.workspace () and p = pricing ~params ~sa_table in
   let bind_class cls =
     match ops_of_class cdfg cls with
     | [] -> []
     | ops_of_cls ->
         let resources = resources cls in
         let fresh () =
-          run_class ~params ~sa_table ~ws ~resources ~schedule ~regs cls
-            ops_of_cls
+          run_class ~pricing:p ~ws ~resources ~schedule ~regs cls ops_of_cls
         in
         let groups, its, promos, _ =
           match state with

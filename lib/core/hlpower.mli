@@ -28,10 +28,12 @@
     is filled from {!Sa_table.lookup} on first use, by the same
     expression as {!edge_weight}, so a bind looks each distinct key up
     once and the matching sees the same weights, bit for bit, as when
-    every edge is priced afresh.  Each round writes those weights into
-    a dense {!Bipartite.workspace} (an incompatible pair is a zero
-    cell), created once per bind and reused by every round of every
-    class.
+    every edge is priced afresh.  One grow-only grid serves every class
+    of a bind: a class run resets the prefix it uses to unfilled, and
+    grows it only when it needs more cells than any class before.  Each
+    round writes those weights into a dense {!Bipartite.workspace} (an
+    incompatible pair is a zero cell), created once per bind beside the
+    grid and reused by every round of every class.
 
     For multi-cycle libraries Theorem 1 gives no guarantee; when an
     iteration cannot merge anything but the constraint is still unmet, a

@@ -19,5 +19,7 @@ type objective =
 
 (** [optimize ?objective binding] greedily re-orients each FU's commutative
     ops (several passes to a fixpoint).  The result never has more total
-    FU mux inputs than the input under [Min_inputs]. *)
+    FU mux inputs than the input under [Min_inputs].  Each port counts
+    its unit's reads per register, so a candidate flip updates the two
+    ports' counts in constant time. *)
 val optimize : ?objective:objective -> Binding.t -> Binding.t

@@ -11,34 +11,49 @@
     (0-fanin logic) nodes contribute the {e empty} cut, so constants fold
     into cones instead of wasting LUT inputs.  Dominated cuts (supersets of
     another cut) are pruned, and at most [max_cuts] non-trivial cuts are
-    kept per node, preferring fewer leaves. *)
+    kept per node, preferring fewer leaves, then the smaller leaf array.
 
-type t = private {
-  leaves : Hlp_netlist.Netlist.node_id array;  (** sorted, distinct *)
-}
+    The cuts of a whole netlist live in one flat {!store}, sized by the
+    cuts kept: each kept cut is a sorted slice of one vector of 32-bit
+    ints, read in place through its index. *)
 
-(** [pp] prints a cut as [{a,b,c}]. *)
-val pp : Format.formatter -> t -> unit
-
-(** [trivial id] is the singleton cut [{id}]. *)
-val trivial : Hlp_netlist.Netlist.node_id -> t
+(** Every node's kept cuts, numbered by int indices. *)
+type store
 
 (** [enumerate t ~k ~max_cuts] computes, for each node id, its retained
-    cuts.  For logic nodes the trivial cut is {e not} included in the
-    returned list (it cannot implement the node); terminal nodes get
-    exactly their trivial (or empty, for constants) cut.
+    cuts.  For logic nodes the trivial cut is {e not} among them (it
+    cannot implement the node); terminal nodes get exactly their trivial
+    (or empty, for constants) cut.  A node's cuts come in (size, leaves)
+    order.  A merge whose leaf signature (one bit per leaf, modulo 64)
+    already has more than [k] bits is rejected before it is built.
     @raise Invalid_argument if [k < 2] or [k > Truth_table.max_vars], or
     [max_cuts < 1]. *)
-val enumerate :
-  Hlp_netlist.Netlist.t -> k:int -> max_cuts:int -> t list array
+val enumerate : Hlp_netlist.Netlist.t -> k:int -> max_cuts:int -> store
 
-(** [cone_function t node cut] collapses the logic cone between
-    [cut.leaves] and [node] into a single truth table over the leaves (in
-    [cut.leaves] order).  Constants inside the cone are folded.  The cone
-    is evaluated bit-parallel, one lane per leaf minterm, with
-    {!Hlp_netlist.Truth_table.eval_column_words}.
-    @raise Invalid_argument if [cut] is not a valid cut of [node] (some
+(** [first s id] and [stop s id] delimit node [id]'s cuts: indices
+    [first s id] to [stop s id - 1]. *)
+val first : store -> Hlp_netlist.Netlist.node_id -> int
+
+val stop : store -> Hlp_netlist.Netlist.node_id -> int
+
+(** [size s c] is the number of leaves of cut [c]. *)
+val size : store -> int -> int
+
+(** [leaf s c i] is leaf [i] of cut [c], [0 <= i < size s c], in
+    increasing node-id order. *)
+val leaf : store -> int -> int -> Hlp_netlist.Netlist.node_id
+
+(** [leaves s c] is a fresh array of cut [c]'s leaves. *)
+val leaves : store -> int -> Hlp_netlist.Netlist.node_id array
+
+(** [cone_function s t node c] collapses the logic cone between cut [c]'s
+    leaves and [node] into a single truth table over the leaves (in leaf
+    order).  Constants inside the cone are folded.  The cone is evaluated
+    bit-parallel, one lane per leaf minterm, with
+    {!Hlp_netlist.Truth_table.eval_column_words}, in buffers of [s] (so
+    one store serves one domain at a time).
+    @raise Invalid_argument if [c] is not a valid cut of [node] (some
     cone path reaches a primary input that is not a leaf). *)
 val cone_function :
-  Hlp_netlist.Netlist.t -> Hlp_netlist.Netlist.node_id -> t ->
+  store -> Hlp_netlist.Netlist.t -> Hlp_netlist.Netlist.node_id -> int ->
   Hlp_netlist.Truth_table.t

@@ -34,8 +34,8 @@ let is_terminal t id =
 
 (* A priced cut's waveform depends only on its cone table and its
    leaves' waveforms, so [map] prices each distinct pair once.  The key
-   is the table's two halves ({!Tt.column_halves}) followed by the
-   leaves' waveform ids; its length gives the arity. *)
+   is the table's two 32-bit halves followed by the leaves' waveform
+   ids; its length gives the arity. *)
 module Memo = Hashtbl.Make (struct
   type t = int array
 
@@ -99,51 +99,65 @@ let map ?(objective = Min_sa) ?(input = fun _ -> Sw.default_input) t ~k =
   Array.iteri
     (fun pos id -> leaf_wave.(id) <- intern (Timed.input_waveform (input pos)))
     (Nl.inputs t);
-  let memo = Memo.create 4096 in
-  let price (cut : Cut.t) func =
-    let leaves = cut.Cut.leaves in
-    let m = Array.length leaves in
-    let lo, hi = Tt.column_halves func in
-    let key = Array.make (m + 2) lo in
-    key.(1) <- hi;
+  let memo = Memo.create 4096 and entries = Hashtbl.create 64 in
+  let scratch = Timed.scratch () in
+  (* Key and fanin buffers by leaf count, reused by every lookup; a key
+     is copied only when it is added. *)
+  let keys = Array.init (k + 1) (fun m -> Array.make (m + 2) 0) in
+  let fanins = Array.init (k + 1) (fun m -> Array.make m !waves.(0)) in
+  let price c func =
+    let m = Cut.size cuts c in
+    let key = keys.(m) in
+    key.(0) <- Tt.low_half func;
+    key.(1) <- Tt.high_half func;
     for i = 0 to m - 1 do
-      key.(i + 2) <- leaf_wave.(leaves.(i))
+      key.(i + 2) <- leaf_wave.(Cut.leaf cuts c i)
     done;
-    match Memo.find_opt memo key with
-    | Some w -> w
-    | None ->
-        let fanins = Array.map (fun l -> !waves.(leaf_wave.(l))) leaves in
-        let w = add (Timed.node_waveform func ~fanins ~delay:1) in
-        Memo.add memo key w;
+    match Memo.find memo key with
+    | w -> w
+    | exception Not_found ->
+        let entry =
+          match Hashtbl.find entries func with
+          | e -> e
+          | exception Not_found ->
+              let e = Sw.entry func in
+              Hashtbl.add entries func e;
+              e
+        in
+        let fanins = fanins.(m) in
+        for i = 0 to m - 1 do
+          fanins.(i) <- !waves.(key.(i + 2))
+        done;
+        let w = add (Timed.node_waveform_in scratch entry ~fanins ~delay:1) in
+        Memo.add memo (Array.copy key) w;
         w
   in
-  let best_cut = Array.make n (Cut.trivial 0) in
+  let best_cut = Array.make n (-1) in
   let best_func = Array.make n (Tt.const0 0) in
   let order = Nl.topo_order t in
   Array.iter
     (fun id ->
       if not (is_terminal t id) then begin
-        if cuts.(id) = [] then failwith "Mapper.map: logic node without cuts";
+        let first = Cut.first cuts id and stop = Cut.stop cuts id in
+        if first = stop then failwith "Mapper.map: logic node without cuts";
         (* Ties go to the earlier cut. *)
         let best = ref (-1) in
-        List.iter
-          (fun cut ->
-            let func = Cut.cone_function t id cut in
-            let w = price cut func in
-            let b = !best in
-            if
-              b < 0
-              || not
-                   (no_worse objective !wave_sa.(b) !wave_arrival.(b)
-                      (Array.length best_cut.(id).Cut.leaves)
-                      !wave_sa.(w) !wave_arrival.(w)
-                      (Array.length cut.Cut.leaves))
-            then begin
-              best_cut.(id) <- cut;
-              best_func.(id) <- func;
-              best := w
-            end)
-          cuts.(id);
+        for c = first to stop - 1 do
+          let func = Cut.cone_function cuts t id c in
+          let w = price c func in
+          let b = !best in
+          if
+            b < 0
+            || not
+                 (no_worse objective !wave_sa.(b) !wave_arrival.(b)
+                    (Cut.size cuts best_cut.(id))
+                    !wave_sa.(w) !wave_arrival.(w) (Cut.size cuts c))
+          then begin
+            best_cut.(id) <- c;
+            best_func.(id) <- func;
+            best := w
+          end
+        done;
         leaf_wave.(id) <- !best
       end
       else if not (Nl.is_input t id) then
@@ -159,8 +173,12 @@ let map ?(objective = Min_sa) ?(input = fun _ -> Sw.default_input) t ~k =
   List.iter (fun (_, id) -> needed.(id) <- true) (Nl.outputs t);
   for i = Array.length order - 1 downto 0 do
     let id = order.(i) in
-    if needed.(id) && not (is_terminal t id) then
-      Array.iter (fun l -> needed.(l) <- true) best_cut.(id).Cut.leaves
+    if needed.(id) && not (is_terminal t id) then begin
+      let c = best_cut.(id) in
+      for j = 0 to Cut.size cuts c - 1 do
+        needed.(Cut.leaf cuts c j) <- true
+      done
+    end
   done;
   (* Eq. 3 over the cover, summed in [luts] order from the waveforms
      chosen above: each is what a unit-delay propagation over the LUT
@@ -170,7 +188,7 @@ let map ?(objective = Min_sa) ?(input = fun _ -> Sw.default_input) t ~k =
   Array.iter
     (fun id ->
       if needed.(id) && not (is_terminal t id) then begin
-        let leaves = best_cut.(id).Cut.leaves in
+        let leaves = Cut.leaves cuts best_cut.(id) in
         luts := { root = id; leaves; func = best_func.(id) } :: !luts;
         let w = leaf_wave.(id) in
         total := !total +. !wave_sa.(w);

@@ -43,10 +43,13 @@ type t = {
   lut_count : int;  (** number of LUTs in the cover *)
 }
 
-(** [map t ~k] maps [t] onto [k]-input LUTs, keeping 8 cuts per node.
-    A cut's waveform is a function of its cone's table and its leaves'
+(** [map t ~k] maps [t] onto [k]-input LUTs, keeping 8 cuts per node in
+    one {!Cut.store}, which the selection reads in place.  A cut's
+    waveform is a function of its cone's table and its leaves'
     waveforms, so each distinct (table, leaf waveforms) pair is priced
-    once per call; all of that state lives in the call.
+    once per call, by one [Switching.entry] per distinct cone function
+    and one [Timed.scratch]; all of that state lives in the call, so
+    calls on several domains at once share nothing.
 
     @param objective selection policy; default {!Min_sa}.
     @param input per-primary-input signal statistics; defaults to the

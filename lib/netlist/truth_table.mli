@@ -58,6 +58,14 @@ val eval_words_at : t -> int array -> int array -> int
     63-bit int. *)
 val column_halves : t -> int * int
 
+(** [low_half t] is [fst (column_halves t)], without building the
+    pair. *)
+val low_half : t -> int
+
+(** [high_half t] is [snd (column_halves t)], without building the
+    pair. *)
+val high_half : t -> int
+
 (** [eval_column_words ~arity ~lo ~hi values fanins ofs] evaluates, lane
     by lane, the [arity]-input table whose {!column_halves} are
     [(lo, hi)], input word [i] being [values.(fanins.(ofs + i))] — the

@@ -28,8 +28,9 @@ let c_session_reply_hits = Telemetry.counter "router.session_reply_hits"
    (Eq. 4 and per-class memos), and a whole-reply cache keyed by the
    canonical (graph, alpha, resources) the reply depends on, so an edit
    stream that revisits a state is answered with the identical bytes in
-   microseconds.  [s_mu] serializes edits; the table mutex is never held
-   while a session works. *)
+   microseconds.  [s_mu] serializes edits, and with them [s_key], the
+   one buffer every reply key of the session is written in; the table
+   mutex is never held while a session works. *)
 type session = {
   s_id : string;
   s_mu : Mutex.t;
@@ -38,6 +39,7 @@ type session = {
   s_k : int;
   s_state : Hlpower.state;
   s_replies : (string, string) Hashtbl.t;
+  s_key : Buffer.t;
   mutable s_cdfg : Cdfg.t;
   mutable s_schedule : Schedule.t;
   (* Lazy so a reply-cache hit never pays for register rebinding: the
@@ -380,17 +382,8 @@ let rec add_int b n =
    into a buffer — no tree, no escaping, no string per number — so
    keying an edit costs a few microseconds instead of a full JSON
    render.  Each variable-length field is delimited, so equal keys imply
-   equal graphs.  The buffer starts at about the key's size (an op
-   takes 11 bytes at four-digit indices), so it rarely grows. *)
-let graph_key_buffer (g : Cdfg.t) =
-  let outputs = Cdfg.outputs g in
-  let b =
-    Buffer.create
-      (String.length (Cdfg.name g)
-      + 64
-      + (12 * Cdfg.num_ops g)
-      + (6 * List.length outputs))
-  in
+   equal graphs. *)
+let add_graph_key b (g : Cdfg.t) =
   Buffer.add_string b (Cdfg.name g);
   Buffer.add_char b '\x00';
   add_int b (Cdfg.num_inputs g);
@@ -411,18 +404,31 @@ let graph_key_buffer (g : Cdfg.t) =
     operand op.Cdfg.right
   done;
   Buffer.add_char b '>';
-  List.iter operand outputs;
-  b
+  List.iter operand (Cdfg.outputs g)
 
-let graph_key g = Buffer.contents (graph_key_buffer g)
+(* About the key's size: an op takes 11 bytes at four-digit indices. *)
+let key_capacity (g : Cdfg.t) =
+  String.length (Cdfg.name g)
+  + 64
+  + (12 * Cdfg.num_ops g)
+  + (6 * List.length (Cdfg.outputs g))
+
+let graph_key g =
+  let b = Buffer.create (key_capacity g) in
+  add_graph_key b g;
+  Buffer.contents b
 
 (* Whole-reply cache key: the canonical encoding of everything the bind
    result depends on within one session (binder, width and K are fixed
-   per session, so they stay out of the key), appended to the graph
-   fingerprint's buffer.  The graph fingerprint is structurally exact;
-   alpha is rendered as a hex float so distinct values never collide. *)
+   per session, so they stay out of the key), after the graph
+   fingerprint, in the session's key buffer.  The graph fingerprint is
+   structurally exact; alpha is rendered as a hex float so distinct
+   values never collide.  The caller holds [s_mu], or the session is not
+   yet published. *)
 let session_reply_key s =
-  let b = graph_key_buffer s.s_cdfg in
+  let b = s.s_key in
+  Buffer.clear b;
+  add_graph_key b s.s_cdfg;
   Printf.bprintf b "|%h|%d|%d" s.s_alpha
     (session_resources s Cdfg.Add_sub)
     (session_resources s Cdfg.Multiplier);
@@ -528,6 +534,7 @@ let handle_session_open t ~checkpoint (p : Protocol.session_open_params) =
         s_k = p.so_k;
         s_state = Hlpower.create_state ();
         s_replies = Hashtbl.create 16;
+        s_key = Buffer.create (key_capacity cdfg);
         s_cdfg = cdfg;
         s_schedule = schedule;
         s_regs = regs;

@@ -493,13 +493,99 @@ let prop_of_table_matches_reference =
       let same a b = bits a = bits b || (Float.is_nan a && Float.is_nan b) in
       same got.Sw.prob want.Sw.prob && same got.Sw.activity want.Sw.activity)
 
+(* A stream of nodes priced the way [Mapper.map] prices cuts: one
+   [Timed.scratch] and one [Switching.entry] per distinct table for the
+   whole stream, so later nodes step entries whose pair tables earlier
+   ones built.  Tables come from a pool of four per stream, so they
+   repeat; probabilities and activities include 0, 1 and NaN (a NaN
+   probability takes the unbounded path; a NaN activity step is dropped
+   by [Timed.make]).  Each node must equal the unstaged reference, and
+   so must one raw step of the cached entry on unclamped signals; any
+   two NaNs count as equal. *)
+let prop_entry_cache_matches_reference =
+  let open QCheck.Gen in
+  let field =
+    frequency
+      [ (1, return 0.); (1, return 1.); (1, return nan);
+        (4, float_range 0. 1.) ]
+  in
+  let wave =
+    pair field (list_size (int_range 0 4) (pair (int_range 0 4) field))
+  in
+  let node pool =
+    int_range 0 (Array.length pool - 1) >>= fun i ->
+    let n, _ = pool.(i) in
+    map3 (fun waves raw delay -> (i, waves, raw, delay))
+      (list_repeat n wave) (list_repeat n (pair field field)) (int_range 1 3)
+  in
+  let gen =
+    array_repeat 4 (pair (int_range 0 6) ui64) >>= fun pool ->
+    list_size (int_range 1 30) (node pool) >|= fun nodes -> (pool, nodes)
+  in
+  let print (pool, nodes) =
+    Printf.sprintf "pool [%s], %d nodes: %s"
+      (String.concat "; "
+         (Array.to_list
+            (Array.map (fun (n, t) -> Printf.sprintf "%d:%Lx" n t) pool)))
+      (List.length nodes)
+      (String.concat " | "
+         (List.map
+            (fun (i, waves, _, delay) ->
+              print_node (fst pool.(i), snd pool.(i), waves, delay))
+            nodes))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"entry cache = unstaged reference, bit for bit"
+    (QCheck.make ~print gen) (fun (pool, nodes) ->
+      let same a b = bits a = bits b || (Float.is_nan a && Float.is_nan b) in
+      let scratch = Timed.scratch () in
+      let entries = Hashtbl.create 4 in
+      let entry f =
+        match Hashtbl.find_opt entries (Tt.arity f, Tt.bits f) with
+        | Some e -> e
+        | None ->
+            let e = Sw.entry f in
+            Hashtbl.replace entries (Tt.arity f, Tt.bits f) e;
+            e
+      in
+      List.for_all
+        (fun (i, waves, raw, delay) ->
+          let n, table = pool.(i) in
+          let f = Tt.create n table in
+          let fanins =
+            Array.of_list
+              (List.map (fun (prob, steps) -> Timed.make ~prob ~steps) waves)
+          in
+          let w = Timed.node_waveform_in scratch (entry f) ~fanins ~delay in
+          let p, steps = Reference.node_waveform f ~fanins ~delay in
+          let inputs =
+            Array.of_list
+              (List.map (fun (prob, activity) -> { Sw.prob; activity }) raw)
+          in
+          let probs = Array.map (fun s -> s.Sw.prob) inputs in
+          let out = [| 0. |] in
+          let e = entry f in
+          Sw.step e ~p:(Sw.prob e probs) probs
+            (Array.map (fun s -> s.Sw.activity) inputs)
+            out 0;
+          let want = Reference.of_table f inputs in
+          same (Timed.prob w) p
+          && List.length (Timed.steps w) = List.length steps
+          && List.for_all2
+               (fun (t, a) (t', a') -> t = t' && same a a')
+               (Timed.steps w) steps
+          && same (Sw.prob e probs) want.Sw.prob
+          && same out.(0) want.Sw.activity)
+        nodes)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_eq2_bounds; prop_eq1_dominates_eq2;
       prop_timed_total_at_least_zero_delay_functional;
       prop_waveform_glitch_nonnegative; prop_waveform_decomposition;
       prop_arrival_monotone_in_composition;
-      prop_staged_waveform_matches_reference; prop_of_table_matches_reference ]
+      prop_staged_waveform_matches_reference; prop_of_table_matches_reference;
+      prop_entry_cache_matches_reference ]
 
 let suite =
   [

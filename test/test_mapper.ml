@@ -20,49 +20,68 @@ let small () =
   Nl.mark_output b "y" y;
   (Nl.freeze b, y)
 
+(* Each node's cuts from the list-based reference and from [Cut]'s
+   store, as leaf-array lists: every cut test holds both. *)
+let both_cut_sets t ~k ~max_cuts =
+  let store = Cut.enumerate t ~k ~max_cuts in
+  [
+    ("reference", Array.map (List.map (fun c -> c.Cut_reference.leaves))
+       (Cut_reference.enumerate t ~k ~max_cuts));
+    ("store", Array.init (Nl.num_nodes t) (fun id ->
+         List.init (Cut.stop store id - Cut.first store id) (fun i ->
+             Cut.leaves store (Cut.first store id + i))));
+  ]
+
+let pp_leaves fmt leaves =
+  Format.fprintf fmt "{%s}"
+    (String.concat "," (Array.to_list (Array.map string_of_int leaves)))
+
 let test_cuts_of_inputs () =
   let t, _ = small () in
-  let cuts = Cut.enumerate t ~k:4 ~max_cuts:8 in
   let a = (Nl.inputs t).(0) in
-  (match cuts.(a) with
-  | [ c ] -> check_int "trivial cut" 1 (Array.length c.Cut.leaves)
-  | _ -> Alcotest.fail "input should have exactly its trivial cut")
+  List.iter
+    (fun (_, cuts) ->
+      match cuts.(a) with
+      | [ c ] -> check_int "trivial cut" 1 (Array.length c)
+      | _ -> Alcotest.fail "input should have exactly its trivial cut")
+    (both_cut_sets t ~k:4 ~max_cuts:8)
 
 let test_cuts_cover_whole_cone () =
   let t, y = small () in
-  let cuts = Cut.enumerate t ~k:4 ~max_cuts:8 in
-  (* With k=4, the root has a cut whose leaves are the 4 PIs. *)
-  let has_full =
-    List.exists (fun c -> Array.length c.Cut.leaves = 4) cuts.(y)
-  in
-  check_bool "4-input cut exists" true has_full;
-  (* All cuts are k-feasible. *)
   List.iter
-    (fun c -> check_bool "k-feasible" true (Array.length c.Cut.leaves <= 4))
-    cuts.(y)
+    (fun (_, cuts) ->
+      (* With k=4, the root has a cut whose leaves are the 4 PIs. *)
+      let has_full = List.exists (fun c -> Array.length c = 4) cuts.(y) in
+      check_bool "4-input cut exists" true has_full;
+      (* All cuts are k-feasible. *)
+      List.iter
+        (fun c -> check_bool "k-feasible" true (Array.length c <= 4))
+        cuts.(y))
+    (both_cut_sets t ~k:4 ~max_cuts:8)
 
 let test_cuts_no_dominated () =
   let t, y = small () in
-  let cuts = Cut.enumerate t ~k:4 ~max_cuts:16 in
-  let subset a b =
-    Array.for_all (fun x -> Array.exists (( = ) x) b.Cut.leaves) a.Cut.leaves
-  in
-  List.iteri
-    (fun i a ->
+  let subset a b = Array.for_all (fun x -> Array.exists (( = ) x) b) a in
+  List.iter
+    (fun (_, cuts) ->
       List.iteri
-        (fun j b ->
-          if i <> j && subset a b then
-            Alcotest.failf "cut %a dominates %a" Cut.pp a Cut.pp b)
+        (fun i a ->
+          List.iteri
+            (fun j b ->
+              if i <> j && subset a b then
+                Alcotest.failf "cut %a dominates %a" pp_leaves a pp_leaves b)
+            cuts.(y))
         cuts.(y))
-    cuts.(y)
+    (both_cut_sets t ~k:4 ~max_cuts:16)
 
 let test_cone_function_matches () =
   let t, y = small () in
-  let cuts = Cut.enumerate t ~k:4 ~max_cuts:8 in
-  let full =
-    List.find (fun c -> Array.length c.Cut.leaves = 4) cuts.(y)
-  in
-  let f = Cut.cone_function t y full in
+  let store = Cut.enumerate t ~k:4 ~max_cuts:8 in
+  let full = ref (-1) in
+  for c = Cut.stop store y - 1 downto Cut.first store y do
+    if Cut.size store c = 4 then full := c
+  done;
+  let f = Cut.cone_function store t y !full in
   (* Check against direct evaluation for all 16 assignments. *)
   for m = 0 to 15 do
     let assignment = Array.init 4 (fun i -> m land (1 lsl i) <> 0) in
@@ -71,7 +90,7 @@ let test_cone_function_matches () =
     let mt = ref 0 in
     Array.iteri
       (fun i leaf -> if values.(leaf) then mt := !mt lor (1 lsl i))
-      full.Cut.leaves;
+      (Cut.leaves store !full);
     check_bool "cone function agrees" (values.(y)) (Tt.eval f !mt)
   done
 
@@ -284,22 +303,38 @@ let flow_mix_netlists =
            binders)
        Benchmarks.all)
 
+let flow_mix_digest netlist =
+  let m = Mapper.map netlist ~k:4 in
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%h %h %d %d\n%s" m.Mapper.total_sa
+          m.Mapper.functional_sa m.Mapper.lut_count m.Mapper.depth
+          (Hlp_netlist.Blif.to_string m.Mapper.lut_network)))
+
 let test_flow_mix_pinned () =
-  let digest netlist =
-    let m = Mapper.map netlist ~k:4 in
-    Digest.to_hex
-      (Digest.string
-         (Printf.sprintf "%h %h %d %d\n%s" m.Mapper.total_sa
-            m.Mapper.functional_sa m.Mapper.lut_count m.Mapper.depth
-            (Hlp_netlist.Blif.to_string m.Mapper.lut_network)))
-  in
   let got =
     List.map
-      (fun (name, netlist) -> (name, digest netlist))
+      (fun (name, netlist) -> (name, flow_mix_digest netlist))
       (Lazy.force flow_mix_netlists)
   in
   Alcotest.(check (list (pair string string)))
     "21 flow-mix mappings" flow_mix_pinned got
+
+(* Every piece of mapper state lives in one [map] call: two domains
+   mapping the same netlists at once, in opposite orders, each get the
+   pinned digests. *)
+let test_flow_mix_two_domains () =
+  let netlists = Lazy.force flow_mix_netlists in
+  let run order =
+    Domain.spawn (fun () ->
+        List.map (fun (name, netlist) -> (name, flow_mix_digest netlist)) order)
+  in
+  let forward = run netlists and backward = run (List.rev netlists) in
+  let forward = Domain.join forward and backward = Domain.join backward in
+  Alcotest.(check (list (pair string string)))
+    "first domain" flow_mix_pinned forward;
+  Alcotest.(check (list (pair string string)))
+    "second domain" flow_mix_pinned (List.rev backward)
 
 let suite =
   [
@@ -326,5 +361,7 @@ let suite =
       test_mapping_reduces_sa_vs_gates;
     Alcotest.test_case "21 flow-mix mappings pinned" `Quick
       test_flow_mix_pinned;
+    Alcotest.test_case "flow-mix mappings on two domains" `Quick
+      test_flow_mix_two_domains;
     QCheck_alcotest.to_alcotest prop_random_cover;
   ]

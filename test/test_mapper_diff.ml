@@ -1,17 +1,18 @@
 (* Differential test of the glitch-aware mapper: [Mapper.map] against
    the list-based mapper kept here as the reference.  The reference
-   holds waveforms as (time, activity) lists, collapses each cone by a
-   Hashtbl walk and [Truth_table.compose], and prices every cut afresh;
-   [Mapper.map] prices each distinct (table, leaf waveforms) pair once
-   on flat waveforms.  On random netlists with constants, K = 2-6, both
-   objectives and a per-position input signal, the two must agree bit
-   for bit on the three SA totals and on the LUT list. *)
+   enumerates cuts with the list-based [Cut_reference], holds waveforms
+   as (time, activity) lists, collapses each cone by a Hashtbl walk and
+   [Truth_table.compose], and prices every cut afresh; [Mapper.map]
+   reads [Cut]'s flat store and prices each distinct (table, leaf
+   waveforms) pair once on flat waveforms.  On random netlists with
+   constants, K = 2-6, both objectives and a per-position input signal,
+   the two must agree bit for bit on the three SA totals and on the LUT
+   list. *)
 
 module Nl = Hlp_netlist.Netlist
 module Tt = Hlp_netlist.Truth_table
 module Sw = Hlp_activity.Switching
 module Prob = Hlp_activity.Prob
-module Cut = Hlp_mapper.Cut
 module Mapper = Hlp_mapper.Mapper
 module Rng = Hlp_util.Rng
 
@@ -111,7 +112,7 @@ module Reference = struct
   (* The three totals and the LUT list (root, leaves, table) in
      topological order. *)
   let map ~objective ~input t ~k =
-    let cuts = Cut.enumerate t ~k ~max_cuts:8 in
+    let cuts = Cut_reference.enumerate t ~k ~max_cuts:8 in
     let n = Nl.num_nodes t in
     let best = Array.make n None in
     let leaf_wave = Array.make n { prob = 0.5; steps = [] } in
@@ -135,7 +136,7 @@ module Reference = struct
           let candidates =
             List.map
               (fun cut ->
-                let leaves = cut.Cut.leaves in
+                let leaves = cut.Cut_reference.leaves in
                 let func = cone_function t id leaves in
                 let wave =
                   node_waveform func (Array.map (fun l -> leaf_wave.(l)) leaves)

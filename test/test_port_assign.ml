@@ -21,6 +21,86 @@ let bind_bench name =
   let regs = Reg_binding.bind (Lifetime.analyze schedule) in
   Lopass.bind ~regs ~resources:(Benchmarks.resources p) schedule
 
+(* The set-based [Port_assign.optimize] that per-port register counts
+   replaced, kept as the reference: for every candidate flip it rebuilds
+   both port source sets from all of the unit's ops, before and after.
+   Copied verbatim but for the module paths. *)
+module Reference = struct
+  module IS = Set.Make (Int)
+
+  type objective = Port_assign.objective = Min_inputs | Min_diff
+
+  (* Cost of one FU's orientation state under the objective: sources are the
+     per-port distinct register sets. *)
+  let cost objective left right =
+    let l = IS.cardinal left and r = IS.cardinal right in
+    match objective with
+    | Min_inputs -> (l + r, abs (l - r))
+    | Min_diff -> (abs (l - r), l + r)
+
+  let optimize ?(objective = Min_inputs) binding =
+    let cdfg = binding.Binding.schedule.Schedule.cdfg in
+    let swapped = Array.copy binding.Binding.swapped in
+    let reg = Reg_binding.reg_of_operand binding.Binding.regs in
+    let op_regs id =
+      let o = Cdfg.op cdfg id in
+      (reg o.Cdfg.left, reg o.Cdfg.right)
+    in
+    let commutative id = (Cdfg.op cdfg id).Cdfg.kind <> Cdfg.Sub in
+    List.iter
+      (fun fu ->
+        let ops = Array.of_list fu.Binding.fu_ops in
+        (* Port source sets as a function of the current orientation. *)
+        let sets () =
+          Array.fold_left
+            (fun (l, r) id ->
+              let rl, rr = op_regs id in
+              let a, b = if swapped.(id) then (rr, rl) else (rl, rr) in
+              (IS.add a l, IS.add b r))
+            (IS.empty, IS.empty) ops
+        in
+        (* Greedy coordinate descent over the ops' swap flags. *)
+        let improved = ref true in
+        let rounds = ref 0 in
+        while !improved && !rounds < 8 do
+          improved := false;
+          incr rounds;
+          Array.iter
+            (fun id ->
+              if commutative id then begin
+                let l0, r0 = sets () in
+                let before = cost objective l0 r0 in
+                swapped.(id) <- not swapped.(id);
+                let l1, r1 = sets () in
+                let after = cost objective l1 r1 in
+                if after < before then improved := true
+                else swapped.(id) <- not swapped.(id)
+              end)
+            ops
+        done)
+      binding.Binding.fus;
+    Binding.set_swaps binding swapped
+end
+
+(* Same flips, hence the same binding: the swap flags, and the units and
+   their ops. *)
+let same_assignment tag (a : Binding.t) (b : Binding.t) =
+  if a.Binding.swapped <> b.Binding.swapped then
+    QCheck.Test.fail_reportf "%s: flips differ" tag;
+  if a.Binding.fus <> b.Binding.fus || a.Binding.fu_of_op <> b.Binding.fu_of_op
+  then QCheck.Test.fail_reportf "%s: units differ" tag
+
+let objectives =
+  [ ("min-inputs", Port_assign.Min_inputs); ("min-diff", Port_assign.Min_diff) ]
+
+let check_against_reference tag binding =
+  List.iter
+    (fun (name, objective) ->
+      same_assignment (tag ^ " " ^ name)
+        (Port_assign.optimize ~objective binding)
+        (Reference.optimize ~objective binding))
+    objectives
+
 let test_min_inputs_never_worse () =
   List.iter
     (fun name ->
@@ -129,6 +209,58 @@ let prop_port_assign_valid =
       (Binding.mux_stats b').Binding.mux_length
       <= (Binding.mux_stats b).Binding.mux_length)
 
+(* The seven benchmarks (both variants) under LOPASS and HLPower at
+   alpha 1 and 0.5. *)
+let test_benchmarks_same_as_reference () =
+  List.iter
+    (fun (p : Benchmarks.profile) ->
+      List.iter
+        (fun variant ->
+          let prepared = Binder.prepare (Binder.Bench (p, variant)) in
+          List.iter
+            (fun binder ->
+              let r = Binder.run ~sa_table binder prepared in
+              check_against_reference
+                (Printf.sprintf "%s/%d %s" p.Benchmarks.bench_name variant
+                   (Binder.name binder))
+                r.Binder.binding)
+            [ Binder.Lopass; Binder.Hlpower { alpha = 1.0 };
+              Binder.Hlpower { alpha = 0.5 } ])
+        [ 0; 1 ])
+    Benchmarks.all
+
+(* Random designs (the binder differential's generator) under HLPower
+   and, when it binds them, LOPASS. *)
+let prop_random_same_as_reference =
+  QCheck.Test.make ~count:300
+    ~name:"port assignment = set-based reference on random designs"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let module D = Test_hlpower_diff in
+      let st = Random.State.make [| seed |] in
+      let num_inputs = 1 + Random.State.int st 4 in
+      let cdfg =
+        D.graph ~num_inputs
+          (D.random_ops st ~num_inputs
+             ~num_ops:(2 + Random.State.int st 30) ~flat:false)
+      in
+      let latency = D.random_latency st in
+      let schedule = D.random_schedule st ~latency ~flat:false cdfg in
+      let regs = Reg_binding.bind (Lifetime.analyze schedule) in
+      let resources = D.random_bound st schedule in
+      let params =
+        { Hlp_core.Hlpower.default_params with alpha = D.random_alpha st }
+      in
+      let h =
+        Hlp_core.Hlpower.bind ~params ~sa_table:D.sa_table ~regs ~resources
+          schedule
+      in
+      check_against_reference "hlpower" h.Hlp_core.Hlpower.binding;
+      (match Lopass.bind ~regs ~resources schedule with
+      | b -> check_against_reference "lopass" b
+      | exception Failure _ -> ());
+      true)
+
 let suite =
   [
     Alcotest.test_case "min-inputs never worse" `Quick
@@ -142,4 +274,7 @@ let suite =
       test_swapped_binding_still_simulates_correctly;
     Alcotest.test_case "effective operands" `Quick test_effective_operands;
     QCheck_alcotest.to_alcotest prop_port_assign_valid;
+    Alcotest.test_case "seven benchmarks = set-based reference" `Quick
+      test_benchmarks_same_as_reference;
+    QCheck_alcotest.to_alcotest prop_random_same_as_reference;
   ]
