@@ -9,6 +9,21 @@ let prob w = w.prob
 let steps w =
   List.init (Array.length w.times) (fun i -> (w.times.(i), w.acts.(i)))
 
+let same_bits a b =
+  let bits = Int64.bits_of_float in
+  let n = Array.length a.acts in
+  Int64.equal (bits a.prob) (bits b.prob)
+  && n = Array.length b.acts
+  && a.times = b.times
+  &&
+  let i = ref 0 in
+  while !i < n && Int64.equal (bits a.acts.(!i)) (bits b.acts.(!i)) do
+    incr i
+  done;
+  !i = n
+
+let hash_bits (w : waveform) = Hashtbl.hash w
+
 let total_activity w =
   let total = ref 0. in
   for i = 0 to Array.length w.acts - 1 do

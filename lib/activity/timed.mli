@@ -30,6 +30,14 @@ val prob : waveform -> float
     them as two flat arrays, the activities unboxed. *)
 val steps : waveform -> (int * float) list
 
+(** [same_bits a b] holds when [a] and [b] have the same probability
+    and the same steps, the floats compared as IEEE bits. *)
+val same_bits : waveform -> waveform -> bool
+
+(** [hash_bits w] is a hash of [w], equal for waveforms that
+    {!same_bits} equates. *)
+val hash_bits : waveform -> int
+
 (** [total_activity w] is the effective switching activity: the sum of the
     waveform over all time steps. *)
 val total_activity : waveform -> float

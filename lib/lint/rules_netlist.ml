@@ -8,32 +8,33 @@ let check (t : Nl.t) =
   let report d = diags := d :: !diags in
   let n = Nl.num_nodes t in
   let well_formed = ref true in
-  Array.iteri
-    (fun i (node : Nl.node) ->
-      if node.Nl.id <> i then begin
+  for i = 0 to n - 1 do
+    let node = Nl.node t i in
+    if node.Nl.id <> i then begin
+      well_formed := false;
+      report
+        (D.error "N001" (D.Node i) "node id %d does not match its index"
+           node.Nl.id)
+    end;
+    let arity = Tt.arity node.Nl.func in
+    let n_fanins = Array.length node.Nl.fanins in
+    if (not (Nl.is_input t i)) && arity <> n_fanins then
+      report
+        (D.error "N002" (D.Node i)
+           "truth table of arity %d feeds %d fanins" arity n_fanins);
+    let fanins = node.Nl.fanins in
+    for j = 0 to Array.length fanins - 1 do
+      let f = fanins.(j) in
+      if f < 0 || f >= i then begin
         well_formed := false;
         report
-          (D.error "N001" (D.Node i) "node id %d does not match its index"
-             node.Nl.id)
-      end;
-      let arity = Tt.arity node.Nl.func in
-      let n_fanins = Array.length node.Nl.fanins in
-      if (not (Nl.is_input t i)) && arity <> n_fanins then
-        report
-          (D.error "N002" (D.Node i)
-             "truth table of arity %d feeds %d fanins" arity n_fanins);
-      Array.iter
-        (fun f ->
-          if f < 0 || f >= i then begin
-            well_formed := false;
-            report
-              (D.error "N003" (D.Node i)
-                 "fanin %d is out of range or not topologically ordered \
-                  (must be in [0,%d))"
-                 f i)
-          end)
-        node.Nl.fanins)
-    (Array.init n (fun i -> Nl.node t i));
+          (D.error "N003" (D.Node i)
+             "fanin %d is out of range or not topologically ordered \
+              (must be in [0,%d))"
+             f i)
+      end
+    done
+  done;
   (* Outputs: range and duplicate drivers. *)
   let seen_outputs = Hashtbl.create 16 in
   List.iter
@@ -54,48 +55,46 @@ let check (t : Nl.t) =
     (* Reachability from the outputs: N005 (dead logic), N008 (unused
        inputs).  Both warnings: the artifact still simulates, but dead
        structure usually means an upstream elaboration bug. *)
-    let reachable = Array.make n false in
+    let reachable = Bytes.make n '\000' in
     let rec mark id =
-      if id >= 0 && id < n && not reachable.(id) then begin
-        reachable.(id) <- true;
+      if id >= 0 && id < n && Bytes.get reachable id = '\000' then begin
+        Bytes.set reachable id '\001';
         Array.iter mark (Nl.node t id).Nl.fanins
       end
     in
     List.iter (fun (_, id) -> mark id) (Nl.outputs t);
-    Array.iteri
-      (fun i r ->
-        if not r then
-          if Nl.is_input t i then
-            report
-              (D.warning "N008" (D.Node i) "input %s is never read"
-                 (Nl.node t i).Nl.name)
-          else
-            report
-              (D.warning "N005" (D.Node i)
-                 "logic node %s is unreachable from every output"
-                 (Nl.node t i).Nl.name))
-      reachable;
+    for i = 0 to n - 1 do
+      if Bytes.get reachable i = '\000' then
+        if Nl.is_input t i then
+          report
+            (D.warning "N008" (D.Node i) "input %s is never read"
+               (Nl.node t i).Nl.name)
+        else
+          report
+            (D.warning "N005" (D.Node i)
+               "logic node %s is unreachable from every output"
+               (Nl.node t i).Nl.name)
+    done;
     (* Constant-foldable nodes: N007. *)
-    Array.iteri
-      (fun i _ ->
-        if not (Nl.is_input t i) then begin
-          let node = Nl.node t i in
-          let arity = Tt.arity node.Nl.func in
-          if arity > 0 && arity = Array.length node.Nl.fanins then begin
-            let support = Tt.support_size node.Nl.func in
-            if support = 0 then
-              report
-                (D.warning "N007" (D.Node i)
-                   "node %s computes a constant despite %d fanins"
-                   node.Nl.name arity)
-            else if support < arity then
-              report
-                (D.warning "N007" (D.Node i)
-                   "node %s ignores %d of its %d fanins" node.Nl.name
-                   (arity - support) arity)
-          end
-        end)
-      reachable
+    for i = 0 to n - 1 do
+      if not (Nl.is_input t i) then begin
+        let node = Nl.node t i in
+        let arity = Tt.arity node.Nl.func in
+        if arity > 0 && arity = Array.length node.Nl.fanins then begin
+          let support = Tt.support_size node.Nl.func in
+          if support = 0 then
+            report
+              (D.warning "N007" (D.Node i)
+                 "node %s computes a constant despite %d fanins" node.Nl.name
+                 arity)
+          else if support < arity then
+            report
+              (D.warning "N007" (D.Node i)
+                 "node %s ignores %d of its %d fanins" node.Nl.name
+                 (arity - support) arity)
+        end
+      end
+    done
   end;
   List.sort D.compare !diags
 
@@ -110,6 +109,8 @@ let equivalent_on_random_vectors ~seed a b =
   let n_in = Array.length (Nl.inputs a) in
   let outs_a = Nl.outputs a and outs_b = Nl.outputs b in
   let words = Array.make n_in 0 in
+  let va = Array.make (Nl.num_nodes a) 0 in
+  let vb = Array.make (Nl.num_nodes b) 0 in
   let rec from word =
     word >= 2
     ||
@@ -119,7 +120,8 @@ let equivalent_on_random_vectors ~seed a b =
          if Hlp_util.Rng.bool rng then words.(i) <- words.(i) lor (1 lsl lane)
        done
      done;
-     let va = Nl.eval_words a words and vb = Nl.eval_words b words in
+     Nl.eval_words_into a words va;
+     Nl.eval_words_into b words vb;
      List.for_all2 (fun (_, x) (_, y) -> va.(x) = vb.(y)) outs_a outs_b
      && from (word + 1))
   in

@@ -30,6 +30,9 @@ type store = {
   mutable lo : int array;
   mutable hi : int array;
   fanins : int array;
+  (* the last [cone_table]'s halves *)
+  mutable table_lo : int;
+  mutable table_hi : int;
 }
 
 let[@inline] get32 b i = Int32.to_int (Bytes.get_int32_le b (4 * i))
@@ -294,6 +297,8 @@ let enumerate t ~k ~max_cuts =
       lo = Array.make 16 0;
       hi = Array.make 16 0;
       fanins = Array.make Tt.max_vars 0;
+      table_lo = 0;
+      table_hi = 0;
     }
   in
   let w =
@@ -358,7 +363,7 @@ let rec visit s t id =
     s.used <- s.used + 1
   end
 
-let cone_function s t root c =
+let cone_table s t root c =
   let m = size s c in
   s.slots <- grow s.slots m 0;
   for i = 0 to m - 1 do
@@ -388,8 +393,15 @@ let cone_function s t root c =
     if m = 6 then
       hi.(j) <- Tt.eval_column_words ~arity ~lo:tlo ~hi:thi hi fanins 0
   done;
-  (* The root took the last slot. *)
+  (* The root took the last slot; the halves are masked to the table's
+     2^m minterms, as {!Tt.create} masks them. *)
   let r = s.used - 1 in
-  let half v = Int64.of_int (v land 0xFFFFFFFF) in
-  let high = if m = 6 then Int64.shift_left (half hi.(r)) 32 else 0L in
-  Tt.create m (Int64.logor (half lo.(r)) high)
+  s.table_lo <- lo.(r) land Tt.low_mask m;
+  s.table_hi <- hi.(r) land Tt.high_mask m
+
+let table_lo s = s.table_lo
+let table_hi s = s.table_hi
+
+let cone_function s t root c =
+  cone_table s t root c;
+  Tt.of_halves (size s c) ~lo:s.table_lo ~hi:s.table_hi

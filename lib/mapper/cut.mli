@@ -57,3 +57,13 @@ val leaves : store -> int -> Hlp_netlist.Netlist.node_id array
 val cone_function :
   store -> Hlp_netlist.Netlist.t -> Hlp_netlist.Netlist.node_id -> int ->
   Hlp_netlist.Truth_table.t
+
+(** [cone_table s t node c] computes [cone_function s t node c] without
+    building it: afterwards {!table_lo} and {!table_hi} read its
+    [Truth_table.low_half] and [high_half] until the next call. *)
+val cone_table :
+  store -> Hlp_netlist.Netlist.t -> Hlp_netlist.Netlist.node_id -> int ->
+  unit
+
+val table_lo : store -> int
+val table_hi : store -> int

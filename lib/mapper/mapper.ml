@@ -17,7 +17,7 @@ type lut = {
 
 type t = {
   source : Nl.t;
-  luts : lut list;
+  luts : lut array;
   lut_network : Nl.t;
   total_sa : float;
   functional_sa : float;
@@ -56,72 +56,104 @@ let[@inline] no_worse objective sa1 arr1 size1 sa2 arr2 size2 =
       arr1 < arr2
       || (arr1 = arr2 && (sa1 < sa2 || (sa1 = sa2 && size1 <= size2)))
 
+(* Inputs and constants by their exact bits: equal ones share an id. *)
+module Interned = Hashtbl.Make (struct
+  type t = Timed.waveform
+
+  let equal = Timed.same_bits
+  let hash = Timed.hash_bits
+end)
+
+(* "lut<root>", built in place. *)
+let lut_name root =
+  let rec digits n d = if n < 10 then d else digits (n / 10) (d + 1) in
+  let len = 3 + digits root 1 in
+  let b = Bytes.create len in
+  Bytes.blit_string "lut" 0 b 0 3;
+  let r = ref root in
+  for i = len - 1 downto 3 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!r mod 10)));
+    r := !r / 10
+  done;
+  Bytes.unsafe_to_string b
+
 let map ?(objective = Min_sa) ?(input = fun _ -> Sw.default_input) t ~k =
   Telemetry.time "mapper.map" @@ fun () ->
   let cuts = Cut.enumerate t ~k ~max_cuts in
   let n = Nl.num_nodes t in
+  let inputs = Nl.inputs t in
   (* Every waveform this call computes or interns, by id, with its
-     effective SA and arrival. *)
-  let waves = ref (Array.make 256 (Timed.make ~prob:0. ~steps:[])) in
-  let wave_sa = ref (Array.make 256 0.) in
-  let wave_arrival = ref (Array.make 256 0) in
+     effective SA: at most one per input, one per constant value and one
+     per cut of a logic node.  On the datapaths this program elaborates
+     the memo prices about one cut in four afresh, so the arrays start
+     there and double when full. *)
+  let cuts_priced = ref 0 in
+  for id = 0 to n - 1 do
+    if not (is_terminal t id) then
+      cuts_priced := !cuts_priced + Cut.stop cuts id - Cut.first cuts id
+  done;
+  let capacity = Array.length inputs + 2 + (!cuts_priced / 4) in
+  let waves = ref (Array.make capacity (Timed.make ~prob:0. ~steps:[])) in
+  let wave_sa = ref (Array.make capacity 0.) in
   let count = ref 0 in
   let add w =
-    if !count = Array.length !waves then begin
-      (* Double the capacity; the copied second half is overwritten. *)
-      waves := Array.append !waves !waves;
-      wave_sa := Array.append !wave_sa !wave_sa;
-      wave_arrival := Array.append !wave_arrival !wave_arrival
-    end;
     let id = !count in
+    if id = Array.length !waves then begin
+      let grow a = Array.append a a in
+      waves := grow !waves;
+      wave_sa := grow !wave_sa
+    end;
     !waves.(id) <- w;
     !wave_sa.(id) <- Timed.total_activity w;
-    !wave_arrival.(id) <- Timed.arrival w;
     incr count;
     id
   in
-  (* Inputs and constants by their exact bits: equal ones share an id. *)
-  let interned = Hashtbl.create 8 in
+  let interned = Interned.create 8 in
   let intern w =
-    let key =
-      ( Int64.bits_of_float (Timed.prob w),
-        List.map (fun (t, a) -> (t, Int64.bits_of_float a)) (Timed.steps w) )
-    in
-    match Hashtbl.find_opt interned key with
-    | Some id -> id
-    | None ->
+    match Interned.find interned w with
+    | id -> id
+    | exception Not_found ->
         let id = add w in
-        Hashtbl.replace interned key id;
+        Interned.replace interned w id;
         id
   in
   (* The waveform id each node presents as a LUT leaf. *)
   let leaf_wave = Array.make n (-1) in
   Array.iteri
     (fun pos id -> leaf_wave.(id) <- intern (Timed.input_waveform (input pos)))
-    (Nl.inputs t);
-  let memo = Memo.create 4096 and entries = Hashtbl.create 64 in
+    inputs;
+  let memo = Memo.create 4096 and entries = Memo.create 64 in
   let scratch = Timed.scratch () in
   (* Key and fanin buffers by leaf count, reused by every lookup; a key
      is copied only when it is added. *)
   let keys = Array.init (k + 1) (fun m -> Array.make (m + 2) 0) in
+  let fkey = Array.make 3 0 in
   let fanins = Array.init (k + 1) (fun m -> Array.make m !waves.(0)) in
-  let price c func =
+  (* A cut's waveform, its cone's table being [Cut.table_lo cuts] and
+     [Cut.table_hi cuts]. *)
+  let price c =
     let m = Cut.size cuts c in
     let key = keys.(m) in
-    key.(0) <- Tt.low_half func;
-    key.(1) <- Tt.high_half func;
+    key.(0) <- Cut.table_lo cuts;
+    key.(1) <- Cut.table_hi cuts;
     for i = 0 to m - 1 do
       key.(i + 2) <- leaf_wave.(Cut.leaf cuts c i)
     done;
     match Memo.find memo key with
     | w -> w
     | exception Not_found ->
+        (* The function's entry, under the table's halves and arity. *)
+        fkey.(0) <- key.(0);
+        fkey.(1) <- key.(1);
+        fkey.(2) <- m;
         let entry =
-          match Hashtbl.find entries func with
+          match Memo.find entries fkey with
           | e -> e
           | exception Not_found ->
-              let e = Sw.entry func in
-              Hashtbl.add entries func e;
+              let e =
+                Sw.entry (Tt.of_halves m ~lo:fkey.(0) ~hi:fkey.(1))
+              in
+              Memo.add entries (Array.copy fkey) e;
               e
         in
         let fanins = fanins.(m) in
@@ -132,77 +164,76 @@ let map ?(objective = Min_sa) ?(input = fun _ -> Sw.default_input) t ~k =
         Memo.add memo (Array.copy key) w;
         w
   in
+  (* The chosen cut per logic node and its table's halves (the high one
+     is 0 below six leaves). *)
   let best_cut = Array.make n (-1) in
-  let best_func = Array.make n (Tt.const0 0) in
-  let order = Nl.topo_order t in
-  Array.iter
-    (fun id ->
-      if not (is_terminal t id) then begin
-        let first = Cut.first cuts id and stop = Cut.stop cuts id in
-        if first = stop then failwith "Mapper.map: logic node without cuts";
-        (* Ties go to the earlier cut. *)
-        let best = ref (-1) in
-        for c = first to stop - 1 do
-          let func = Cut.cone_function cuts t id c in
-          let w = price c func in
-          let b = !best in
-          if
-            b < 0
-            || not
-                 (no_worse objective !wave_sa.(b) !wave_arrival.(b)
-                    (Cut.size cuts best_cut.(id))
-                    !wave_sa.(w) !wave_arrival.(w) (Cut.size cuts c))
-          then begin
-            best_cut.(id) <- c;
-            best_func.(id) <- func;
-            best := w
-          end
-        done;
-        leaf_wave.(id) <- !best
-      end
-      else if not (Nl.is_input t id) then
-        (* Constant: static waveform with its constant probability. *)
-        leaf_wave.(id) <-
-          intern
-            (Timed.make
-               ~prob:(if Tt.eval (Nl.node t id).Nl.func 0 then 1. else 0.)
-               ~steps:[]))
-    order;
-  (* Cover extraction: walk backwards from outputs. *)
-  let needed = Array.make n false in
-  List.iter (fun (_, id) -> needed.(id) <- true) (Nl.outputs t);
-  for i = Array.length order - 1 downto 0 do
-    let id = order.(i) in
-    if needed.(id) && not (is_terminal t id) then begin
-      let c = best_cut.(id) in
-      for j = 0 to Cut.size cuts c - 1 do
-        needed.(Cut.leaf cuts c j) <- true
-      done
+  let best_lo = Array.make n 0 in
+  let best_hi = Array.make (if k = 6 then n else 0) 0 in
+  let arrival w = Timed.arrival !waves.(w) in
+  for id = 0 to n - 1 do
+    if not (is_terminal t id) then begin
+      let first = Cut.first cuts id and stop = Cut.stop cuts id in
+      if first = stop then failwith "Mapper.map: logic node without cuts";
+      (* Ties go to the earlier cut. *)
+      let best = ref (-1) in
+      for c = first to stop - 1 do
+        Cut.cone_table cuts t id c;
+        let w = price c in
+        let b = !best in
+        if
+          b < 0
+          || not
+               (no_worse objective !wave_sa.(b) (arrival b)
+                  (Cut.size cuts best_cut.(id))
+                  !wave_sa.(w) (arrival w) (Cut.size cuts c))
+        then begin
+          best_cut.(id) <- c;
+          best_lo.(id) <- Cut.table_lo cuts;
+          if k = 6 then best_hi.(id) <- Cut.table_hi cuts;
+          best := w
+        end
+      done;
+      leaf_wave.(id) <- !best
     end
+    else if not (Nl.is_input t id) then
+      (* Constant: static waveform with its constant probability. *)
+      leaf_wave.(id) <-
+        intern
+          (Timed.make
+             ~prob:(if Tt.eval (Nl.node t id).Nl.func 0 then 1. else 0.)
+             ~steps:[])
   done;
-  (* Eq. 3 over the cover, summed in [luts] order from the waveforms
-     chosen above: each is what a unit-delay propagation over the LUT
-     network would compute for that LUT (same function, same leaf
-     waveforms, delay 1), and the network's constants add nothing. *)
-  let luts = ref [] and total = ref 0. and functional = ref 0. in
-  Array.iter
-    (fun id ->
-      if needed.(id) && not (is_terminal t id) then begin
-        let leaves = Cut.leaves cuts best_cut.(id) in
-        luts := { root = id; leaves; func = best_func.(id) } :: !luts;
-        let w = leaf_wave.(id) in
-        total := !total +. !wave_sa.(w);
-        functional := !functional +. Timed.functional_activity !waves.(w)
-      end)
-    order;
-  let luts = List.rev !luts in
-  (* Rebuild the cover as a netlist over the same primary inputs. *)
-  let builder = Nl.create_builder ~name:(Nl.name t ^ "_mapped") in
+  (* Cover extraction: walk backwards from outputs, counting the LUTs and
+     the constants the cover reads. *)
+  let needed = Bytes.make n '\000' in
+  List.iter (fun (_, id) -> Bytes.set needed id '\001') (Nl.outputs t);
+  let lut_count = ref 0 and consts = ref 0 in
+  for id = n - 1 downto 0 do
+    if Bytes.get needed id <> '\000' && not (Nl.is_input t id) then
+      if is_terminal t id then incr consts
+      else begin
+        incr lut_count;
+        let c = best_cut.(id) in
+        for j = 0 to Cut.size cuts c - 1 do
+          Bytes.set needed (Cut.leaf cuts c j) '\001'
+        done
+      end
+  done;
+  let lut_count = !lut_count in
+  (* The cover in topological order, Eq. 3 summed in that order from the
+     waveforms chosen above: each is what a unit-delay propagation over
+     the LUT network would compute for that LUT (same function, same
+     leaf waveforms, delay 1), and the network's constants add nothing.
+     The LUT network over the same primary inputs is built alongside,
+     each constant the cover reads becoming a constant node. *)
+  let builder =
+    Nl.create_builder_sized ~name:(Nl.name t ^ "_mapped")
+      ~nodes:(Array.length inputs + lut_count + !consts)
+  in
   let remap = Array.make n (-1) in
   Array.iter
     (fun id -> remap.(id) <- Nl.add_input builder (Nl.node t id).Nl.name)
-    (Nl.inputs t);
-  (* Constants needed as leaves or outputs become constant nodes. *)
+    inputs;
   let map_leaf id =
     if remap.(id) < 0 then begin
       let node = Nl.node t id in
@@ -212,18 +243,34 @@ let map ?(objective = Min_sa) ?(input = fun _ -> Sw.default_input) t ~k =
     end;
     remap.(id)
   in
-  List.iter
-    (fun l ->
-      let fanins = Array.map map_leaf l.leaves in
-      remap.(l.root) <-
-        Nl.add_node builder ~name:("lut" ^ string_of_int l.root) ~func:l.func
-          ~fanins)
-    luts;
+  let luts =
+    Array.make lut_count { root = -1; leaves = [||]; func = Tt.const0 0 }
+  in
+  let tables = Tt.cache () in
+  let l = ref 0 and total = ref 0. and functional = ref 0. in
+  for id = 0 to n - 1 do
+    if Bytes.get needed id <> '\000' && not (is_terminal t id) then begin
+      let c = best_cut.(id) in
+      let m = Cut.size cuts c in
+      let leaves = Cut.leaves cuts c in
+      let hi = if k = 6 then best_hi.(id) else 0 in
+      let func = Tt.cached tables m ~lo:best_lo.(id) ~hi in
+      luts.(!l) <- { root = id; leaves; func };
+      incr l;
+      let w = leaf_wave.(id) in
+      total := !total +. !wave_sa.(w);
+      functional := !functional +. Timed.functional_activity !waves.(w);
+      let fanins = Array.make m 0 in
+      for i = 0 to m - 1 do
+        fanins.(i) <- map_leaf leaves.(i)
+      done;
+      remap.(id) <- Nl.add_node builder ~name:(lut_name id) ~func ~fanins
+    end
+  done;
   List.iter
     (fun (name, id) -> Nl.mark_output builder name (map_leaf id))
     (Nl.outputs t);
   let lut_network = Nl.freeze builder in
-  let lut_count = List.length luts in
   Telemetry.incr c_maps;
   Telemetry.add c_luts lut_count;
   {
@@ -242,8 +289,8 @@ let check_cover m =
   Nl.validate m.lut_network;
   (* Every LUT leaf is terminal or another LUT root. *)
   let roots = Hashtbl.create 64 in
-  List.iter (fun l -> Hashtbl.replace roots l.root ()) m.luts;
-  List.iter
+  Array.iter (fun l -> Hashtbl.replace roots l.root ()) m.luts;
+  Array.iter
     (fun l ->
       Array.iter
         (fun leaf ->

@@ -30,7 +30,7 @@ type lut = {
 
 type t = {
   source : Nl.t;  (** the netlist that was mapped *)
-  luts : lut list;  (** selected cover, topological order *)
+  luts : lut array;  (** selected cover, topological order *)
   lut_network : Nl.t;  (** the LUT-level netlist (inputs = source inputs) *)
   total_sa : float;
       (** Eq. 3: the effective SA of the selected LUTs' waveforms, summed

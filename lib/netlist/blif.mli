@@ -29,7 +29,9 @@ val output_file : Netlist.t -> string -> unit
     functions wider than {!Truth_table.max_vars}, a model without
     outputs) yields [Error (lineno, message)] where [lineno] is the
     1-based source line of the offending construct (for a model without
-    outputs, its first [.model] line, or 1). *)
+    outputs, its first [.model] line, or 1).
+    @raise Invalid_argument on a text of 2 GiB or more: the parse holds
+    its offsets as 32-bit ints. *)
 val parse : string -> (Netlist.t, int * string) result
 
 (** [of_string s] is [parse s], raising on malformed input.

@@ -29,6 +29,11 @@ type builder
 (** [create_builder ~name] starts an empty netlist called [name]. *)
 val create_builder : name:string -> builder
 
+(** [create_builder_sized ~name ~nodes] is [create_builder ~name] with
+    room for [nodes] nodes: when the netlist ends with exactly that many,
+    its node array is the one allocated here.  It grows past them. *)
+val create_builder_sized : name:string -> nodes:int -> builder
+
 (** [add_input b name] declares a primary input and returns its id. *)
 val add_input : builder -> string -> node_id
 
@@ -77,6 +82,9 @@ val topo_order : t -> node_id array
 (** [fanouts t] is, per node, the ids of the nodes reading it. *)
 val fanouts : t -> node_id array array
 
+(** [fanout_counts t] is, per node, the length of its [fanouts] entry. *)
+val fanout_counts : t -> int array
+
 (** [depth t] is per-node logic depth: 0 for inputs and constants, else
     1 + max over fanins. *)
 val depth : t -> int array
@@ -100,6 +108,11 @@ val eval : t -> bool array -> bool array
     bits they carry.  See {!Hlp_util.Bits} for the lane conventions.
     @raise Invalid_argument on an assignment length mismatch. *)
 val eval_words : t -> int array -> int array
+
+(** [eval_words_into t assignment values] is [eval_words t assignment]
+    written into [values], one word per node id.
+    @raise Invalid_argument on an assignment or value length mismatch. *)
+val eval_words_into : t -> int array -> int array -> unit
 
 (** [output_values t assignment] is [eval] restricted to declared outputs,
     in declaration order. *)

@@ -10,7 +10,17 @@ let create n bits =
   if n < 0 || n > max_vars then invalid_arg "Truth_table.create: bad arity";
   { arity = n; bits = Int64.logand bits (full_mask n) }
 
+let of_halves n ~lo ~hi =
+  create n
+    (Int64.logor
+       (Int64.of_int (lo land 0xFFFFFFFF))
+       (Int64.shift_left (Int64.of_int hi) 32))
+
 let arity t = t.arity
+
+let low_mask n = if n >= 5 then 0xFFFFFFFF else (1 lsl (1 lsl n)) - 1
+let high_mask n = if n = 6 then 0xFFFFFFFF else 0
+
 let bits t = t.bits
 let const0 n = create n 0L
 let const1 n = create n (full_mask n)
@@ -94,7 +104,25 @@ let eval_column_words ~arity ~lo ~hi values fanins ofs =
    as its two 32-bit halves. *)
 let[@inline] low_half t = Int64.to_int (Int64.logand t.bits 0xFFFFFFFFL)
 let[@inline] high_half t = Int64.to_int (Int64.shift_right_logical t.bits 32)
-let column_halves t = (low_half t, high_half t)
+
+type cache = t array
+
+let cache () = Array.make 64 { arity = -1; bits = 0L }
+
+let cached c n ~lo ~hi =
+  let lo = lo land low_mask n and hi = hi land high_mask n in
+  let i = (n + (lo * 0x9E3779B1) + (hi * 0x85EBCA77)) lsr 7 land 63 in
+  let t = Array.unsafe_get c i in
+  if
+    t.arity = n
+    && low_half t = lo
+    && high_half t = hi
+  then t
+  else begin
+    let t = of_halves n ~lo ~hi in
+    Array.unsafe_set c i t;
+    t
+  end
 
 let eval_words_at t values fanins =
   if Array.length fanins <> t.arity then
@@ -171,11 +199,7 @@ let support_size t =
   !n
 
 let count_ones t =
-  let rec loop b acc =
-    if Int64.equal b 0L then acc
-    else loop (Int64.logand b (Int64.sub b 1L)) (acc + 1)
-  in
-  loop t.bits 0
+  Hlp_util.Bits.popcount (low_half t) + Hlp_util.Bits.popcount (high_half t)
 
 let compose t args =
   if Array.length args <> t.arity then

@@ -21,6 +21,28 @@ val max_vars : int
     @raise Invalid_argument if [n < 0 || n > max_vars]. *)
 val create : int -> int64 -> t
 
+(** [of_halves n ~lo ~hi] is [create n] of the table whose minterms 0-31
+    are the low 32 bits of [lo] and minterms 32-63 those of [hi]; it is
+    [t] for [lo = low_half t] and [hi = high_half t].
+    @raise Invalid_argument if [n < 0 || n > max_vars]. *)
+val of_halves : int -> lo:int -> hi:int -> t
+
+(** [low_mask n] and [high_mask n] are the bits a table of [n] inputs
+    can have set in its {!low_half} and {!high_half}. *)
+val low_mask : int -> int
+
+val high_mask : int -> int
+
+(** A few recently built tables, for a caller that builds many equal
+    ones; one cache serves one domain at a time. *)
+type cache
+
+val cache : unit -> cache
+
+(** [cached c n ~lo ~hi] is [of_halves n ~lo ~hi], or an equal table that
+    [c] returned before. *)
+val cached : cache -> int -> lo:int -> hi:int -> t
+
 (** [arity t] is the number of input variables. *)
 val arity : t -> int
 
@@ -53,22 +75,16 @@ val eval_words : t -> int array -> int
     @raise Invalid_argument if [Array.length fanins <> arity t]. *)
 val eval_words_at : t -> int array -> int array -> int
 
-(** [column_halves t] is [t]'s column as two native ints: bits 0-31 and
-    bits 32-63 (zero below arity 6).  A 2^6-bit column does not fit one
-    63-bit int. *)
-val column_halves : t -> int * int
-
-(** [low_half t] is [fst (column_halves t)], without building the
-    pair. *)
+(** [low_half t] and [high_half t] are [t]'s column as two native ints:
+    bits 0-31 and bits 32-63 (zero below arity 6).  A 2^6-bit column
+    does not fit one 63-bit int. *)
 val low_half : t -> int
 
-(** [high_half t] is [snd (column_halves t)], without building the
-    pair. *)
 val high_half : t -> int
 
 (** [eval_column_words ~arity ~lo ~hi values fanins ofs] evaluates, lane
-    by lane, the [arity]-input table whose {!column_halves} are
-    [(lo, hi)], input word [i] being [values.(fanins.(ofs + i))] — the
+    by lane, the [arity]-input table whose {!low_half} is [lo] and whose
+    {!high_half} is [hi], input word [i] being [values.(fanins.(ofs + i))] — the
     simulator's kernel, reading a node's fanins out of one flat array.
     Arities 0-4 select among broadcast minterms with a tree of
     2^k - 1 branch-free lane multiplexers (~5*2^k word operations); 5

@@ -127,29 +127,40 @@ let build ?adder_impls ~width binding =
   { binding; width; adder_impls; fus; reg_writers; input_regs;
     output_regs; ctrl }
 
+let golden_operand stream ofs values mask = function
+  | Cdfg.Input k -> stream.(ofs + k) land mask
+  | Cdfg.Op j -> values.(j)
+
+let rec golden_store stream ofs values mask outputs i = function
+  | [] -> ()
+  | o :: rest ->
+      outputs.(i) <- golden_operand stream ofs values mask o;
+      golden_store stream ofs values mask outputs (i + 1) rest
+
+let golden_outputs t stream ~ofs ~values ~outputs =
+  let cdfg = t.binding.Binding.schedule.Schedule.cdfg in
+  let mask = (1 lsl t.width) - 1 in
+  let ops = Cdfg.ops cdfg in
+  for i = 0 to Array.length ops - 1 do
+    let o = ops.(i) in
+    let l = golden_operand stream ofs values mask o.Cdfg.left
+    and r = golden_operand stream ofs values mask o.Cdfg.right in
+    values.(o.Cdfg.id) <-
+      (match o.Cdfg.kind with
+      | Cdfg.Add -> (l + r) land mask
+      | Cdfg.Sub -> (l - r) land mask
+      | Cdfg.Mult -> (l * r) land mask)
+  done;
+  golden_store stream ofs values mask outputs 0 (Cdfg.outputs cdfg)
+
 let golden_eval t inputs =
   let cdfg = t.binding.Binding.schedule.Schedule.cdfg in
   if Array.length inputs <> Cdfg.num_inputs cdfg then
     invalid_arg "Datapath.golden_eval: wrong input count";
-  let mask = (1 lsl t.width) - 1 in
-  let values = Array.make (Cdfg.num_ops cdfg) 0 in
-  let operand = function
-    | Cdfg.Input k -> inputs.(k) land mask
-    | Cdfg.Op j -> values.(j)
-  in
-  Array.iter
-    (fun o ->
-      let l = operand o.Cdfg.left and r = operand o.Cdfg.right in
-      values.(o.Cdfg.id) <-
-        (match o.Cdfg.kind with
-        | Cdfg.Add -> (l + r) land mask
-        | Cdfg.Sub -> (l - r) land mask
-        | Cdfg.Mult -> (l * r) land mask))
-    (Cdfg.ops cdfg);
-  List.mapi
-    (fun i operand_ ->
-      (Printf.sprintf "out%d" i, operand operand_))
-    (Cdfg.outputs cdfg)
+  let outputs = Array.make (List.length (Cdfg.outputs cdfg)) 0 in
+  golden_outputs t inputs ~ofs:0 ~values:(Array.make (Cdfg.num_ops cdfg) 0)
+    ~outputs;
+  List.mapi (fun i v -> (Printf.sprintf "out%d" i, v)) (Array.to_list outputs)
 
 (* The control-table checks that used to live here as fail-fast
    [failwith]s were migrated into Hlp_lint.Rules_datapath (rule family

@@ -68,6 +68,14 @@ val num_regs : t -> int
     reference the RTL simulation is checked against. *)
 val golden_eval : t -> int array -> (string * int) list
 
+(** [golden_outputs t stream ~ofs ~values ~outputs] is {!golden_eval}
+    of the inputs [stream.(ofs)], [stream.(ofs + 1)], ... written into
+    [outputs] in output order, with [values] (one slot per CDFG op) as
+    its working array: it allocates nothing.  The input count is not
+    checked. *)
+val golden_outputs :
+  t -> int array -> ofs:int -> values:int array -> outputs:int array -> unit
+
 (** [validate t] cross-checks the control tables against the schedule
     (every op issued exactly once and only inside its slot, selects in
     range, loads matching variable births, registers defined before

@@ -142,36 +142,42 @@ let set_reg_bits t buffer ~reg ~value =
     (fun bit pos -> buffer.(pos) <- value land (1 lsl bit) <> 0)
     t.layout.reg_bits.(reg)
 
-let set_controls t buffer ~step =
-  let dp = t.datapath in
-  let ctrl = dp.Datapath.ctrl.(step) in
-  Array.iteri
-    (fun f fc ->
-      let set_sel positions value =
-        Array.iteri
-          (fun i pos -> buffer.(pos) <- value land (1 lsl i) <> 0)
-          positions
-      in
-      let left, right, sub =
-        match fc with
-        | Some fc -> (fc.Datapath.left_sel, fc.Datapath.right_sel,
-                      fc.Datapath.subtract)
-        | None -> (0, 0, false)
-      in
-      set_sel t.layout.fu_left_sel.(f) left;
-      set_sel t.layout.fu_right_sel.(f) right;
-      match t.layout.fu_sub.(f) with
-      | Some pos -> buffer.(pos) <- sub
-      | None -> ())
-    ctrl.Datapath.fu_ctrl;
+(* Control lines: per FU its left and right selects and subtract line,
+   per written register its write select, each given by [set pos v]
+   (with [pos] a buffer position) from the step's control table, 0 for
+   an idle FU or a register not loaded.  Plain loops around the one
+   [set] closure, since the simulator sets them at every step. *)
+let[@inline] set_bits set positions value =
+  for i = 0 to Array.length positions - 1 do
+    set positions.(i) (value land (1 lsl i) <> 0)
+  done
+
+let set_control_lines t ~step set =
+  let ctrl = t.datapath.Datapath.ctrl.(step) in
+  let fu_ctrl = ctrl.Datapath.fu_ctrl in
+  for f = 0 to Array.length fu_ctrl - 1 do
+    (match fu_ctrl.(f) with
+    | Some fc ->
+        set_bits set t.layout.fu_left_sel.(f) fc.Datapath.left_sel;
+        set_bits set t.layout.fu_right_sel.(f) fc.Datapath.right_sel
+    | None ->
+        set_bits set t.layout.fu_left_sel.(f) 0;
+        set_bits set t.layout.fu_right_sel.(f) 0);
+    match t.layout.fu_sub.(f) with
+    | Some pos ->
+        set pos
+          (match fu_ctrl.(f) with Some fc -> fc.Datapath.subtract | None -> false)
+    | None -> ()
+  done;
   (* Write-mux selects: pick the loading writer if any; hold 0 otherwise. *)
   List.iter
     (fun r ->
       let value = Option.value ~default:0 ctrl.Datapath.reg_load.(r) in
-      Array.iteri
-        (fun i pos -> buffer.(pos) <- value land (1 lsl i) <> 0)
-        t.layout.reg_wsel.(r))
+      set_bits set t.layout.reg_wsel.(r) value)
     t.layout.written_regs
+
+let set_controls t buffer ~step =
+  set_control_lines t ~step (fun pos v -> buffer.(pos) <- v)
 
 (* Word-level variants for the bit-parallel simulator: the buffer holds
    one machine word per netlist input, each lane a separate simulation
@@ -185,36 +191,8 @@ let set_reg_words t buffer ~reg ~words =
     t.layout.reg_bits.(reg)
 
 let set_controls_words t buffer ~step ~mask =
-  let dp = t.datapath in
-  let ctrl = dp.Datapath.ctrl.(step) in
-  Array.iteri
-    (fun f fc ->
-      let set_sel positions value =
-        Array.iteri
-          (fun i pos ->
-            buffer.(pos) <- (if value land (1 lsl i) <> 0 then mask else 0))
-          positions
-      in
-      let left, right, sub =
-        match fc with
-        | Some fc -> (fc.Datapath.left_sel, fc.Datapath.right_sel,
-                      fc.Datapath.subtract)
-        | None -> (0, 0, false)
-      in
-      set_sel t.layout.fu_left_sel.(f) left;
-      set_sel t.layout.fu_right_sel.(f) right;
-      match t.layout.fu_sub.(f) with
-      | Some pos -> buffer.(pos) <- (if sub then mask else 0)
-      | None -> ())
-    ctrl.Datapath.fu_ctrl;
-  List.iter
-    (fun r ->
-      let value = Option.value ~default:0 ctrl.Datapath.reg_load.(r) in
-      Array.iteri
-        (fun i pos ->
-          buffer.(pos) <- (if value land (1 lsl i) <> 0 then mask else 0))
-        t.layout.reg_wsel.(r))
-    t.layout.written_regs
+  set_control_lines t ~step (fun pos v ->
+      buffer.(pos) <- (if v then mask else 0))
 
 let read_outputs t outputs ~reg =
   if Array.length t.datapath.Datapath.reg_writers.(reg) = 0 then None

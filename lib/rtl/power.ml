@@ -45,24 +45,23 @@ type report = {
 }
 
 (* Shared core: per-net toggle counts (float to admit the static
-   estimate) over a simulated-time base of [cycles] clock periods. *)
-let analyze_counts model ~network ~node_toggles ~total_toggles ~glitch_toggles
-    ~cycles =
+   estimate; [toggles id] for each of the [nodes] nets) over a
+   simulated-time base of [cycles] clock periods. *)
+let analyze_counts model ~network ~nodes ~toggles ~total_toggles
+    ~glitch_toggles ~cycles =
   let depth = Nl.max_depth network in
   let period_ns = clock_period_ns model ~depth in
   let time_s = float_of_int cycles *. period_ns *. 1e-9 in
-  let fanouts = Nl.fanouts network in
+  let fanouts = Nl.fanout_counts network in
   (* Energy per net = toggles * C_net * 0.5 * Vdd^2. *)
   let energy =
     let acc = ref 0. in
-    Array.iteri
-      (fun id toggles ->
-        let c =
-          model.c_base_f
-          +. (float_of_int (Array.length fanouts.(id)) *. model.c_fanout_f)
-        in
-        acc := !acc +. (toggles *. c))
-      node_toggles;
+    for id = 0 to nodes - 1 do
+      let c =
+        model.c_base_f +. (float_of_int fanouts.(id) *. model.c_fanout_f)
+      in
+      acc := !acc +. (toggles id *. c)
+    done;
     !acc *. 0.5 *. model.vdd *. model.vdd
   in
   let power_w = if time_s > 0. then energy /. time_s else 0. in
@@ -83,18 +82,18 @@ let analyze_counts model ~network ~node_toggles ~total_toggles ~glitch_toggles
   }
 
 let analyze model ~network ~sim =
-  analyze_counts model ~network
-    ~node_toggles:(Array.map float_of_int sim.Sim.node_toggles)
+  let node_toggles = sim.Sim.node_toggles in
+  analyze_counts model ~network ~nodes:(Array.length node_toggles)
+    ~toggles:(fun id -> float_of_int node_toggles.(id))
     ~total_toggles:(float_of_int sim.Sim.total_toggles)
     ~glitch_toggles:(float_of_int sim.Sim.glitch_toggles)
     ~cycles:sim.Sim.cycles
 
 let analyze_static model ~network ~analysis ~cycles =
   let fcycles = float_of_int cycles in
-  let node_toggles =
-    Array.map (fun t -> t *. fcycles) (Hlp_static.Analysis.node_toggles analysis)
-  in
-  analyze_counts model ~network ~node_toggles
+  let node_toggles = Hlp_static.Analysis.node_toggles analysis in
+  analyze_counts model ~network ~nodes:(Array.length node_toggles)
+    ~toggles:(fun id -> node_toggles.(id) *. fcycles)
     ~total_toggles:(Hlp_static.Analysis.total_toggles analysis *. fcycles)
     ~glitch_toggles:(Hlp_static.Analysis.glitch_toggles analysis *. fcycles)
     ~cycles

@@ -31,16 +31,19 @@ type result = {
    sim.mli and pinned by a regression test) is: one generator seeded
    with [seed]; draws are vector-major, input-minor; each draw is
    [Rng.int rng (mask + 1)].  Materializing the whole stream up front
-   makes "both engines see identical vectors" true by construction. *)
-let vector_stream ~seed ~vectors ~num_inputs ~mask =
+   makes "both engines see identical vectors" true by construction; it
+   is one flat array, vector [v]'s input [k] at [v * num_inputs + k]. *)
+let flat_stream ~seed ~vectors ~num_inputs ~mask =
   let rng = Rng.create seed in
-  let vs = Array.make_matrix vectors num_inputs 0 in
-  for v = 0 to vectors - 1 do
-    for k = 0 to num_inputs - 1 do
-      vs.(v).(k) <- Rng.int rng (mask + 1)
-    done
+  let vs = Array.make (vectors * num_inputs) 0 in
+  for i = 0 to Array.length vs - 1 do
+    vs.(i) <- Rng.int rng (mask + 1)
   done;
   vs
+
+let vector_stream ~seed ~vectors ~num_inputs ~mask =
+  let vs = flat_stream ~seed ~vectors ~num_inputs ~mask in
+  Array.init vectors (fun v -> Array.sub vs (v * num_inputs) num_inputs)
 
 (* --- shared harness ------------------------------------------------ *)
 
@@ -51,9 +54,13 @@ type 'a harness = {
   n_steps : int;
   n_regs : int;
   width : int;
-  streams : int array array;  (* [vector].[input]: the shared stream *)
+  n_inputs : int;  (* CDFG inputs per vector *)
+  streams : int array;  (* the shared stream, vector-major *)
   out_ids : int array array;  (* per written reg, per bit: output node id *)
   assignment : 'a array;  (* one slot per network primary input *)
+  (* the golden check's working arrays: per CDFG op, per output *)
+  golden_values : int array;
+  golden_outputs : int array;
 }
 
 let make_harness (elab : Elaborate.t) ~network ~config ~fill =
@@ -75,24 +82,36 @@ let make_harness (elab : Elaborate.t) ~network ~config ~fill =
           Array.init width (fun bit ->
               Hashtbl.find out_node (Elaborate.output_name ~reg ~bit)))
   in
+  let n_inputs = Cdfg.num_inputs cdfg in
   {
     dp;
     n_steps = Array.length dp.Datapath.ctrl;
     n_regs;
     width;
+    n_inputs;
     streams =
-      vector_stream ~seed:config.seed ~vectors:config.vectors
-        ~num_inputs:(Cdfg.num_inputs cdfg) ~mask;
+      flat_stream ~seed:config.seed ~vectors:config.vectors
+        ~num_inputs:n_inputs ~mask;
     out_ids;
     assignment = Array.make (Array.length (Nl.inputs network)) fill;
+    golden_values = Array.make (Cdfg.num_ops cdfg) 0;
+    golden_outputs = Array.make (List.length dp.Datapath.output_regs) 0;
   }
 
-let check_output h ~vec name got want =
-  if got <> want then
-    failwith
-      (Printf.sprintf "Sim.run: output %s = %d, golden model says %d (vector %d)"
-         name got want vec);
-  ignore h
+(* Checks vector [vec]'s output registers, [got r] reading register [r],
+   against the golden model. *)
+let check_vector h ~vec got =
+  Datapath.golden_outputs h.dp h.streams ~ofs:(vec * h.n_inputs)
+    ~values:h.golden_values ~outputs:h.golden_outputs;
+  List.iteri
+    (fun i (name, r) ->
+      let want = h.golden_outputs.(i) and got = got r in
+      if got <> want then
+        failwith
+          (Printf.sprintf
+             "Sim.run: output %s = %d, golden model says %d (vector %d)" name
+             got want (vec + 1)))
+    h.dp.Datapath.output_regs
 
 (* --- scalar oracle engine ------------------------------------------ *)
 
@@ -261,8 +280,9 @@ let run_scalar ?(config = default_config) (elab : Elaborate.t) ~network =
        reset itself is not a counted transition. *)
     Array.blit e.canonical 0 e.values 0 n;
     Array.fill reg_values 0 (Array.length reg_values) 0;
-    let pis = h.streams.(vec) in
-    List.iter (fun (k, r) -> reg_values.(r) <- pis.(k)) h.dp.Datapath.input_regs;
+    List.iter
+      (fun (k, r) -> reg_values.(r) <- h.streams.((vec * h.n_inputs) + k))
+      h.dp.Datapath.input_regs;
     for step = 0 to h.n_steps - 1 do
       for r = 0 to h.n_regs - 1 do
         Elaborate.set_reg_bits elab h.assignment ~reg:r ~value:reg_values.(r)
@@ -289,14 +309,7 @@ let run_scalar ?(config = default_config) (elab : Elaborate.t) ~network =
           | None -> ())
         loads
     done;
-    if config.check then begin
-      let expect = Datapath.golden_eval h.dp pis in
-      List.iter2
-        (fun (name, want) (name', r) ->
-          assert (name = name');
-          check_output h ~vec:(vec + 1) name reg_values.(r) want)
-        expect h.dp.Datapath.output_regs
-    end
+    if config.check then check_vector h ~vec (Array.get reg_values)
   done;
   let total_toggles = Array.fold_left ( + ) 0 e.toggles in
   Telemetry.incr c_runs;
@@ -360,35 +373,48 @@ let flatten net =
   let n = Nl.num_nodes net in
   let arity = Array.make n 0 and lo = Array.make n 0 and hi = Array.make n 0 in
   let fi_ofs = Array.make (n + 1) 0 and fo_ofs = Array.make (n + 1) 0 in
+  (* [fo_ofs.(f)] first counts [f]'s fanouts, then, summed, is the end
+     of its slice; filling the slices back to front from the last node
+     leaves it at the slice's start, the fanouts in increasing order. *)
   for id = 0 to n - 1 do
     let node = Nl.node net id in
-    let k = if Nl.is_input net id then 0 else Array.length node.Nl.fanins in
-    fi_ofs.(id + 1) <- fi_ofs.(id) + k;
-    if k > 0 then begin
-      let l, h = Tt.column_halves node.Nl.func in
+    if not (Nl.is_input net id) then begin
+      let k = Array.length node.Nl.fanins in
       arity.(id) <- k;
-      lo.(id) <- l;
-      hi.(id) <- h;
-      Array.iter (fun f -> fo_ofs.(f + 1) <- fo_ofs.(f + 1) + 1) node.Nl.fanins
-    end
+      lo.(id) <- Tt.low_half node.Nl.func;
+      hi.(id) <- Tt.high_half node.Nl.func;
+      for i = 0 to k - 1 do
+        let f = node.Nl.fanins.(i) in
+        fo_ofs.(f) <- fo_ofs.(f) + 1
+      done
+    end;
+    fi_ofs.(id + 1) <- fi_ofs.(id) + arity.(id)
   done;
-  for id = 0 to n - 1 do
-    fo_ofs.(id + 1) <- fo_ofs.(id + 1) + fo_ofs.(id)
+  for id = 1 to n do
+    fo_ofs.(id) <- fo_ofs.(id) + fo_ofs.(id - 1)
   done;
   let fi = Array.make fi_ofs.(n) 0 and fo = Array.make fo_ofs.(n) 0 in
-  let fill = Array.sub fo_ofs 0 (max n 1) in
-  for id = 0 to n - 1 do
-    if arity.(id) > 0 then
-      Array.iteri
-        (fun i f ->
-          fi.(fi_ofs.(id) + i) <- f;
-          fo.(fill.(f)) <- id;
-          fill.(f) <- fill.(f) + 1)
-        (Nl.node net id).Nl.fanins
+  for id = n - 1 downto 0 do
+    let fanins = (Nl.node net id).Nl.fanins in
+    for i = arity.(id) - 1 downto 0 do
+      let f = fanins.(i) in
+      fi.(fi_ofs.(id) + i) <- f;
+      fo_ofs.(f) <- fo_ofs.(f) - 1;
+      fo.(fo_ofs.(f)) <- id
+    done
   done;
-  let inputs = Nl.inputs net in
+  (* The settled response to all-false inputs, each node evaluated as
+     [Netlist.eval_words] evaluates it; a constant, never queued, keeps
+     its column for this. *)
+  let canonical = Array.make n 0 in
+  for id = 0 to n - 1 do
+    if not (Nl.is_input net id) then
+      canonical.(id) <-
+        Tt.eval_column_words ~arity:arity.(id) ~lo:lo.(id) ~hi:hi.(id)
+          canonical fi fi_ofs.(id)
+  done;
   {
-    inputs;
+    inputs = Nl.inputs net;
     arity;
     lo;
     hi;
@@ -396,7 +422,7 @@ let flatten net =
     fi;
     fo_ofs;
     fo;
-    canonical = Nl.eval_words net (Array.make (Array.length inputs) 0);
+    canonical;
     values = Array.make n 0;
     toggles = Array.make n 0;
     cyc_or = Array.make n 0;
@@ -510,7 +536,8 @@ let run ?(config = default_config) (elab : Elaborate.t) ~network =
         for bit = 0 to h.width - 1 do
           let packed = ref 0 in
           for l = 0 to active - 1 do
-            if h.streams.(base + l).(k) land (1 lsl bit) <> 0 then
+            if h.streams.(((base + l) * h.n_inputs) + k) land (1 lsl bit) <> 0
+            then
               packed := !packed lor (1 lsl l)
           done;
           w.(bit) <- !packed
@@ -542,18 +569,13 @@ let run ?(config = default_config) (elab : Elaborate.t) ~network =
     done;
     if config.check then
       for l = 0 to active - 1 do
-        let pis = h.streams.(base + l) in
-        let expect = Datapath.golden_eval h.dp pis in
-        List.iter2
-          (fun (name, want) (name', r) ->
-            assert (name = name');
+        check_vector h ~vec:(base + l) (fun r ->
             let got = ref 0 in
             let w = regs_w.(r) in
             for bit = 0 to h.width - 1 do
               if (w.(bit) lsr l) land 1 = 1 then got := !got lor (1 lsl bit)
             done;
-            check_output h ~vec:(base + l + 1) name !got want)
-          expect h.dp.Datapath.output_regs
+            !got)
       done
   done;
   let total_toggles = Array.fold_left ( + ) 0 e.toggles in

@@ -292,11 +292,13 @@ let analyze ?(glitch_gain = default_glitch_gain) net ~input =
     in
     wofs.(id + 1) <- wofs.(id) + len
   done;
-  let wave = Array.make wofs.(n) 0. in
-  let prob = Array.make n 0. in
-  let functional = Array.make n 0. in
-  let density = Array.make n 0. in
-  let toggles = Array.make n 0. in
+  (* Every entry of these is written below, so none is zero-filled
+     first. *)
+  let wave = Array.create_float wofs.(n) in
+  let prob = Array.create_float n in
+  let functional = Array.create_float n in
+  let density = Array.create_float n in
+  let toggles = Array.create_float n in
   (* Tables of arity <= 3 (most of a 4-LUT cover) index a direct-mapped
      cache by their 8 content bits and arity; wider ones take a hash
      table keyed by the raw column. *)
@@ -358,10 +360,14 @@ let analyze ?(glitch_gain = default_glitch_gain) net ~input =
       let node = Nl.node net id in
       let fanins = node.Nl.fanins in
       let k = Array.length fanins in
-      if k = 0 then
+      if k = 0 then begin
         (* Constant node: probability is the table value, never
            switches. *)
-        prob.(id) <- (if Tt.eval node.Nl.func 0 then 1. else 0.)
+        prob.(id) <- (if Tt.eval node.Nl.func 0 then 1. else 0.);
+        functional.(id) <- 0.;
+        density.(id) <- 0.;
+        toggles.(id) <- 0.
+      end
       else begin
         let t_lo = min_arrival.(id) - 1 in
         let wo = wofs.(id) in
@@ -426,12 +432,13 @@ let analyze ?(glitch_gain = default_glitch_gain) net ~input =
               one := i
             end
           done;
-          if !active = 1 then begin
+          if !active = 0 then wave.(wo + rel) <- 0.
+          else if !active = 1 then begin
             let v = fmin bound (clamp01 (bd.(!one) *. acts.(!one))) in
             wave.(wo + rel) <- v;
             if v > 0. then last := rel
           end
-          else if !active > 1 then begin
+          else begin
             for i = 0 to k - 1 do
               let cap = Array.unsafe_get caps i in
               let a = Array.unsafe_get acts i in

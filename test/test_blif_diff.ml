@@ -620,12 +620,63 @@ let edge_cases =
      11111111 1\n.end\n";
     (* a last line ending in '\\' *)
     ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end \\";
+    (* every line a cover row: the parser's counts of the text are 0 *)
+    "11 1\n0- 1\n1 1\n";
+    (* an entry's nets on continued lines, one blank counted *)
+    ".model m\n.inputs a b\n.outputs y\n.names \\\na \\\nb \\\ny\n11 1\n.end\n";
+    (* a line that starts with ".n" but is no entry *)
+    ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.nope a y\n.end\n";
   ]
 
 let test_edge_cases () =
   List.iter
     (fun s -> Alcotest.(check bool) (String.escaped s) true (parse_agrees s))
     edge_cases
+
+(* [Blif.parse] sizes its arrays from a count of the text that is
+   exact for the writer's own text: per line that starts with ".n", an
+   entry and an entry net per blank; per blank on a line that starts
+   with ".i" or ".o", an input or output.  Each rewrite below keeps the
+   netlist but makes a count too small (nets on continued lines,
+   directives after leading blanks), too large (blanks in comments) or
+   leaves it exact (comment-only lines between the rows); the parse
+   must grow past a short count and agree with the reference and with
+   the plain text's parse. *)
+let map_lines f s = String.concat "\n" (List.map f (String.split_on_char '\n' s))
+let is_directive l = String.length l > 1 && l.[0] = '.'
+
+let count_rewrites =
+  [
+    ( "every net on its own continued line",
+      map_lines (fun l ->
+          if is_directive l then
+            String.concat " \\\n" (String.split_on_char ' ' l)
+          else l) );
+    ("directives after leading blanks", map_lines (fun l ->
+         if is_directive l then "  " ^ l else l));
+    ( "blanks in comments on directive lines",
+      map_lines (fun l -> if is_directive l then l ^ " # a b  c\td" else l) );
+    ( "comment-only lines between the rows",
+      map_lines (fun l -> if is_row l then l ^ "\n# a comment\n#" else l) );
+  ]
+
+let test_count_rewrites () =
+  List.iter
+    (fun (name, netlist) ->
+      let plain = Blif.to_string netlist in
+      let expect = Blif.parse plain in
+      Alcotest.(check bool) (name ^ " parses") true (Result.is_ok expect);
+      List.iter
+        (fun (rewrite, f) ->
+          let s = f plain in
+          let label = name ^ ": " ^ rewrite in
+          Alcotest.(check bool) (label ^ " = reference") true (parse_agrees s);
+          Alcotest.(check bool) (label ^ " = plain text") true
+            (Blif.parse s = expect))
+        count_rewrites)
+    (List.filter
+       (fun (name, _) -> name = "pr/lopass" || name = "wang/hlpower-a0.5")
+       (Lazy.force Test_mapper.flow_mix_netlists))
 
 let print_case seed =
   let rng = Rng.create (Printf.sprintf "blif-diff-%d" seed) in
@@ -701,4 +752,6 @@ let suite =
       test_edge_cases;
     Alcotest.test_case "writer bytes pinned on the 21 flow-mix netlists"
       `Quick test_flow_mix_pinned;
+    Alcotest.test_case "parse grows past short counts of the text" `Quick
+      test_count_rewrites;
   ]

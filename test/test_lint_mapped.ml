@@ -32,7 +32,7 @@ let test_clean () =
 let test_lut_too_wide () =
   let m = mapping () in
   let widest =
-    List.fold_left
+    Array.fold_left
       (fun acc l -> max acc (Array.length l.Mapper.leaves))
       0 m.Mapper.luts
   in
@@ -43,7 +43,7 @@ let test_lut_too_wide () =
 let test_arity_mismatch () =
   let m = mapping () in
   let luts =
-    match m.Mapper.luts with
+    match Array.to_list m.Mapper.luts with
     | l :: rest when Array.length l.Mapper.leaves >= 1 ->
         (* Wrong-arity function for the leaf count. *)
         { l with Mapper.func = Tt.var 0 (Array.length l.Mapper.leaves + 1) }
@@ -51,19 +51,19 @@ let test_arity_mismatch () =
     | _ -> Alcotest.fail "unexpected empty cover"
   in
   check_bool "M005 reported" true
-    (D.has_code "M005" (Rules.check ~k { m with Mapper.luts }))
+    (D.has_code "M005" (Rules.check ~k { m with Mapper.luts = Array.of_list luts }))
 
 let test_bad_leaf () =
   let m = mapping () in
   let luts =
-    match m.Mapper.luts with
+    match Array.to_list m.Mapper.luts with
     | l :: rest ->
         { l with Mapper.leaves = Array.map (fun _ -> 9999) l.Mapper.leaves }
         :: rest
     | [] -> Alcotest.fail "unexpected empty cover"
   in
   check_bool "M002 reported" true
-    (D.has_code "M002" (Rules.check ~k { m with Mapper.luts }))
+    (D.has_code "M002" (Rules.check ~k { m with Mapper.luts = Array.of_list luts }))
 
 (* Dropping the LUT that implements an output breaks coverage. *)
 let test_output_not_implemented () =
@@ -74,10 +74,11 @@ let test_output_not_implemented () =
     | [] -> Alcotest.fail "no outputs"
   in
   let luts =
-    List.filter (fun l -> l.Mapper.root <> out_id) m.Mapper.luts
+    List.filter (fun l -> l.Mapper.root <> out_id)
+      (Array.to_list m.Mapper.luts)
   in
   check_bool "M002 reported" true
-    (D.has_code "M002" (Rules.check ~k { m with Mapper.luts }))
+    (D.has_code "M002" (Rules.check ~k { m with Mapper.luts = Array.of_list luts }))
 
 (* A LUT network deeper than the gate netlist it covers is impossible for
    a real cover: each LUT absorbs at least one gate level. *)
@@ -100,14 +101,14 @@ let test_depth_not_monotone () =
 let test_all_violations_in_one_run () =
   let m = mapping () in
   let luts =
-    match m.Mapper.luts with
+    match Array.to_list m.Mapper.luts with
     | l1 :: l2 :: rest ->
         { l1 with Mapper.leaves = Array.map (fun _ -> 9999) l1.Mapper.leaves }
         :: { l2 with Mapper.func = Tt.var 0 (Array.length l2.Mapper.leaves + 1) }
         :: rest
     | _ -> Alcotest.fail "cover too small"
   in
-  let ds = Rules.check ~k:1 { m with Mapper.luts } in
+  let ds = Rules.check ~k:1 { m with Mapper.luts = Array.of_list luts } in
   List.iter
     (fun code ->
       check_bool (code ^ " present in combined run") true (D.has_code code ds))

@@ -240,7 +240,7 @@ let agrees ~objective ~input t ~k =
        (fun l ->
          ( l.Mapper.root, l.Mapper.leaves, Tt.arity l.Mapper.func,
            Tt.bits l.Mapper.func ))
-       m.Mapper.luts
+       (Array.to_list m.Mapper.luts)
      = luts
 
 let prop_mapper_matches_reference =
